@@ -1,426 +1,28 @@
 //! Diagnosis hot-path latency: violation → per-component abnormal-change
-//! findings on a seeded 4-component RUBiS case.
+//! findings, timed through real [`SlaveDaemon`]s.
 //!
-//! Three variants are timed over the identical precomputed state:
+//! * `rubis_4c/{sequential,parallel}` — the seeded 4-component RUBiS
+//!   CpuHog case answered by one daemon with the single-threaded
+//!   reference request (`CollectRequest { sequential: true, .. }`) and
+//!   with the default request, which fans components out across scoped
+//!   threads.
+//! * `engines/<scenario>/{batch,streaming}` — two identically-fed daemons,
+//!   one per analysis engine, on the on-violation path.
 //!
-//! * `pre_pr_sequential` — a faithful copy of the pre-optimization
-//!   pipeline: the allocating CUSUM + bootstrap detector (fresh CUSUM
-//!   vector and fresh shuffle buffer per segment test) and the burst-FFT
-//!   expected-error synthesized *per outlier* with twiddle factors
-//!   recomputed on every transform.
-//! * `optimized_sequential` — the deployed pipeline
-//!   ([`fchain_core::slave::select_abnormal_changes`]) run on one thread:
-//!   prefix-sum CUSUM with one reusable shuffle scratch, cached FFT
-//!   twiddles, loop-invariant expected error.
-//! * `optimized_parallel` — the same pipeline fanned out across
-//!   components with scoped threads, exactly as `SlaveDaemon::analyze_all`
-//!   does.
-//!
-//! Before timing, the baseline and optimized paths are asserted to produce
-//! identical findings. Results (plus the host's available parallelism, so
-//! single-core CI numbers are interpretable) are written to
-//! `BENCH_diagnosis.json` at the repository root.
+//! Before timing, the sequential and parallel requests and the two
+//! engines are asserted to produce identical findings. Results (plus the
+//! host's available parallelism, so single-core CI numbers are
+//! interpretable) are written to `BENCH_diagnosis.json` at the repository
+//! root.
 
 use criterion::{black_box, Criterion};
-use fchain_core::slave::rollback::rollback_onset;
-use fchain_core::slave::{select_abnormal_changes, MetricSample, SlaveDaemon};
-use fchain_core::{AbnormalChange, AnalysisEngine, FChainConfig};
-use fchain_detect::{magnitude_outliers, ChangePoint, CusumConfig, Trend};
+use fchain_core::slave::{MetricSample, SlaveDaemon};
+use fchain_core::{AnalysisEngine, CollectRequest, FChainConfig};
 use fchain_eval::case_from_run;
-use fchain_metrics::fft::{next_pow2, Complex};
-use fchain_metrics::{smooth, stats, MetricKind, Tick};
-use fchain_model::OnlineLearner;
+use fchain_metrics::{MetricKind, Tick};
 use fchain_sim::{AppKind, FaultKind, RunConfig, Simulator};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde_json::json;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
-
-// ---------------------------------------------------------------------------
-// Pre-PR baseline kernels (verbatim copies of the code this PR replaced).
-// ---------------------------------------------------------------------------
-
-/// The pre-optimization CUSUM + bootstrap detector: materializes the CUSUM
-/// walk in a fresh `Vec` and clones the segment into a fresh shuffle
-/// buffer for every bootstrap test, at every recursion level.
-struct BaselineCusum {
-    config: CusumConfig,
-}
-
-impl BaselineCusum {
-    fn detect(&self, xs: &[f64]) -> Vec<ChangePoint> {
-        let mut rng = SmallRng::seed_from_u64(self.config.seed);
-        let mut found = Vec::new();
-        self.segment(xs, 0, &mut found, &mut rng, 0);
-        found.sort_by_key(|cp| cp.index);
-        found
-    }
-
-    fn segment(
-        &self,
-        xs: &[f64],
-        offset: usize,
-        out: &mut Vec<ChangePoint>,
-        rng: &mut SmallRng,
-        depth: usize,
-    ) {
-        if xs.len() < self.config.min_segment * 2 || out.len() >= self.config.max_change_points {
-            return;
-        }
-        if depth > 24 {
-            return;
-        }
-        let Some((split, confidence)) = self.test_segment(xs, rng) else {
-            return;
-        };
-        if split < self.config.min_segment || xs.len() - split < self.config.min_segment {
-            return;
-        }
-        let before = stats::mean(&xs[..split]);
-        let after = stats::mean(&xs[split..]);
-        let magnitude = (after - before).abs();
-        let direction = if after >= before {
-            Trend::Up
-        } else {
-            Trend::Down
-        };
-        out.push(ChangePoint {
-            index: offset + split,
-            confidence,
-            magnitude,
-            direction,
-        });
-        self.segment(&xs[..split], offset, out, rng, depth + 1);
-        self.segment(&xs[split..], offset + split, out, rng, depth + 1);
-    }
-
-    fn test_segment(&self, xs: &[f64], rng: &mut SmallRng) -> Option<(usize, f64)> {
-        let n = xs.len();
-        let mean = stats::mean(xs);
-        let mut s = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        let mut s_min = f64::INFINITY;
-        let mut s_max = f64::NEG_INFINITY;
-        let mut max_abs_idx = 0;
-        let mut max_abs = -1.0;
-        for (i, &x) in xs.iter().enumerate() {
-            acc += x - mean;
-            s.push(acc);
-            s_min = s_min.min(acc);
-            s_max = s_max.max(acc);
-            if acc.abs() > max_abs {
-                max_abs = acc.abs();
-                max_abs_idx = i;
-            }
-        }
-        let s_diff = s_max - s_min;
-        if s_diff <= f64::EPSILON {
-            return None;
-        }
-        let mut shuffled = xs.to_vec();
-        let mut below = 0usize;
-        for _ in 0..self.config.bootstraps {
-            shuffled.shuffle(rng);
-            let mut acc = 0.0;
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for &x in &shuffled {
-                acc += x - mean;
-                lo = lo.min(acc);
-                hi = hi.max(acc);
-            }
-            if hi - lo < s_diff {
-                below += 1;
-            }
-        }
-        let confidence = below as f64 / self.config.bootstraps as f64;
-        if confidence < self.config.confidence {
-            return None;
-        }
-        Some(((max_abs_idx + 1).min(n - 1), confidence))
-    }
-}
-
-/// The pre-optimization radix-2 transform: twiddle factors recomputed with
-/// a complex multiply chain on every call (no plan, no cache).
-fn baseline_transform(buf: &mut [Complex], inverse: bool) {
-    let n = buf.len();
-    assert!(n.is_power_of_two());
-    if n <= 1 {
-        return;
-    }
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = ((i as u32).reverse_bits() >> (32 - bits)) as usize;
-        if i < j {
-            buf.swap(i, j);
-        }
-    }
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::from_polar_unit(ang);
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex::from(1.0);
-            for j in 0..len / 2 {
-                let u = buf[i + j];
-                let v = buf[i + j + len / 2] * w;
-                buf[i + j] = u + v;
-                buf[i + j + len / 2] = u - v;
-                w = w * wlen;
-            }
-            i += len;
-        }
-        len <<= 1;
-    }
-}
-
-fn baseline_burst_signal(xs: &[f64], high_fraction: f64) -> Vec<f64> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let n = next_pow2(xs.len());
-    let mut buf: Vec<Complex> = xs.iter().map(|&x| Complex::from(x)).collect();
-    let pad = *xs.last().expect("non-empty");
-    buf.resize(n, Complex::from(pad));
-    baseline_transform(&mut buf, false);
-    let max_freq = n / 2;
-    let cutoff = ((1.0 - high_fraction) * max_freq as f64).floor() as usize;
-    for (i, z) in buf.iter_mut().enumerate() {
-        let freq = i.min(n - i);
-        if freq <= cutoff {
-            *z = Complex::ZERO;
-        }
-    }
-    baseline_transform(&mut buf, true);
-    let scale = n as f64;
-    buf.truncate(xs.len());
-    buf.into_iter().map(|z| z.re / scale).collect()
-}
-
-fn baseline_burst_magnitude(xs: &[f64], high_fraction: f64, percentile: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let burst = baseline_burst_signal(xs, high_fraction);
-    let abs: Vec<f64> = burst.iter().map(|b| b.abs()).collect();
-    stats::percentile(&abs, percentile).unwrap_or(0.0)
-}
-
-fn baseline_adaptive_half(window: &[f64], base: usize) -> usize {
-    let diffs: Vec<f64> = window.windows(2).map(|w| (w[1] - w[0]).abs()).collect();
-    let jitter = stats::percentile(&diffs, 50.0).unwrap_or(0.0);
-    let spread = stats::std_dev(window);
-    if spread <= f64::EPSILON {
-        return 1;
-    }
-    let ratio = jitter / spread;
-    if ratio > 0.5 {
-        (2 * base).max(1)
-    } else if ratio > 0.2 {
-        base.max(1)
-    } else {
-        1
-    }
-}
-
-fn baseline_real_error(errors: &[f64], idx: usize, slack: usize) -> f64 {
-    let lo = idx.saturating_sub(2);
-    let hi = (idx + slack).min(errors.len() - 1);
-    errors[lo..=hi].iter().copied().fold(0.0, f64::max)
-}
-
-fn baseline_expected_error(hist: &[f64], idx: usize, config: &FChainConfig) -> f64 {
-    let q = config.burst_window as usize;
-    let guard = config.smoothing_half + 2;
-    let lo = idx.saturating_sub(2 * q + guard);
-    let hi = idx.saturating_sub(1 + guard).max(lo);
-    config.burst_scale
-        * baseline_burst_magnitude(
-            &hist[lo..=hi.min(hist.len() - 1)],
-            config.high_freq_fraction,
-            config.burst_percentile,
-        )
-}
-
-/// The pre-PR selection flow: identical stage order and thresholds, but
-/// driven by the baseline kernels, with the expected error re-synthesized
-/// for every surviving outlier.
-fn baseline_select(
-    hist: &[f64],
-    errors: &[f64],
-    kind: MetricKind,
-    violation_at: Tick,
-    lookback: u64,
-    config: &FChainConfig,
-) -> Option<AbnormalChange> {
-    let detector = BaselineCusum {
-        config: config.cusum.clone(),
-    };
-    let n = hist.len();
-    if n == 0 || errors.len() != n {
-        return None;
-    }
-    let w = (lookback as usize).min(n.saturating_sub(1));
-    let normal_span_start = config.learner.calibration_samples.min(n.saturating_sub(1));
-    let normal_span_end = n.saturating_sub(w).max(normal_span_start + 1).min(n);
-    let normal_errors = &errors[normal_span_start..normal_span_end];
-    let p90 = stats::percentile(normal_errors, 90.0).unwrap_or(0.0);
-    let p99 = stats::percentile(normal_errors, 99.0).unwrap_or(0.0);
-    let max_normal = stats::max(normal_errors).unwrap_or(0.0);
-    let error_floor = (config.error_floor_scale * p90)
-        .max(1.8 * p99)
-        .max(1.02 * max_normal)
-        .max(1e-9);
-
-    let window_start = n - 1 - w;
-    let window_raw = &hist[window_start..];
-    let half = if config.adaptive_smoothing {
-        baseline_adaptive_half(window_raw, config.smoothing_half)
-    } else {
-        config.smoothing_half
-    };
-    let window_smooth = smooth::moving_average(window_raw, half);
-    let change_points = detector.detect(&window_smooth);
-    if change_points.is_empty() {
-        return None;
-    }
-    let outliers = magnitude_outliers(&change_points, &window_smooth, &config.outlier);
-
-    let anchor = window_start + change_points[0].index;
-    let q2 = 2 * config.burst_window as usize;
-    let head_end = (window_start + q2).min(n - 1);
-    let head = baseline_burst_magnitude(
-        &hist[window_start..=head_end],
-        config.high_freq_fraction,
-        config.burst_percentile,
-    ) * config.burst_scale;
-    let mut abnormal: Vec<(ChangePoint, f64, f64)> = Vec::new();
-    for cp in &outliers {
-        let abs_idx = window_start + cp.index;
-        let real = baseline_real_error(errors, abs_idx, config.error_slack as usize);
-        // Pre-PR: the burst FFT re-ran here for every outlier even though
-        // the anchor (and therefore the result) never changes.
-        let expected = baseline_expected_error(hist, anchor, config)
-            .min(head)
-            .max(error_floor);
-        let sus_hi = (abs_idx + 6).min(errors.len() - 1);
-        let sustained =
-            errors[abs_idx..=sus_hi].iter().sum::<f64>() / (sus_hi - abs_idx + 1) as f64;
-        if real > expected && sustained > 0.4 * expected {
-            abnormal.push((*cp, real, expected));
-        }
-    }
-    let (cp, real, expected) = abnormal.into_iter().min_by_key(|(cp, _, _)| cp.index)?;
-    let onset_idx = rollback_onset(&window_smooth, &change_points, &cp, config.tangent_epsilon);
-    let to_tick = |idx: usize| violation_at.saturating_sub(w as Tick) + idx as Tick;
-    Some(AbnormalChange {
-        metric: kind,
-        change_at: to_tick(cp.index),
-        onset: to_tick(onset_idx),
-        prediction_error: real,
-        expected_error: expected,
-        direction: cp.direction,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Workload construction and drivers.
-// ---------------------------------------------------------------------------
-
-/// One metric's precomputed state: the sanitized history up to the
-/// violation and the causal prediction-error series the daemon maintains
-/// continuously (training is *not* part of the on-violation cost).
-struct MetricTask {
-    kind: MetricKind,
-    hist: Vec<f64>,
-    errors: Vec<f64>,
-}
-
-/// All monitored metrics of one component.
-struct ComponentTasks {
-    metrics: Vec<MetricTask>,
-}
-
-fn build_tasks(violation_at: Tick, lookback: u64, config: &FChainConfig) -> Vec<ComponentTasks> {
-    let run = Simulator::new(RunConfig::new(AppKind::Rubis, FaultKind::CpuHog, 900)).run();
-    let case = case_from_run(&run, lookback).expect("seeded RUBiS run must produce a violation");
-    assert_eq!(case.violation_at, violation_at, "seed drifted");
-    case.components
-        .iter()
-        .map(|component| {
-            let metrics = MetricKind::ALL
-                .into_iter()
-                .filter_map(|kind| {
-                    let history = component.metric(kind);
-                    let hist = history.window(history.start(), violation_at).to_vec();
-                    if hist.len() < (lookback as usize).min(40) {
-                        return None;
-                    }
-                    let mut learner = OnlineLearner::new(config.learner.clone());
-                    let errors = learner.train_errors(&hist);
-                    Some(MetricTask { kind, hist, errors })
-                })
-                .collect();
-            ComponentTasks { metrics }
-        })
-        .collect()
-}
-
-fn analyze_component_tasks<F>(tasks: &ComponentTasks, select: &F) -> Vec<AbnormalChange>
-where
-    F: Fn(&MetricTask) -> Option<AbnormalChange>,
-{
-    tasks.metrics.iter().filter_map(select).collect()
-}
-
-fn run_sequential<F>(tasks: &[ComponentTasks], select: &F) -> Vec<Vec<AbnormalChange>>
-where
-    F: Fn(&MetricTask) -> Option<AbnormalChange>,
-{
-    tasks
-        .iter()
-        .map(|t| analyze_component_tasks(t, select))
-        .collect()
-}
-
-/// Component-level fan-out with the same deterministic work-queue shape as
-/// `SlaveDaemon::analyze_all`: scoped workers pull component indices from
-/// an atomic counter and write into index-ordered slots.
-fn run_parallel<F>(tasks: &[ComponentTasks], select: &F) -> Vec<Vec<AbnormalChange>>
-where
-    F: Fn(&MetricTask) -> Option<AbnormalChange> + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(tasks.len());
-    if workers <= 1 {
-        return run_sequential(tasks, select);
-    }
-    let slots: Vec<Mutex<Vec<AbnormalChange>>> = tasks.iter().map(|_| Default::default()).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks.len() {
-                    break;
-                }
-                *slots[i].lock().expect("bench slot") = analyze_component_tasks(&tasks[i], select);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("bench slot"))
-        .collect()
-}
 
 // ---------------------------------------------------------------------------
 // Engine comparison: batch vs streaming daemons on the on-violation path.
@@ -490,37 +92,29 @@ fn build_engine_scenario(
 }
 
 fn main() {
-    let config = FChainConfig::default();
-    let lookback = 100u64;
-    let run = Simulator::new(RunConfig::new(AppKind::Rubis, FaultKind::CpuHog, 900)).run();
-    let case = case_from_run(&run, lookback).expect("seeded RUBiS run must produce a violation");
-    let violation_at = case.violation_at;
-    let n_components = case.components.len();
-    assert_eq!(n_components, 4, "the RUBiS topology has 4 components");
-    drop(case);
-    let tasks = build_tasks(violation_at, lookback, &config);
-
-    let new_select = |t: &MetricTask| {
-        select_abnormal_changes(&t.hist, &t.errors, t.kind, violation_at, lookback, &config)
-    };
-    let old_select = |t: &MetricTask| {
-        baseline_select(&t.hist, &t.errors, t.kind, violation_at, lookback, &config)
+    // The sequential/parallel case: the deployed (streaming) daemon on
+    // the paper's default window.
+    let rubis = build_engine_scenario("rubis_4c", AppKind::Rubis, FaultKind::CpuHog, 900, 100);
+    assert_eq!(rubis.seed, 900, "seed drifted");
+    assert_eq!(rubis.components, 4, "the RUBiS topology has 4 components");
+    let parallel = CollectRequest::at(rubis.violation_at);
+    let sequential = CollectRequest {
+        sequential: true,
+        ..parallel
     };
 
-    // The optimizations must be pure speedups: all three paths agree on
-    // every finding before any of them is timed.
-    let baseline_findings = run_sequential(&tasks, &old_select);
-    let optimized_findings = run_sequential(&tasks, &new_select);
-    let parallel_findings = run_parallel(&tasks, &new_select);
+    // The parallel fan-out must be a pure speedup: both requests agree on
+    // every finding before either is timed.
+    let sequential_findings = rubis.streaming.analyze_all(None, &sequential);
     assert_eq!(
-        baseline_findings, optimized_findings,
-        "optimized pipeline diverged from the pre-PR baseline"
+        sequential_findings,
+        rubis.streaming.analyze_all(None, &parallel),
+        "parallel analysis diverged from the sequential reference"
     );
-    assert_eq!(
-        optimized_findings, parallel_findings,
-        "parallel pipeline diverged from the sequential one"
-    );
-    let abnormal_components = optimized_findings.iter().filter(|f| !f.is_empty()).count();
+    let abnormal_components = sequential_findings
+        .iter()
+        .filter(|f| !f.changes.is_empty())
+        .count();
     assert!(
         abnormal_components >= 1,
         "the fault case must produce findings"
@@ -548,9 +142,13 @@ fn main() {
             500,
         ),
     ];
-    for s in &scenarios {
-        let batch_findings = s.batch.analyze_all_sequential(s.violation_at);
-        let streaming_findings = s.streaming.analyze_all_sequential(s.violation_at);
+    for s in std::iter::once(&rubis).chain(&scenarios) {
+        let request = CollectRequest {
+            sequential: true,
+            ..CollectRequest::at(s.violation_at)
+        };
+        let batch_findings = s.batch.analyze_all(None, &request);
+        let streaming_findings = s.streaming.analyze_all(None, &request);
         assert_eq!(
             batch_findings, streaming_findings,
             "{}: engines diverge before timing",
@@ -568,24 +166,21 @@ fn main() {
         .warm_up_time(Duration::from_secs(2))
         .measurement_time(Duration::from_secs(6))
         .configure_from_args();
-    criterion.bench_function("diagnosis_latency/rubis_4c/pre_pr_sequential", |b| {
-        b.iter(|| black_box(run_sequential(black_box(&tasks), &old_select)))
+    criterion.bench_function("diagnosis_latency/rubis_4c/sequential", |b| {
+        b.iter(|| black_box(rubis.streaming.analyze_all(None, black_box(&sequential))))
     });
-    criterion.bench_function("diagnosis_latency/rubis_4c/optimized_sequential", |b| {
-        b.iter(|| black_box(run_sequential(black_box(&tasks), &new_select)))
-    });
-    criterion.bench_function("diagnosis_latency/rubis_4c/optimized_parallel", |b| {
-        b.iter(|| black_box(run_parallel(black_box(&tasks), &new_select)))
+    criterion.bench_function("diagnosis_latency/rubis_4c/parallel", |b| {
+        b.iter(|| black_box(rubis.streaming.analyze_all(None, black_box(&parallel))))
     });
     for s in &scenarios {
-        let violation_at = s.violation_at;
+        let request = CollectRequest::at(s.violation_at);
         criterion.bench_function(
             &format!("diagnosis_latency/engines/{}/batch", s.label),
-            |b| b.iter(|| black_box(s.batch.analyze_all(black_box(violation_at)))),
+            |b| b.iter(|| black_box(s.batch.analyze_all(None, black_box(&request)))),
         );
         criterion.bench_function(
             &format!("diagnosis_latency/engines/{}/streaming", s.label),
-            |b| b.iter(|| black_box(s.streaming.analyze_all(black_box(violation_at)))),
+            |b| b.iter(|| black_box(s.streaming.analyze_all(None, black_box(&request)))),
         );
     }
     criterion.final_summary();
@@ -598,9 +193,8 @@ fn main() {
             .map(|s| s.median_ns)
             .unwrap_or(f64::NAN)
     };
-    let pre = median("pre_pr_sequential");
-    let seq = median("optimized_sequential");
-    let par = median("optimized_parallel");
+    let seq = median("rubis_4c/sequential");
+    let par = median("rubis_4c/parallel");
     let host_parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -641,12 +235,12 @@ fn main() {
     let payload = json!({
         "bench": "diagnosis_latency",
         "case": {
-            "app": "Rubis",
-            "fault": "CpuHog",
-            "seed": 900,
-            "components": n_components,
-            "lookback": lookback,
-            "violation_at": violation_at,
+            "app": format!("{:?}", rubis.app),
+            "fault": format!("{:?}", rubis.fault),
+            "seed": rubis.seed,
+            "components": rubis.components,
+            "lookback": rubis.lookback,
+            "violation_at": rubis.violation_at,
             "abnormal_components": abnormal_components,
         },
         "host_parallelism": host_parallelism,
@@ -663,8 +257,6 @@ fn main() {
             "iters_per_sample": s.iters_per_sample,
         })).collect::<Vec<_>>(),
         "speedup": {
-            "optimized_sequential_vs_pre_pr": pre / seq,
-            "optimized_parallel_vs_pre_pr": pre / par,
             "parallel_vs_sequential": seq / par,
         },
         "engines": engines,
@@ -674,7 +266,7 @@ fn main() {
     std::fs::write(path, rendered + "\n").expect("write BENCH_diagnosis.json");
     println!("wrote {path}");
     println!(
-        "medians: pre-PR {pre:.0} ns, optimized sequential {seq:.0} ns, optimized parallel {par:.0} ns ({}x vs pre-PR)",
-        pre / par
+        "medians: sequential {seq:.0} ns, parallel {par:.0} ns ({:.2}x)",
+        seq / par
     );
 }

@@ -304,10 +304,11 @@ pub fn execute_plan(plan: &ScenarioPlan, config: &FChainConfig) -> ScenarioOutco
 
 /// [`execute_plan`] with the ingest-service hop bypassed: evidence is
 /// pushed straight into the slave daemons with synchronous `ingest_for`
-/// calls. Exists solely so the parity pin below can prove the service
-/// transport is invisible — production sweeps always take the service
-/// path.
-pub fn execute_plan_direct(plan: &ScenarioPlan, config: &FChainConfig) -> ScenarioOutcome {
+/// calls. A test oracle only: the parity pin below uses it to prove the
+/// service transport is invisible — production sweeps always take the
+/// service path.
+#[cfg(test)]
+fn execute_plan_direct(plan: &ScenarioPlan, config: &FChainConfig) -> ScenarioOutcome {
     execute_plan_via(plan, config, false)
 }
 

@@ -35,8 +35,8 @@ mod minimize;
 mod scenario;
 
 pub use campaign::{
-    execute_plan, execute_plan_direct, ChaosCampaign, ChaosReadiness, FamilyReadiness,
-    ScenarioOutcome, ViolationOutcome, MANIFEST_GRACE,
+    execute_plan, ChaosCampaign, ChaosReadiness, FamilyReadiness, ScenarioOutcome,
+    ViolationOutcome, MANIFEST_GRACE,
 };
 pub use minimize::{minimize, ShrinkResult};
 pub use scenario::{

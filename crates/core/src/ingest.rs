@@ -541,6 +541,7 @@ impl IngestService {
 mod tests {
     use super::*;
     use crate::config::FChainConfig;
+    use crate::master::endpoint::CollectRequest;
     use fchain_metrics::{ComponentId, MetricKind};
 
     fn sample(tick: u64, component: u32, kind: MetricKind, value: f64) -> MetricSample {
@@ -581,9 +582,13 @@ mod tests {
         assert_eq!(stats.enqueued, 1200 * 4 * 6);
         assert_eq!(stats.applied, stats.enqueued);
         assert_eq!(stats.lost(), 0);
+        let reference = CollectRequest {
+            sequential: true,
+            ..CollectRequest::at(1190)
+        };
         assert_eq!(
-            served.analyze_all_sequential(1190),
-            direct.analyze_all_sequential(1190)
+            served.analyze_all(None, &reference),
+            direct.analyze_all(None, &reference)
         );
     }
 

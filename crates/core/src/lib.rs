@@ -84,7 +84,8 @@ pub use ingest::{
 };
 pub use localizer::Localizer;
 pub use master::endpoint::{
-    FaultySlave, SlaveEndpoint, SlaveError, SlaveFault, SlaveFaultSchedule, TenantSlave,
+    CollectRequest, FaultySlave, SlaveEndpoint, SlaveError, SlaveFault, SlaveFaultSchedule,
+    TenantSlave,
 };
 pub use master::ensemble::{ensemble_pinpoint, EnsembleInput, EnsembleScorer, ScoredComponent};
 pub use master::fleet::{FleetMaster, FleetReport, FleetViolation};

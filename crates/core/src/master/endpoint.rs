@@ -39,11 +39,52 @@ impl std::fmt::Display for SlaveError {
 
 impl std::error::Error for SlaveError {}
 
+/// The one question the master asks a slave on an SLO violation:
+/// "analyze the look-back window ending at `violation_at`" (paper
+/// §II.C). The wire protocol carries the same fields in its
+/// `CollectRequest` frame.
+///
+/// # Examples
+///
+/// ```
+/// use fchain_core::CollectRequest;
+///
+/// let plain = CollectRequest::at(990);
+/// assert_eq!(plain.lookback, None);
+/// assert!(!plain.sequential);
+/// let reference = CollectRequest { sequential: true, ..plain };
+/// assert_eq!(reference.violation_at, 990);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CollectRequest {
+    /// End of the look-back window (the violation time).
+    pub violation_at: Tick,
+    /// Per-call look-back window override; `None` analyzes at the
+    /// slave's configured window. This is how the fleet serves a tenant
+    /// whose fault profile needs a longer `W` than the pool daemons are
+    /// configured with.
+    pub lookback: Option<u64>,
+    /// Run the reference single-threaded analysis. It must return
+    /// exactly what the parallel path returns for the same state.
+    pub sequential: bool,
+}
+
+impl CollectRequest {
+    /// The plain request: configured window, parallel analysis.
+    pub const fn at(violation_at: Tick) -> Self {
+        CollectRequest {
+            violation_at,
+            lookback: None,
+            sequential: false,
+        }
+    }
+}
+
 /// One per-host slave as the master sees it over the (possibly failing)
 /// network.
 ///
 /// The split between the infallible registry call and the fallible
-/// analysis calls mirrors deployment: the master learned which components
+/// analysis call mirrors deployment: the master learned which components
 /// a slave monitors when the slave registered, so that knowledge survives
 /// the slave's crash — it is exactly what lets a degraded report name its
 /// blind spot ([`crate::DiagnosisCoverage::unreachable_components`]).
@@ -52,38 +93,8 @@ pub trait SlaveEndpoint: Send + Sync + std::fmt::Debug {
     /// Answerable even when the slave itself is down.
     fn monitored_components(&self) -> Vec<ComponentId>;
 
-    /// Analyzes the look-back window ending at `violation_at` on the
-    /// slave's host (the parallel in-host path).
-    fn collect(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError>;
-
-    /// Reference single-threaded analysis; must return exactly what
-    /// [`SlaveEndpoint::collect`] returns for the same state.
-    fn collect_sequential(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError>;
-
-    /// [`SlaveEndpoint::collect`] with a per-call look-back window
-    /// override (how the fleet serves a tenant whose fault profile needs
-    /// a longer `W` than the pool daemons are configured with). Endpoints
-    /// that cannot honor an override fall back to the configured window —
-    /// a degraded but well-formed answer, mirroring a daemon running an
-    /// older protocol revision.
-    fn collect_with_lookback(
-        &self,
-        violation_at: Tick,
-        _lookback: u64,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.collect(violation_at)
-    }
-
-    /// Reference single-threaded analysis for
-    /// [`SlaveEndpoint::collect_with_lookback`]; must return exactly what
-    /// it returns for the same state.
-    fn collect_sequential_with_lookback(
-        &self,
-        violation_at: Tick,
-        _lookback: u64,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.collect_sequential(violation_at)
-    }
+    /// Answers `request` from the slave's host.
+    fn collect(&self, request: &CollectRequest) -> Result<Vec<ComponentFinding>, SlaveError>;
 }
 
 impl SlaveEndpoint for SlaveDaemon {
@@ -91,28 +102,8 @@ impl SlaveEndpoint for SlaveDaemon {
         self.monitored_components()
     }
 
-    fn collect(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self.analyze_all(violation_at))
-    }
-
-    fn collect_sequential(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self.analyze_all_sequential(violation_at))
-    }
-
-    fn collect_with_lookback(
-        &self,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self.analyze_all_windowed(violation_at, lookback))
-    }
-
-    fn collect_sequential_with_lookback(
-        &self,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self.analyze_all_sequential_windowed(violation_at, lookback))
+    fn collect(&self, request: &CollectRequest) -> Result<Vec<ComponentFinding>, SlaveError> {
+        Ok(self.analyze_all(None, request))
     }
 }
 
@@ -166,34 +157,8 @@ impl SlaveEndpoint for TenantSlave {
         self.daemon.monitored_components_for(self.app)
     }
 
-    fn collect(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self.daemon.analyze_all_for(self.app, violation_at))
-    }
-
-    fn collect_sequential(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self
-            .daemon
-            .analyze_all_sequential_for(self.app, violation_at))
-    }
-
-    fn collect_with_lookback(
-        &self,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self
-            .daemon
-            .analyze_all_for_windowed(self.app, violation_at, lookback))
-    }
-
-    fn collect_sequential_with_lookback(
-        &self,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        Ok(self
-            .daemon
-            .analyze_all_sequential_for_windowed(self.app, violation_at, lookback))
+    fn collect(&self, request: &CollectRequest) -> Result<Vec<ComponentFinding>, SlaveError> {
+        Ok(self.daemon.analyze_all(Some(self.app), request))
     }
 }
 
@@ -234,12 +199,15 @@ pub enum SlaveFault {
 /// ```
 /// use fchain_core::master::endpoint::{FaultySlave, SlaveEndpoint, SlaveError, SlaveFault};
 /// use fchain_core::slave::SlaveDaemon;
-/// use fchain_core::FChainConfig;
+/// use fchain_core::{CollectRequest, FChainConfig};
 /// use std::sync::Arc;
 ///
 /// let daemon = Arc::new(SlaveDaemon::new(FChainConfig::default()));
 /// let crashed = FaultySlave::new(daemon, SlaveFault::Crash);
-/// assert_eq!(crashed.collect(100), Err(SlaveError::Unreachable));
+/// assert_eq!(
+///     crashed.collect(&CollectRequest::at(100)),
+///     Err(SlaveError::Unreachable)
+/// );
 /// ```
 #[derive(Debug)]
 pub struct FaultySlave {
@@ -269,32 +237,6 @@ impl FaultySlave {
     pub fn calls(&self) -> u32 {
         self.calls.load(Ordering::Relaxed)
     }
-
-    fn apply(
-        &self,
-        violation_at: Tick,
-        run: impl Fn(Tick) -> Result<Vec<ComponentFinding>, SlaveError>,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        match self.fault {
-            SlaveFault::None => run(violation_at),
-            SlaveFault::Crash => Err(SlaveError::Unreachable),
-            SlaveFault::Stall { delay } => {
-                std::thread::sleep(delay);
-                run(violation_at)
-            }
-            SlaveFault::PartialWindow { missing_ticks } => {
-                run(violation_at.saturating_sub(missing_ticks))
-            }
-            SlaveFault::Transient { failures } => {
-                if call < failures {
-                    Err(SlaveError::Transient)
-                } else {
-                    run(violation_at)
-                }
-            }
-        }
-    }
 }
 
 impl SlaveEndpoint for FaultySlave {
@@ -303,32 +245,22 @@ impl SlaveEndpoint for FaultySlave {
         self.inner.monitored_components()
     }
 
-    fn collect(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.apply(violation_at, |t| self.inner.collect(t))
-    }
-
-    fn collect_sequential(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.apply(violation_at, |t| self.inner.collect_sequential(t))
-    }
-
-    fn collect_with_lookback(
-        &self,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.apply(violation_at, |t| {
-            self.inner.collect_with_lookback(t, lookback)
-        })
-    }
-
-    fn collect_sequential_with_lookback(
-        &self,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.apply(violation_at, |t| {
-            self.inner.collect_sequential_with_lookback(t, lookback)
-        })
+    fn collect(&self, request: &CollectRequest) -> Result<Vec<ComponentFinding>, SlaveError> {
+        let call = self.calls.fetch_add(1, Ordering::Relaxed);
+        match self.fault {
+            SlaveFault::None => self.inner.collect(request),
+            SlaveFault::Crash => Err(SlaveError::Unreachable),
+            SlaveFault::Stall { delay } => {
+                std::thread::sleep(delay);
+                self.inner.collect(request)
+            }
+            SlaveFault::PartialWindow { missing_ticks } => self.inner.collect(&CollectRequest {
+                violation_at: request.violation_at.saturating_sub(missing_ticks),
+                ..*request
+            }),
+            SlaveFault::Transient { failures } if call < failures => Err(SlaveError::Transient),
+            SlaveFault::Transient { .. } => self.inner.collect(request),
+        }
     }
 }
 
@@ -400,6 +332,8 @@ mod tests {
     use crate::slave::MetricSample;
     use fchain_metrics::MetricKind;
 
+    const AT_990: CollectRequest = CollectRequest::at(990);
+
     fn daemon_with_step(fault_at: u64) -> Arc<SlaveDaemon> {
         let daemon = Arc::new(SlaveDaemon::new(FChainConfig::default()));
         for t in 0..1000u64 {
@@ -428,7 +362,7 @@ mod tests {
             Arc::clone(&daemon) as Arc<dyn SlaveEndpoint>,
             SlaveFault::None,
         );
-        assert_eq!(wrapped.collect(990), daemon.collect(990));
+        assert_eq!(wrapped.collect(&AT_990), daemon.collect(&AT_990));
         assert_eq!(wrapped.monitored_components(), vec![ComponentId(0)]);
     }
 
@@ -436,22 +370,23 @@ mod tests {
     fn crash_fails_fast_but_keeps_the_registry() {
         let daemon = daemon_with_step(940);
         let wrapped = FaultySlave::new(daemon, SlaveFault::Crash);
-        assert_eq!(wrapped.collect(990), Err(SlaveError::Unreachable));
-        assert_eq!(
-            wrapped.collect_sequential(990),
-            Err(SlaveError::Unreachable)
-        );
+        assert_eq!(wrapped.collect(&AT_990), Err(SlaveError::Unreachable));
+        let sequential = CollectRequest {
+            sequential: true,
+            ..AT_990
+        };
+        assert_eq!(wrapped.collect(&sequential), Err(SlaveError::Unreachable));
         assert_eq!(wrapped.monitored_components(), vec![ComponentId(0)]);
     }
 
     #[test]
     fn transient_recovers_after_n_failures() {
         let daemon = daemon_with_step(940);
-        let truth = daemon.collect(990);
+        let truth = daemon.collect(&AT_990);
         let wrapped = FaultySlave::new(daemon, SlaveFault::Transient { failures: 2 });
-        assert_eq!(wrapped.collect(990), Err(SlaveError::Transient));
-        assert_eq!(wrapped.collect(990), Err(SlaveError::Transient));
-        assert_eq!(wrapped.collect(990), truth);
+        assert_eq!(wrapped.collect(&AT_990), Err(SlaveError::Transient));
+        assert_eq!(wrapped.collect(&AT_990), Err(SlaveError::Transient));
+        assert_eq!(wrapped.collect(&AT_990), truth);
         assert_eq!(wrapped.calls(), 3);
     }
 
@@ -460,15 +395,15 @@ mod tests {
         let daemon = daemon_with_step(940);
         // The slave lost the last 60 ticks: it analyzes as of t=930,
         // before the fault manifested, so the finding is clean.
-        let stale = daemon.analyze_all(930);
+        let stale = daemon.analyze_all(None, &CollectRequest::at(930));
         let wrapped = FaultySlave::new(daemon, SlaveFault::PartialWindow { missing_ticks: 60 });
-        assert_eq!(wrapped.collect(990), Ok(stale));
+        assert_eq!(wrapped.collect(&AT_990), Ok(stale));
     }
 
     #[test]
     fn stall_answers_late_but_correctly() {
         let daemon = daemon_with_step(940);
-        let truth = daemon.collect(990);
+        let truth = daemon.collect(&AT_990);
         let wrapped = FaultySlave::new(
             daemon,
             SlaveFault::Stall {
@@ -476,7 +411,7 @@ mod tests {
             },
         );
         let started = std::time::Instant::now();
-        assert_eq!(wrapped.collect(990), truth);
+        assert_eq!(wrapped.collect(&AT_990), truth);
         assert!(started.elapsed() >= Duration::from_millis(20));
     }
 

@@ -15,7 +15,7 @@
 //! reports this layer produces.
 
 use crate::config::FChainConfig;
-use crate::master::endpoint::{splitmix64, SlaveEndpoint, SlaveError};
+use crate::master::endpoint::{splitmix64, CollectRequest, SlaveEndpoint, SlaveError};
 use crate::master::ensemble::{ensemble_pinpoint, EnsembleInput};
 use crate::master::pinpoint::{pinpoint, PinpointInput};
 use crate::master::validation::{validate_pinpointing, ValidationProbe};
@@ -101,12 +101,18 @@ impl TenantState {
         }
     }
 
-    /// The look-back override to send with collect calls, if any. An
-    /// override equal to the configured window is the same analysis, so
-    /// it stays on the plain (hint-accelerated) path.
-    fn lookback(&self) -> Option<u64> {
-        self.lookback_override
-            .filter(|&w| w != self.config.lookback)
+    /// The collect request for a violation, carrying the look-back
+    /// override if any. An override equal to the configured window is
+    /// the same analysis, so it stays on the plain (hint-accelerated)
+    /// path.
+    fn request(&self, violation_at: Tick, sequential: bool) -> CollectRequest {
+        CollectRequest {
+            violation_at,
+            lookback: self
+                .lookback_override
+                .filter(|&w| w != self.config.lookback),
+            sequential,
+        }
     }
 
     /// One slave queried with bounded retry: transient errors are retried
@@ -114,11 +120,9 @@ impl TenantState {
     /// hosts fail fast.
     fn query_with_retry(
         slave: &dyn SlaveEndpoint,
-        violation_at: Tick,
-        lookback: Option<u64>,
+        request: &CollectRequest,
         retries: u32,
         backoff: Duration,
-        sequential: bool,
     ) -> SlaveOutcome {
         for attempt in 0..=retries {
             obs::count(obs::Counter::SlaveQueries, 1);
@@ -126,12 +130,7 @@ impl TenantState {
                 obs::count(obs::Counter::SlaveRetries, 1);
             }
             let rpc_span = obs::time(obs::Stage::SlaveRpc);
-            let result = match (sequential, lookback) {
-                (true, None) => slave.collect_sequential(violation_at),
-                (false, None) => slave.collect(violation_at),
-                (true, Some(w)) => slave.collect_sequential_with_lookback(violation_at, w),
-                (false, Some(w)) => slave.collect_with_lookback(violation_at, w),
-            };
+            let result = slave.collect(request);
             drop(rpc_span);
             match result {
                 Ok(findings) => {
@@ -163,38 +162,27 @@ impl TenantState {
     }
 
     /// The violation fan-out: every slave queried (in parallel unless
-    /// `sequential`), stragglers abandoned at the deadline, per-slave
-    /// outcomes assembled into findings + coverage.
+    /// `request.sequential`), stragglers abandoned at the deadline,
+    /// per-slave outcomes assembled into findings + coverage.
     ///
     /// The sequential reference enforces the *same* per-slave deadline by
     /// timing each call and discarding late answers, so for a given fault
     /// schedule (with latencies well clear of the deadline) both paths
     /// produce bit-identical reports — only wall-clock differs.
-    fn fan_out(
-        &self,
-        violation_at: Tick,
-        sequential: bool,
-        lookback: Option<u64>,
-    ) -> (Vec<ComponentFinding>, DiagnosisCoverage) {
+    fn fan_out(&self, request: &CollectRequest) -> (Vec<ComponentFinding>, DiagnosisCoverage) {
         let _fan_out_span = obs::time(obs::Stage::MasterFanOut);
         let retries = self.config.slave_retries;
         let backoff = Duration::from_millis(self.config.slave_backoff_ms);
         let deadline = (self.config.slave_deadline_ms > 0)
             .then(|| Duration::from_millis(self.config.slave_deadline_ms));
 
-        let outcomes: Vec<SlaveOutcome> = if sequential || self.slaves.len() <= 1 {
+        let outcomes: Vec<SlaveOutcome> = if request.sequential {
             self.slaves
                 .iter()
                 .map(|slave| {
                     let started = Instant::now();
-                    let mut outcome = Self::query_with_retry(
-                        slave.as_ref(),
-                        violation_at,
-                        lookback,
-                        retries,
-                        backoff,
-                        sequential,
-                    );
+                    let mut outcome =
+                        Self::query_with_retry(slave.as_ref(), request, retries, backoff);
                     if let Some(budget) = deadline {
                         if started.elapsed() > budget && outcome.status.answered() {
                             // The answer arrived past the deadline; the
@@ -209,7 +197,7 @@ impl TenantState {
                 })
                 .collect()
         } else {
-            self.fan_out_parallel(violation_at, retries, backoff, deadline, lookback)
+            self.fan_out_parallel(request, retries, backoff, deadline)
         };
 
         let total = outcomes.len();
@@ -263,25 +251,18 @@ impl TenantState {
     /// fault localizer whose own probe faults.
     fn fan_out_parallel(
         &self,
-        violation_at: Tick,
+        request: &CollectRequest,
         retries: u32,
         backoff: Duration,
         deadline: Option<Duration>,
-        lookback: Option<u64>,
     ) -> Vec<SlaveOutcome> {
         let (tx, rx) = mpsc::channel::<(usize, SlaveOutcome)>();
         for (i, slave) in self.slaves.iter().enumerate() {
             let slave = Arc::clone(slave);
             let tx = tx.clone();
+            let request = *request;
             std::thread::spawn(move || {
-                let outcome = Self::query_with_retry(
-                    slave.as_ref(),
-                    violation_at,
-                    lookback,
-                    retries,
-                    backoff,
-                    false,
-                );
+                let outcome = Self::query_with_retry(slave.as_ref(), &request, retries, backoff);
                 // The receiver may have given up on us already.
                 let _ = tx.send((i, outcome));
             });
@@ -318,17 +299,8 @@ impl TenantState {
             .collect()
     }
 
-    /// Full diagnosis on an SLO violation.
-    fn on_violation(&self, violation_at: Tick) -> DiagnosisReport {
-        self.diagnose_with_lookback_retry(violation_at, false)
-    }
-
-    /// Reference single-threaded diagnosis.
-    fn on_violation_sequential(&self, violation_at: Tick) -> DiagnosisReport {
-        self.diagnose_with_lookback_retry(violation_at, true)
-    }
-
-    /// The diagnosis plus the [`LookbackRetry`] policy: when the first
+    /// Full diagnosis on an SLO violation (the single-threaded reference
+    /// when `sequential`), plus the [`LookbackRetry`] policy: when the first
     /// diagnosis pinpoints nothing — the window-edge recall hole, where
     /// a slow fault's onset predates `t_v − W` and whatever changes the
     /// window does catch don't survive pinpointing — and the knob is
@@ -341,23 +313,23 @@ impl TenantState {
     ///
     /// With the knob off (the default) the first diagnosis is returned
     /// untouched, byte-identical to the pre-knob pipeline.
-    fn diagnose_with_lookback_retry(
-        &self,
-        violation_at: Tick,
-        sequential: bool,
-    ) -> DiagnosisReport {
-        let (findings, coverage) = self.fan_out(violation_at, sequential, self.lookback());
+    fn diagnose(&self, violation_at: Tick, sequential: bool) -> DiagnosisReport {
+        let request = self.request(violation_at, sequential);
+        let (findings, coverage) = self.fan_out(&request);
         let first = self.report_from_findings(findings, coverage);
         if !self.config.lookback_retry.enabled() || !first.pinpointed.is_empty() {
             return first;
         }
-        let effective = self.lookback().unwrap_or(self.config.lookback);
+        let effective = request.lookback.unwrap_or(self.config.lookback);
         let widened = (effective * 4).min(Self::WIDENED_LOOKBACK_CAP);
         if widened <= effective {
             return first;
         }
         obs::count(obs::Counter::LookbackRetryWidened, 1);
-        let (findings, coverage) = self.fan_out(violation_at, sequential, Some(widened));
+        let (findings, coverage) = self.fan_out(&CollectRequest {
+            lookback: Some(widened),
+            ..request
+        });
         let second = self.report_from_findings(findings, coverage);
         if second.pinpointed.is_empty() {
             first
@@ -635,19 +607,19 @@ impl FleetMaster {
     /// Collects one tenant's merged findings for the look-back window
     /// ending at `violation_at`.
     pub fn collect_findings(&self, app: AppId, violation_at: Tick) -> Vec<ComponentFinding> {
-        self.with_tenant(app, |t| t.fan_out(violation_at, false, t.lookback()).0)
+        self.with_tenant(app, |t| t.fan_out(&t.request(violation_at, false)).0)
     }
 
     /// Full diagnosis of one tenant's SLO violation (parallel fan-out).
     pub fn diagnose(&self, app: AppId, violation_at: Tick) -> DiagnosisReport {
-        self.with_tenant(app, |t| t.on_violation(violation_at))
+        self.with_tenant(app, |t| t.diagnose(violation_at, false))
     }
 
     /// Reference single-threaded diagnosis of one tenant's violation;
     /// bit-identical to [`FleetMaster::diagnose`] for the same state and
     /// fault schedule.
     pub fn diagnose_sequential(&self, app: AppId, violation_at: Tick) -> DiagnosisReport {
-        self.with_tenant(app, |t| t.on_violation_sequential(violation_at))
+        self.with_tenant(app, |t| t.diagnose(violation_at, true))
     }
 
     /// Diagnosis followed by online pinpointing validation.

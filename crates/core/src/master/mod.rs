@@ -15,7 +15,8 @@ pub mod pinpoint;
 pub mod validation;
 
 pub use endpoint::{
-    FaultySlave, SlaveEndpoint, SlaveError, SlaveFault, SlaveFaultSchedule, TenantSlave,
+    CollectRequest, FaultySlave, SlaveEndpoint, SlaveError, SlaveFault, SlaveFaultSchedule,
+    TenantSlave,
 };
 pub use ensemble::{ensemble_pinpoint, EnsembleInput, EnsembleScorer, ScoredComponent};
 pub use fleet::{FleetMaster, FleetReport, FleetViolation};

@@ -166,7 +166,7 @@ impl Master {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::master::endpoint::{FaultySlave, SlaveError, SlaveFault};
+    use crate::master::endpoint::{CollectRequest, FaultySlave, SlaveError, SlaveFault};
     use crate::report::{AbnormalChange, SlaveStatus};
     use crate::slave::{MetricSample, SlaveDaemon};
     use fchain_detect::Trend;
@@ -302,10 +302,7 @@ mod tests {
             fn monitored_components(&self) -> Vec<ComponentId> {
                 self.0.iter().map(|f| f.id).collect()
             }
-            fn collect(&self, _at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-                Ok(self.0.clone())
-            }
-            fn collect_sequential(&self, _at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
+            fn collect(&self, _: &CollectRequest) -> Result<Vec<ComponentFinding>, SlaveError> {
                 Ok(self.0.clone())
             }
         }
@@ -406,35 +403,45 @@ mod tests {
 
     #[test]
     fn straggler_is_abandoned_at_the_deadline() {
-        let fast = Arc::new(SlaveDaemon::new(FChainConfig::default()));
-        feed(&fast, 0, 1000, Some(940));
-        let slow = Arc::new(SlaveDaemon::new(FChainConfig::default()));
-        feed(&slow, 1, 1000, Some(935)); // would win pinpointing if heard
+        // With a healthy peer, and alone: a lone straggler must not hold
+        // the diagnosis past the deadline either.
+        for with_fast_peer in [true, false] {
+            let mut master = Master::new(FChainConfig {
+                slave_deadline_ms: 150,
+                ..FChainConfig::default()
+            });
+            if with_fast_peer {
+                let fast = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+                feed(&fast, 0, 1000, Some(940));
+                master.register_slave(fast);
+            }
+            let slow = Arc::new(SlaveDaemon::new(FChainConfig::default()));
+            feed(&slow, 1, 1000, Some(935)); // would win pinpointing if heard
+            master.register_slave(Arc::new(FaultySlave::new(
+                slow,
+                SlaveFault::Stall {
+                    delay: Duration::from_millis(2000),
+                },
+            )));
 
-        let mut master = Master::new(FChainConfig {
-            slave_deadline_ms: 150,
-            ..FChainConfig::default()
-        });
-        master.register_slave(fast);
-        master.register_slave(Arc::new(FaultySlave::new(
-            slow,
-            SlaveFault::Stall {
-                delay: Duration::from_millis(2000),
-            },
-        )));
-
-        let started = Instant::now();
-        let report = master.on_violation(990);
-        assert!(
-            started.elapsed() < Duration::from_millis(1500),
-            "diagnosis must not wait out the straggler"
-        );
-        assert_eq!(report.pinpointed, vec![ComponentId(0)]);
-        assert_eq!(
-            report.coverage.slaves,
-            vec![SlaveStatus::Ok, SlaveStatus::TimedOut]
-        );
-        assert_eq!(report.coverage.unreachable_components, vec![ComponentId(1)]);
+            let started = Instant::now();
+            let report = master.on_violation(990);
+            assert!(
+                started.elapsed() < Duration::from_millis(1500),
+                "diagnosis must not wait out the straggler (peer: {with_fast_peer})"
+            );
+            let (pinpointed, slaves) = if with_fast_peer {
+                (
+                    vec![ComponentId(0)],
+                    vec![SlaveStatus::Ok, SlaveStatus::TimedOut],
+                )
+            } else {
+                (Vec::new(), vec![SlaveStatus::TimedOut])
+            };
+            assert_eq!(report.pinpointed, pinpointed);
+            assert_eq!(report.coverage.slaves, slaves);
+            assert_eq!(report.coverage.unreachable_components, vec![ComponentId(1)]);
+        }
     }
 
     #[test]

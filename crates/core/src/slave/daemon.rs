@@ -20,6 +20,7 @@
 //! values through a shadow learner.
 
 use crate::config::{AnalysisEngine, FChainConfig};
+use crate::master::endpoint::CollectRequest;
 use crate::report::{AbnormalChange, ComponentFinding};
 use crate::slave::derived::DerivedSeries;
 use crate::slave::selection::{
@@ -616,77 +617,39 @@ impl SlaveDaemon {
         })
     }
 
-    /// Analyzes every monitored component (the whole host) at once, in
-    /// parallel across components.
+    /// Answers one [`CollectRequest`] for the whole host (`app: None`)
+    /// or one tenant's shards, with findings in shard-key order.
     ///
-    /// Bit-identical to [`SlaveDaemon::analyze_all_sequential`]: each
-    /// component's analysis is independent and deterministic, and results
-    /// are assembled in component-id order regardless of which worker
-    /// finishes first.
-    pub fn analyze_all(&self, violation_at: Tick) -> Vec<ComponentFinding> {
-        self.analyze_list(self.shard_list(), violation_at, self.config.lookback)
-    }
-
-    /// Analyzes every component one tenant application monitors, in
-    /// parallel across components.
-    pub fn analyze_all_for(&self, app: AppId, violation_at: Tick) -> Vec<ComponentFinding> {
-        self.analyze_list(self.shard_list_for(app), violation_at, self.config.lookback)
-    }
-
-    /// [`SlaveDaemon::analyze_all`] with a per-call look-back window
-    /// override; see [`SlaveDaemon::analyze_all_for_windowed`].
-    pub fn analyze_all_windowed(&self, violation_at: Tick, lookback: u64) -> Vec<ComponentFinding> {
-        self.analyze_list(self.shard_list(), violation_at, lookback)
-    }
-
-    /// Reference single-threaded implementation of
-    /// [`SlaveDaemon::analyze_all_windowed`].
-    pub fn analyze_all_sequential_windowed(
-        &self,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Vec<ComponentFinding> {
-        Self::analyze_list_sequential(self, self.shard_list(), violation_at, lookback)
-    }
-
-    /// [`SlaveDaemon::analyze_all_for`] with a per-call look-back window
-    /// override — how the fleet serves tenants whose fault profile needs
-    /// a longer window (the paper runs `W = 500` for the slow-manifesting
-    /// disk hog) from a pool daemon configured at the default `W`.
+    /// Components are analyzed in parallel unless `request.sequential`
+    /// asks for the single-threaded reference; both give bit-identical
+    /// findings, since each component's analysis is independent and
+    /// results are assembled in list order.
     ///
-    /// The streaming engine's O(1) error-floor shortcut assumes the
-    /// configured window, so an override analyzes with the floor computed
-    /// from the history instead — same selection core, same findings as a
-    /// daemon configured at `lookback` natively (given equal history).
-    pub fn analyze_all_for_windowed(
+    /// A look-back override is how the fleet serves a tenant that needs a
+    /// longer window (the paper's `W = 500` disk hog) from a pool daemon
+    /// configured at the default `W`. The streaming engine's O(1)
+    /// error-floor shortcut assumes the configured window, so an override
+    /// computes the floor from the history instead — same findings as a
+    /// daemon configured at that window natively (given equal history).
+    pub fn analyze_all(
         &self,
-        app: AppId,
-        violation_at: Tick,
-        lookback: u64,
+        app: Option<AppId>,
+        request: &CollectRequest,
     ) -> Vec<ComponentFinding> {
-        self.analyze_list(self.shard_list_for(app), violation_at, lookback)
-    }
-
-    /// The shared fan-out: analyzes a shard snapshot in parallel,
-    /// assembling findings in list (shard-key) order regardless of which
-    /// worker finishes first.
-    fn analyze_list(
-        &self,
-        shards: Vec<ShardEntry>,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Vec<ComponentFinding> {
+        let shards = match app {
+            None => self.shard_list(),
+            Some(app) => self.shard_list_for(app),
+        };
+        let violation_at = request.violation_at;
+        let lookback = request.lookback.unwrap_or(self.config.lookback);
+        let analyze = |(key, shard): &ShardEntry| {
+            self.analyze_shard(key.1, &mut shard.lock(), violation_at, lookback)
+        };
         let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+            .map_or(1, |n| n.get())
             .min(shards.len());
-        if workers <= 1 {
-            return shards
-                .iter()
-                .filter_map(|(key, shard)| {
-                    self.analyze_shard(key.1, &mut shard.lock(), violation_at, lookback)
-                })
-                .collect();
+        if request.sequential || workers <= 1 {
+            return shards.iter().filter_map(analyze).collect();
         }
         let slots: Vec<Mutex<Option<ComponentFinding>>> =
             shards.iter().map(|_| Mutex::new(None)).collect();
@@ -698,66 +661,25 @@ impl SlaveDaemon {
                     if i >= shards.len() {
                         break;
                     }
-                    let ((_, c), shard) = &shards[i];
-                    *slots[i].lock() =
-                        self.analyze_shard(*c, &mut shard.lock(), violation_at, lookback);
+                    *slots[i].lock() = analyze(&shards[i]);
                 });
             }
         });
         slots.into_iter().filter_map(Mutex::into_inner).collect()
-    }
-
-    /// Reference single-threaded implementation of
-    /// [`SlaveDaemon::analyze_all`]; the parallel path is tested to match
-    /// it exactly.
-    pub fn analyze_all_sequential(&self, violation_at: Tick) -> Vec<ComponentFinding> {
-        Self::analyze_list_sequential(self, self.shard_list(), violation_at, self.config.lookback)
-    }
-
-    /// Reference single-threaded implementation of
-    /// [`SlaveDaemon::analyze_all_for`].
-    pub fn analyze_all_sequential_for(
-        &self,
-        app: AppId,
-        violation_at: Tick,
-    ) -> Vec<ComponentFinding> {
-        Self::analyze_list_sequential(
-            self,
-            self.shard_list_for(app),
-            violation_at,
-            self.config.lookback,
-        )
-    }
-
-    /// Reference single-threaded implementation of
-    /// [`SlaveDaemon::analyze_all_for_windowed`].
-    pub fn analyze_all_sequential_for_windowed(
-        &self,
-        app: AppId,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Vec<ComponentFinding> {
-        Self::analyze_list_sequential(self, self.shard_list_for(app), violation_at, lookback)
-    }
-
-    fn analyze_list_sequential(
-        &self,
-        shards: Vec<ShardEntry>,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Vec<ComponentFinding> {
-        shards
-            .iter()
-            .filter_map(|(key, shard)| {
-                self.analyze_shard(key.1, &mut shard.lock(), violation_at, lookback)
-            })
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The single-threaded reference request.
+    fn sequential(violation_at: Tick) -> CollectRequest {
+        CollectRequest {
+            sequential: true,
+            ..CollectRequest::at(violation_at)
+        }
+    }
 
     fn feed_component(daemon: &SlaveDaemon, c: ComponentId, n: u64, fault_at: Option<u64>) {
         for t in 0..n {
@@ -822,7 +744,7 @@ mod tests {
         let daemon = SlaveDaemon::new(FChainConfig::default());
         feed_component(&daemon, ComponentId(0), 900, None);
         feed_component(&daemon, ComponentId(1), 900, Some(850));
-        let findings = daemon.analyze_all(890);
+        let findings = daemon.analyze_all(None, &CollectRequest::at(890));
         assert_eq!(findings.len(), 2);
         let faulty = findings.iter().find(|f| f.id == ComponentId(1)).unwrap();
         assert!(faulty.onset().is_some());
@@ -953,7 +875,10 @@ mod tests {
         feed_component(&daemon, ComponentId(1), 1000, None);
         feed_component(&daemon, ComponentId(2), 1000, Some(945));
         feed_component(&daemon, ComponentId(3), 1000, None);
-        assert_eq!(daemon.analyze_all(990), daemon.analyze_all_sequential(990));
+        assert_eq!(
+            daemon.analyze_all(None, &CollectRequest::at(990)),
+            daemon.analyze_all(None, &sequential(990))
+        );
     }
 
     #[test]
@@ -985,7 +910,7 @@ mod tests {
             })
             .collect();
         for _ in 0..10 {
-            let findings = daemon.analyze_all(890);
+            let findings = daemon.analyze_all(None, &CollectRequest::at(890));
             assert_eq!(findings.len(), 4, "all four components must be analyzed");
         }
         for w in writers {
@@ -993,8 +918,8 @@ mod tests {
         }
         // Once ingestion has quiesced the parallel path must agree with a
         // sequential replay of the same state, sample for sample.
-        let parallel = daemon.analyze_all(890);
-        let replay = daemon.analyze_all_sequential(890);
+        let parallel = daemon.analyze_all(None, &CollectRequest::at(890));
+        let replay = daemon.analyze_all(None, &sequential(890));
         assert_eq!(parallel, replay);
         let faulty: Vec<ComponentId> = replay
             .iter()
@@ -1074,8 +999,8 @@ mod tests {
             batched.ingest_batch_for(app, chunk);
         }
         assert_eq!(
-            per_sample.analyze_all_sequential(1190),
-            batched.analyze_all_sequential(1190)
+            per_sample.analyze_all(None, &sequential(1190)),
+            batched.analyze_all(None, &sequential(1190))
         );
     }
 
@@ -1099,8 +1024,8 @@ mod tests {
         // (trimmed tail, direct floor) and long before the fault.
         for v in [999, 990, 985, 700] {
             assert_eq!(
-                batch.analyze_all_sequential(v),
-                streaming.analyze_all_sequential(v),
+                batch.analyze_all(None, &sequential(v)),
+                streaming.analyze_all(None, &sequential(v)),
                 "engines disagree at violation tick {v}"
             );
         }
@@ -1136,8 +1061,8 @@ mod tests {
         }
         for v in [399, 1899, 1880, 1400] {
             assert_eq!(
-                batch.analyze_all_sequential(v),
-                streaming.analyze_all_sequential(v),
+                batch.analyze_all(None, &sequential(v)),
+                streaming.analyze_all(None, &sequential(v)),
                 "engines disagree at violation tick {v}"
             );
         }

@@ -266,6 +266,7 @@ impl IngestResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fchain_core::CollectRequest;
 
     fn small() -> IngestCampaign {
         IngestCampaign {
@@ -353,11 +354,15 @@ mod tests {
             service.shutdown();
             daemon
         };
+        let reference = CollectRequest {
+            sequential: true,
+            ..CollectRequest::at(campaign.ticks - 1)
+        };
         for t in 0..campaign.tenants {
-            let app = AppId(t as u32);
+            let app = Some(AppId(t as u32));
             assert_eq!(
-                campaign_daemon.analyze_all_sequential_for(app, campaign.ticks - 1),
-                result_daemon.analyze_all_sequential_for(app, campaign.ticks - 1),
+                campaign_daemon.analyze_all(app, &reference),
+                result_daemon.analyze_all(app, &reference),
                 "tenant {t} diverged through the service"
             );
         }

@@ -6,8 +6,8 @@
 use crate::frame::{read_frame, write_frame, Frame, ResponseStatus, WireError};
 use crate::server::{Stream, WireAddr};
 use fchain_core::slave::MetricSample;
-use fchain_core::{ComponentFinding, SlaveEndpoint, SlaveError};
-use fchain_metrics::{AppId, ComponentId, Tick};
+use fchain_core::{CollectRequest, ComponentFinding, SlaveEndpoint, SlaveError};
+use fchain_metrics::{AppId, ComponentId};
 use parking_lot::Mutex;
 use std::net::{TcpStream, ToSocketAddrs};
 #[cfg(unix)]
@@ -174,37 +174,6 @@ impl RemoteSlave {
             _ => Err(SlaveError::Transient),
         }
     }
-
-    fn collect_frame(
-        &self,
-        violation_at: Tick,
-        lookback: Option<u64>,
-        sequential: bool,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        let request = Frame::CollectRequest {
-            app: self.app,
-            violation_at,
-            lookback,
-            sequential,
-        };
-        match self.exchange(&request).map_err(map_wire_error)? {
-            Frame::CollectResponse {
-                status: ResponseStatus::Ok,
-                findings,
-            } => Ok(findings),
-            Frame::CollectResponse {
-                status: ResponseStatus::Transient,
-                ..
-            } => Err(SlaveError::Transient),
-            Frame::CollectResponse {
-                status: ResponseStatus::Unreachable,
-                ..
-            } => Err(SlaveError::Unreachable),
-            // An explicit protocol error or a mismatched frame: the
-            // answer is unusable but the daemon is alive — retryable.
-            _ => Err(SlaveError::Transient),
-        }
-    }
 }
 
 /// Why [`RemoteSlave::refresh_components`] failed.
@@ -265,27 +234,20 @@ impl SlaveEndpoint for RemoteSlave {
         }
     }
 
-    fn collect(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.collect_frame(violation_at, None, false)
-    }
-
-    fn collect_sequential(&self, violation_at: Tick) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.collect_frame(violation_at, None, true)
-    }
-
-    fn collect_with_lookback(
-        &self,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.collect_frame(violation_at, Some(lookback), false)
-    }
-
-    fn collect_sequential_with_lookback(
-        &self,
-        violation_at: Tick,
-        lookback: u64,
-    ) -> Result<Vec<ComponentFinding>, SlaveError> {
-        self.collect_frame(violation_at, Some(lookback), true)
+    fn collect(&self, request: &CollectRequest) -> Result<Vec<ComponentFinding>, SlaveError> {
+        let frame = Frame::CollectRequest {
+            app: self.app,
+            request: *request,
+        };
+        match self.exchange(&frame).map_err(map_wire_error)? {
+            Frame::CollectResponse { status, findings } => match status {
+                ResponseStatus::Ok => Ok(findings),
+                ResponseStatus::Transient => Err(SlaveError::Transient),
+                ResponseStatus::Unreachable => Err(SlaveError::Unreachable),
+            },
+            // An explicit protocol error or a mismatched frame: the
+            // answer is unusable but the daemon is alive — retryable.
+            _ => Err(SlaveError::Transient),
+        }
     }
 }

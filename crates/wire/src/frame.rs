@@ -23,9 +23,9 @@
 //! proportionally to a length field that the remaining bytes cannot back.
 
 use fchain_core::slave::MetricSample;
-use fchain_core::{AbnormalChange, ComponentFinding};
+use fchain_core::{AbnormalChange, CollectRequest, ComponentFinding};
 use fchain_detect::Trend;
-use fchain_metrics::{AppId, ComponentId, MetricKind, Tick};
+use fchain_metrics::{AppId, ComponentId, MetricKind};
 use std::io::{Read, Write};
 
 /// First four bytes of every frame.
@@ -138,20 +138,14 @@ pub enum ResponseStatus {
 /// One message of the master–slave protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Master → slave: analyze the look-back window ending at
-    /// `violation_at`. `app: None` addresses the whole daemon (the
-    /// single-app master's registry view); `Some` scopes to one tenant.
-    /// `lookback: None` uses the daemon's configured window;
-    /// `sequential` selects the reference single-threaded path.
+    /// Master → slave: answer `request`. `app: None` addresses the
+    /// whole daemon (the single-app master's registry view); `Some`
+    /// scopes to one tenant.
     CollectRequest {
         /// Tenant scope, or `None` for the whole daemon.
         app: Option<AppId>,
-        /// End of the look-back window.
-        violation_at: Tick,
-        /// Per-call window override.
-        lookback: Option<u64>,
-        /// Use the reference single-threaded analysis path.
-        sequential: bool,
+        /// The window end, look-back override and sequential flag.
+        request: CollectRequest,
     },
     /// Slave → master: the findings (empty unless `status` is
     /// [`ResponseStatus::Ok`]).
@@ -409,17 +403,12 @@ fn get_findings(c: &mut Cursor<'_>) -> Result<Vec<ComponentFinding>, WireError> 
 pub fn encode_frame(frame: &Frame, request_id: u64) -> Vec<u8> {
     let mut payload = Vec::new();
     match frame {
-        Frame::CollectRequest {
-            app,
-            violation_at,
-            lookback,
-            sequential,
-        } => {
+        Frame::CollectRequest { app, request } => {
             put_opt_app(&mut payload, *app);
-            put_u64(&mut payload, *violation_at);
-            put_bool(&mut payload, lookback.is_some());
-            put_u64(&mut payload, lookback.unwrap_or(0));
-            put_bool(&mut payload, *sequential);
+            put_u64(&mut payload, request.violation_at);
+            put_bool(&mut payload, request.lookback.is_some());
+            put_u64(&mut payload, request.lookback.unwrap_or(0));
+            put_bool(&mut payload, request.sequential);
         }
         Frame::CollectResponse { status, findings } => {
             put_u8(
@@ -531,12 +520,12 @@ fn decode_payload(frame_type: FrameType, c: &mut Cursor<'_>) -> Result<Frame, Wi
             let has_lookback = c.get_bool()?;
             let lookback = c.get_u64()?;
             let sequential = c.get_bool()?;
-            Frame::CollectRequest {
-                app,
+            let request = CollectRequest {
                 violation_at,
                 lookback: has_lookback.then_some(lookback),
                 sequential,
-            }
+            };
+            Frame::CollectRequest { app, request }
         }
         FrameType::CollectResponse => {
             let status = match c.get_u8()? {
@@ -646,15 +635,15 @@ mod tests {
         let frames = vec![
             Frame::CollectRequest {
                 app: Some(AppId(4)),
-                violation_at: 1234,
-                lookback: Some(500),
-                sequential: true,
+                request: CollectRequest {
+                    violation_at: 1234,
+                    lookback: Some(500),
+                    sequential: true,
+                },
             },
             Frame::CollectRequest {
                 app: None,
-                violation_at: 0,
-                lookback: None,
-                sequential: false,
+                request: CollectRequest::at(0),
             },
             Frame::CollectResponse {
                 status: ResponseStatus::Ok,
@@ -687,6 +676,21 @@ mod tests {
             assert_eq!(id, i as u64);
             assert_eq!(&back, frame);
         }
+
+        // Golden bytes: a round trip cannot catch a field-order or
+        // layout change, so pin the collect request's exact encoding.
+        #[rustfmt::skip]
+        let golden: [u8; HEADER_LEN + 23] = [
+            0x57, 0x48, 0x43, 0x46,                         // magic
+            PROTOCOL_VERSION, 1, 0, 0,                      // version, CollectRequest, reserved
+            0, 0, 0, 0, 0, 0, 0, 0,                         // request id 0
+            23, 0, 0, 0,                                    // payload length
+            1, 4, 0, 0, 0,                                  // app: Some(AppId(4))
+            0xD2, 0x04, 0, 0, 0, 0, 0, 0,                   // violation_at: 1234
+            1, 0xF4, 0x01, 0, 0, 0, 0, 0, 0,                // lookback: Some(500)
+            1,                                              // sequential: true
+        ];
+        assert_eq!(encode_frame(&frames[0], 0), golden);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use fchain_core::slave::{MetricSample, SlaveDaemon};
-//! use fchain_core::{FChainConfig, SlaveEndpoint};
+//! use fchain_core::{CollectRequest, FChainConfig, SlaveEndpoint};
 //! use fchain_metrics::{ComponentId, MetricKind};
 //! use fchain_wire::{RemoteSlave, WireAddr, WireServer};
 //! use std::sync::Arc;
@@ -43,7 +43,7 @@
 //!         value: 20.0,
 //!     });
 //! }
-//! let expected = daemon.analyze_all(599);
+//! let expected = daemon.analyze_all(None, &CollectRequest::at(599));
 //!
 //! let server = WireServer::serve(
 //!     &WireAddr::Tcp("127.0.0.1:0".to_string()),
@@ -53,7 +53,7 @@
 //! .unwrap();
 //! let remote = RemoteSlave::connect(server.addr().clone(), None, None).unwrap();
 //! assert_eq!(remote.monitored_components(), vec![ComponentId(0)]);
-//! assert_eq!(remote.collect(599).unwrap(), expected);
+//! assert_eq!(remote.collect(&CollectRequest::at(599)).unwrap(), expected);
 //! ```
 
 #![deny(missing_docs)]

@@ -294,33 +294,10 @@ fn handle_connection(
             }
         };
         let reply = match frame {
-            Frame::CollectRequest {
-                app,
-                violation_at,
-                lookback,
-                sequential,
-            } => {
-                let findings = match (app, lookback, sequential) {
-                    (None, None, false) => daemon.analyze_all(violation_at),
-                    (None, None, true) => daemon.analyze_all_sequential(violation_at),
-                    (None, Some(w), false) => daemon.analyze_all_windowed(violation_at, w),
-                    (None, Some(w), true) => {
-                        daemon.analyze_all_sequential_windowed(violation_at, w)
-                    }
-                    (Some(a), None, false) => daemon.analyze_all_for(a, violation_at),
-                    (Some(a), None, true) => daemon.analyze_all_sequential_for(a, violation_at),
-                    (Some(a), Some(w), false) => {
-                        daemon.analyze_all_for_windowed(a, violation_at, w)
-                    }
-                    (Some(a), Some(w), true) => {
-                        daemon.analyze_all_sequential_for_windowed(a, violation_at, w)
-                    }
-                };
-                Frame::CollectResponse {
-                    status: ResponseStatus::Ok,
-                    findings,
-                }
-            }
+            Frame::CollectRequest { app, request } => Frame::CollectResponse {
+                status: ResponseStatus::Ok,
+                findings: daemon.analyze_all(app, &request),
+            },
             Frame::MonitoredRequest { app } => Frame::MonitoredResponse {
                 components: match app {
                     None => daemon.monitored_components(),

@@ -3,7 +3,7 @@
 //! can make the decoder panic or allocate past its input.
 
 use fchain_core::slave::MetricSample;
-use fchain_core::{AbnormalChange, ComponentFinding};
+use fchain_core::{AbnormalChange, CollectRequest, ComponentFinding};
 use fchain_detect::Trend;
 use fchain_metrics::{AppId, ComponentId, MetricKind};
 use fchain_wire::frame::{decode_frame, encode_frame, HEADER_LEN};
@@ -93,9 +93,11 @@ fn frame() -> impl Strategy<Value = Frame> {
                 match kind {
                     0 => Frame::CollectRequest {
                         app,
-                        violation_at,
-                        lookback,
-                        sequential,
+                        request: CollectRequest {
+                            violation_at,
+                            lookback,
+                            sequential,
+                        },
                     },
                     1 => Frame::CollectResponse {
                         status: match resp.0 {

@@ -10,8 +10,8 @@
 use fchain::core::master::Master;
 use fchain::core::slave::{MetricSample, SlaveDaemon};
 use fchain::core::{
-    AnalysisEngine, FChainConfig, FaultySlave, FleetMaster, FleetViolation, SlaveEndpoint,
-    SlaveFault, TenantSlave,
+    AnalysisEngine, CollectRequest, FChainConfig, FaultySlave, FleetMaster, FleetViolation,
+    SlaveEndpoint, SlaveFault, TenantSlave,
 };
 use fchain::eval::case_from_run;
 use fchain::metrics::{AppId, ComponentId, MetricKind};
@@ -563,9 +563,10 @@ proptest! {
         }
         prop_assert_eq!(batch.monitored_components(), streaming.monitored_components());
         for violation_at in [n - 1, n.saturating_sub(7), n / 2] {
+            let reference = CollectRequest { sequential: true, ..CollectRequest::at(violation_at) };
             prop_assert_eq!(
-                batch.analyze_all_sequential(violation_at),
-                streaming.analyze_all_sequential(violation_at),
+                batch.analyze_all(None, &reference),
+                streaming.analyze_all(None, &reference),
                 "engines diverge at violation tick {}", violation_at
             );
         }

@@ -11,8 +11,8 @@
 use fchain::core::master::Master;
 use fchain::core::slave::{MetricSample, SlaveDaemon};
 use fchain::core::{
-    AnalysisEngine, BackpressurePolicy, DiagnosisReport, FChainConfig, IngestConfig, IngestService,
-    PushOutcome,
+    AnalysisEngine, BackpressurePolicy, CollectRequest, DiagnosisReport, FChainConfig,
+    IngestConfig, IngestService, PushOutcome,
 };
 use fchain::eval::case_from_run;
 use fchain::metrics::{AppId, ComponentId, MetricKind};
@@ -81,7 +81,7 @@ fn findings_via(
     } else {
         feed(&|s| daemon.ingest_for(tenant, s));
     }
-    Some(daemon.analyze_all_for(tenant, case.violation_at))
+    Some(daemon.analyze_all(Some(tenant), &CollectRequest::at(case.violation_at)))
 }
 
 /// Builds a fully wired two-host [`Master`] for one seeded case — hosts
