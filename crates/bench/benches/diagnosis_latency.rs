@@ -2,22 +2,22 @@
 //! findings, timed through real [`SlaveDaemon`]s.
 //!
 //! * `rubis_4c/{sequential,parallel}` — the seeded 4-component RUBiS
-//!   CpuHog case answered by one daemon with the single-threaded
-//!   reference request (`CollectRequest { sequential: true, .. }`) and
-//!   with the default request, which fans components out across scoped
-//!   threads.
+//!   CpuHog case answered by one daemon through the single-threaded
+//!   per-component loop (`SlaveDaemon::analyze` over every monitored
+//!   component) and through `analyze_all`, which fans components out
+//!   across scoped threads.
 //! * `engines/<scenario>/{batch,streaming}` — two identically-fed daemons,
 //!   one per analysis engine, on the on-violation path.
 //!
-//! Before timing, the sequential and parallel requests and the two
-//! engines are asserted to produce identical findings. Results (plus the
+//! Before timing, the per-component loop and `analyze_all`, and the two
+//! engines, are asserted to produce identical findings. Results (plus the
 //! host's available parallelism, so single-core CI numbers are
 //! interpretable) are written to `BENCH_diagnosis.json` at the repository
 //! root.
 
 use criterion::{black_box, Criterion};
 use fchain_core::slave::{MetricSample, SlaveDaemon};
-use fchain_core::{AnalysisEngine, CollectRequest, FChainConfig};
+use fchain_core::{AnalysisEngine, CollectRequest, ComponentFinding, FChainConfig};
 use fchain_eval::case_from_run;
 use fchain_metrics::{MetricKind, Tick};
 use fchain_sim::{AppKind, FaultKind, RunConfig, Simulator};
@@ -91,6 +91,16 @@ fn build_engine_scenario(
     }
 }
 
+/// The single-threaded reference: one `analyze` call per monitored
+/// component, in component order.
+fn analyze_each(daemon: &SlaveDaemon, violation_at: Tick) -> Vec<ComponentFinding> {
+    daemon
+        .monitored_components()
+        .into_iter()
+        .filter_map(|c| daemon.analyze(c, violation_at))
+        .collect()
+}
+
 fn main() {
     // The sequential/parallel case: the deployed (streaming) daemon on
     // the paper's default window.
@@ -98,18 +108,14 @@ fn main() {
     assert_eq!(rubis.seed, 900, "seed drifted");
     assert_eq!(rubis.components, 4, "the RUBiS topology has 4 components");
     let parallel = CollectRequest::at(rubis.violation_at);
-    let sequential = CollectRequest {
-        sequential: true,
-        ..parallel
-    };
 
-    // The parallel fan-out must be a pure speedup: both requests agree on
+    // The parallel fan-out must be a pure speedup: both paths agree on
     // every finding before either is timed.
-    let sequential_findings = rubis.streaming.analyze_all(None, &sequential);
+    let sequential_findings = analyze_each(&rubis.streaming, rubis.violation_at);
     assert_eq!(
         sequential_findings,
         rubis.streaming.analyze_all(None, &parallel),
-        "parallel analysis diverged from the sequential reference"
+        "parallel analysis diverged from the per-component loop"
     );
     let abnormal_components = sequential_findings
         .iter()
@@ -143,10 +149,7 @@ fn main() {
         ),
     ];
     for s in std::iter::once(&rubis).chain(&scenarios) {
-        let request = CollectRequest {
-            sequential: true,
-            ..CollectRequest::at(s.violation_at)
-        };
+        let request = CollectRequest::at(s.violation_at);
         let batch_findings = s.batch.analyze_all(None, &request);
         let streaming_findings = s.streaming.analyze_all(None, &request);
         assert_eq!(
@@ -167,7 +170,12 @@ fn main() {
         .measurement_time(Duration::from_secs(6))
         .configure_from_args();
     criterion.bench_function("diagnosis_latency/rubis_4c/sequential", |b| {
-        b.iter(|| black_box(rubis.streaming.analyze_all(None, black_box(&sequential))))
+        b.iter(|| {
+            black_box(analyze_each(
+                &rubis.streaming,
+                black_box(rubis.violation_at),
+            ))
+        })
     });
     criterion.bench_function("diagnosis_latency/rubis_4c/parallel", |b| {
         b.iter(|| black_box(rubis.streaming.analyze_all(None, black_box(&parallel))))

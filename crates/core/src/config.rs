@@ -10,8 +10,7 @@ use std::str::FromStr;
 ///
 /// Both engines execute the same §II.B pipeline and produce bit-identical
 /// [`crate::ComponentFinding`]s — the parity is enforced by tests in
-/// `tests/determinism.rs`, exactly like the parallel/sequential split.
-/// They differ in *when* the work happens:
+/// `tests/determinism.rs`. They differ in *when* the work happens:
 ///
 /// * [`AnalysisEngine::Batch`] — the reference implementation: everything
 ///   (error-floor percentiles, smoothing, CUSUM + bootstrap, burst FFT,

@@ -91,7 +91,7 @@ impl FChain {
         if !touches_edge && !empty {
             return report;
         }
-        let extended = (base_w * 4).min(600);
+        let extended = base_w.saturating_mul(4).min(600);
         if extended <= base_w {
             return report;
         }
@@ -163,7 +163,7 @@ impl FChain {
         probe: &mut dyn ValidationProbe,
     ) -> DiagnosisReport {
         let mut report = self.diagnose(case);
-        validate_pinpointing(&mut report, probe, 2);
+        validate_pinpointing(&mut report, probe);
         report
     }
 }
@@ -257,6 +257,16 @@ mod tests {
         let report = FChain::default().diagnose(&c);
         assert_eq!(report.verdict, crate::Verdict::NoAnomaly);
         assert!(report.pinpointed.is_empty());
+        // The adaptive retry's 4× widening saturates on a huge window.
+        let adaptive = FChain::new(FChainConfig {
+            adaptive_lookback: true,
+            ..FChainConfig::default()
+        });
+        let huge = CaseData {
+            lookback: u64::MAX,
+            ..c
+        };
+        assert_eq!(adaptive.diagnose(&huge).verdict, crate::Verdict::NoAnomaly);
     }
 
     #[test]

@@ -582,13 +582,10 @@ mod tests {
         assert_eq!(stats.enqueued, 1200 * 4 * 6);
         assert_eq!(stats.applied, stats.enqueued);
         assert_eq!(stats.lost(), 0);
-        let reference = CollectRequest {
-            sequential: true,
-            ..CollectRequest::at(1190)
-        };
+        let request = CollectRequest::at(1190);
         assert_eq!(
-            served.analyze_all(None, &reference),
-            direct.analyze_all(None, &reference)
+            served.analyze_all(None, &request),
+            direct.analyze_all(None, &request)
         );
     }
 

@@ -51,9 +51,8 @@ impl std::error::Error for SlaveError {}
 ///
 /// let plain = CollectRequest::at(990);
 /// assert_eq!(plain.lookback, None);
-/// assert!(!plain.sequential);
-/// let reference = CollectRequest { sequential: true, ..plain };
-/// assert_eq!(reference.violation_at, 990);
+/// let widened = CollectRequest { lookback: Some(400), ..plain };
+/// assert_eq!(widened.violation_at, 990);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollectRequest {
@@ -64,18 +63,14 @@ pub struct CollectRequest {
     /// whose fault profile needs a longer `W` than the pool daemons are
     /// configured with.
     pub lookback: Option<u64>,
-    /// Run the reference single-threaded analysis. It must return
-    /// exactly what the parallel path returns for the same state.
-    pub sequential: bool,
 }
 
 impl CollectRequest {
-    /// The plain request: configured window, parallel analysis.
+    /// The plain request: the slave's configured window.
     pub const fn at(violation_at: Tick) -> Self {
         CollectRequest {
             violation_at,
             lookback: None,
-            sequential: false,
         }
     }
 }
@@ -371,11 +366,11 @@ mod tests {
         let daemon = daemon_with_step(940);
         let wrapped = FaultySlave::new(daemon, SlaveFault::Crash);
         assert_eq!(wrapped.collect(&AT_990), Err(SlaveError::Unreachable));
-        let sequential = CollectRequest {
-            sequential: true,
+        let widened = CollectRequest {
+            lookback: Some(400),
             ..AT_990
         };
-        assert_eq!(wrapped.collect(&sequential), Err(SlaveError::Unreachable));
+        assert_eq!(wrapped.collect(&widened), Err(SlaveError::Unreachable));
         assert_eq!(wrapped.monitored_components(), vec![ComponentId(0)]);
     }
 

@@ -50,8 +50,8 @@ pub struct FleetReport {
     pub report: DiagnosisReport,
     /// Violation-to-report latency: wall-clock from the start of the
     /// drain to this report's completion. Provenance, like
-    /// [`DiagnosisReport::snapshot`]: excluded from equality, because the
-    /// parallel and sequential drains must compare bit-identical on
+    /// [`DiagnosisReport::snapshot`]: excluded from equality, because two
+    /// drains of the same violations must compare bit-identical on
     /// payload while their wall-clocks necessarily differ.
     pub latency: Duration,
 }
@@ -105,13 +105,12 @@ impl TenantState {
     /// override if any. An override equal to the configured window is
     /// the same analysis, so it stays on the plain (hint-accelerated)
     /// path.
-    fn request(&self, violation_at: Tick, sequential: bool) -> CollectRequest {
+    fn request(&self, violation_at: Tick) -> CollectRequest {
         CollectRequest {
             violation_at,
             lookback: self
                 .lookback_override
                 .filter(|&w| w != self.config.lookback),
-            sequential,
         }
     }
 
@@ -161,44 +160,13 @@ impl TenantState {
         }
     }
 
-    /// The violation fan-out: every slave queried (in parallel unless
-    /// `request.sequential`), stragglers abandoned at the deadline,
-    /// per-slave outcomes assembled into findings + coverage.
-    ///
-    /// The sequential reference enforces the *same* per-slave deadline by
-    /// timing each call and discarding late answers, so for a given fault
-    /// schedule (with latencies well clear of the deadline) both paths
-    /// produce bit-identical reports — only wall-clock differs.
+    /// The violation fan-out: every slave queried in parallel,
+    /// stragglers abandoned at the deadline, per-slave outcomes assembled
+    /// into findings + coverage in registration order — so the report
+    /// does not depend on the order in which answers arrive.
     fn fan_out(&self, request: &CollectRequest) -> (Vec<ComponentFinding>, DiagnosisCoverage) {
         let _fan_out_span = obs::time(obs::Stage::MasterFanOut);
-        let retries = self.config.slave_retries;
-        let backoff = Duration::from_millis(self.config.slave_backoff_ms);
-        let deadline = (self.config.slave_deadline_ms > 0)
-            .then(|| Duration::from_millis(self.config.slave_deadline_ms));
-
-        let outcomes: Vec<SlaveOutcome> = if request.sequential {
-            self.slaves
-                .iter()
-                .map(|slave| {
-                    let started = Instant::now();
-                    let mut outcome =
-                        Self::query_with_retry(slave.as_ref(), request, retries, backoff);
-                    if let Some(budget) = deadline {
-                        if started.elapsed() > budget && outcome.status.answered() {
-                            // The answer arrived past the deadline; the
-                            // parallel fan-out would have abandoned it.
-                            outcome = SlaveOutcome {
-                                findings: Vec::new(),
-                                status: SlaveStatus::TimedOut,
-                            };
-                        }
-                    }
-                    outcome
-                })
-                .collect()
-        } else {
-            self.fan_out_parallel(request, retries, backoff, deadline)
-        };
+        let outcomes = self.query_slaves(request);
 
         let total = outcomes.len();
         let answered = outcomes.iter().filter(|o| o.status.answered()).count();
@@ -249,13 +217,11 @@ impl TenantState {
     /// deadline passed. Stragglers keep running on their (doomed) worker
     /// thread but the diagnosis stops waiting for them — the cure for a
     /// fault localizer whose own probe faults.
-    fn fan_out_parallel(
-        &self,
-        request: &CollectRequest,
-        retries: u32,
-        backoff: Duration,
-        deadline: Option<Duration>,
-    ) -> Vec<SlaveOutcome> {
+    fn query_slaves(&self, request: &CollectRequest) -> Vec<SlaveOutcome> {
+        let retries = self.config.slave_retries;
+        let backoff = Duration::from_millis(self.config.slave_backoff_ms);
+        let deadline = (self.config.slave_deadline_ms > 0)
+            .then(|| Duration::from_millis(self.config.slave_deadline_ms));
         let (tx, rx) = mpsc::channel::<(usize, SlaveOutcome)>();
         for (i, slave) in self.slaves.iter().enumerate() {
             let slave = Arc::clone(slave);
@@ -299,29 +265,30 @@ impl TenantState {
             .collect()
     }
 
-    /// Full diagnosis on an SLO violation (the single-threaded reference
-    /// when `sequential`), plus the [`LookbackRetry`] policy: when the first
-    /// diagnosis pinpoints nothing — the window-edge recall hole, where
-    /// a slow fault's onset predates `t_v − W` and whatever changes the
-    /// window does catch don't survive pinpointing — and the knob is
-    /// on, every slave is asked once more with the window widened to
-    /// four times the effective look-back (capped at
-    /// [`TenantState::WIDENED_LOOKBACK_CAP`]). The widened diagnosis is
-    /// adopted only if it pinpoints something: the retry is a recall
-    /// fallback, so a correctly-silent answer (a workload surge, a
-    /// healthy tenant) stays the first answer, bit for bit.
+    /// Full diagnosis on an SLO violation, plus the [`LookbackRetry`]
+    /// policy: when the first diagnosis pinpoints nothing — the
+    /// window-edge recall hole, where a slow fault's onset predates
+    /// `t_v − W` and whatever changes the window does catch don't
+    /// survive pinpointing — and the knob is on, every slave is asked
+    /// once more with the window widened to four times the effective
+    /// look-back (capped at [`TenantState::WIDENED_LOOKBACK_CAP`], and
+    /// saturating rather than overflowing on a huge override). The
+    /// widened diagnosis is adopted only if it pinpoints something: the
+    /// retry is a recall fallback, so a correctly-silent answer (a
+    /// workload surge, a healthy tenant) stays the first answer, bit for
+    /// bit.
     ///
     /// With the knob off (the default) the first diagnosis is returned
     /// untouched, byte-identical to the pre-knob pipeline.
-    fn diagnose(&self, violation_at: Tick, sequential: bool) -> DiagnosisReport {
-        let request = self.request(violation_at, sequential);
+    fn diagnose(&self, violation_at: Tick) -> DiagnosisReport {
+        let request = self.request(violation_at);
         let (findings, coverage) = self.fan_out(&request);
         let first = self.report_from_findings(findings, coverage);
         if !self.config.lookback_retry.enabled() || !first.pinpointed.is_empty() {
             return first;
         }
         let effective = request.lookback.unwrap_or(self.config.lookback);
-        let widened = (effective * 4).min(Self::WIDENED_LOOKBACK_CAP);
+        let widened = effective.saturating_mul(4).min(Self::WIDENED_LOOKBACK_CAP);
         if widened <= effective {
             return first;
         }
@@ -450,11 +417,6 @@ impl FleetMaster {
         }
     }
 
-    /// The fleet-wide base configuration.
-    pub fn config(&self) -> &FChainConfig {
-        &self.config
-    }
-
     /// A tenant's effective config: the fleet base with the per-tenant
     /// deadline budget ([`crate::config::FleetConfig::tenant_deadline_ms`])
     /// overriding the fan-out deadline when set.
@@ -501,11 +463,6 @@ impl FleetMaster {
     /// Number of tenants.
     pub fn tenant_count(&self) -> usize {
         self.tenants.len()
-    }
-
-    /// The tenant ids, in [`AppId`] order.
-    pub fn tenants(&self) -> Vec<AppId> {
-        self.tenants.keys().copied().collect()
     }
 
     /// The name a tenant was registered under.
@@ -604,22 +561,9 @@ impl FleetMaster {
         }
     }
 
-    /// Collects one tenant's merged findings for the look-back window
-    /// ending at `violation_at`.
-    pub fn collect_findings(&self, app: AppId, violation_at: Tick) -> Vec<ComponentFinding> {
-        self.with_tenant(app, |t| t.fan_out(&t.request(violation_at, false)).0)
-    }
-
-    /// Full diagnosis of one tenant's SLO violation (parallel fan-out).
+    /// Full diagnosis of one tenant's SLO violation.
     pub fn diagnose(&self, app: AppId, violation_at: Tick) -> DiagnosisReport {
-        self.with_tenant(app, |t| t.diagnose(violation_at, false))
-    }
-
-    /// Reference single-threaded diagnosis of one tenant's violation;
-    /// bit-identical to [`FleetMaster::diagnose`] for the same state and
-    /// fault schedule.
-    pub fn diagnose_sequential(&self, app: AppId, violation_at: Tick) -> DiagnosisReport {
-        self.with_tenant(app, |t| t.diagnose(violation_at, true))
+        self.with_tenant(app, |t| t.diagnose(violation_at))
     }
 
     /// Diagnosis followed by online pinpointing validation.
@@ -630,7 +574,7 @@ impl FleetMaster {
         probe: &mut dyn ValidationProbe,
     ) -> DiagnosisReport {
         let mut report = self.diagnose(app, violation_at);
-        validate_pinpointing(&mut report, probe, 2);
+        validate_pinpointing(&mut report, probe);
         report
     }
 
@@ -640,14 +584,7 @@ impl FleetMaster {
     /// is identical to the unobserved report — snapshots are excluded
     /// from report equality.
     pub fn diagnose_observed(&self, app: AppId, violation_at: Tick) -> DiagnosisReport {
-        let before = obs::snapshot();
-        let mut report = self.diagnose(app, violation_at);
-        let delta = obs::snapshot().delta_since(&before);
-        report.snapshot = Some(match self.tenant_name(app) {
-            Some(name) => delta.labeled(name),
-            None => delta,
-        });
-        report
+        self.observed(app, || self.diagnose(app, violation_at))
     }
 
     /// [`FleetMaster::diagnose_validated`] with the diagnosis's own
@@ -658,8 +595,14 @@ impl FleetMaster {
         violation_at: Tick,
         probe: &mut dyn ValidationProbe,
     ) -> DiagnosisReport {
+        self.observed(app, || self.diagnose_validated(app, violation_at, probe))
+    }
+
+    /// Runs one diagnosis of tenant `app` and attaches the observability
+    /// delta it produced, labeled with the tenant's name.
+    fn observed(&self, app: AppId, diagnose: impl FnOnce() -> DiagnosisReport) -> DiagnosisReport {
         let before = obs::snapshot();
-        let mut report = self.diagnose_validated(app, violation_at, probe);
+        let mut report = diagnose();
         let delta = obs::snapshot().delta_since(&before);
         report.snapshot = Some(match self.tenant_name(app) {
             Some(name) => delta.labeled(name),
@@ -757,31 +700,6 @@ impl FleetMaster {
         reports
             .into_iter()
             .map(|r| r.expect("every scheduled violation is diagnosed"))
-            .collect()
-    }
-
-    /// Reference single-threaded drain: the same schedule executed one
-    /// violation at a time with the sequential fan-out. Bit-identical to
-    /// [`FleetMaster::on_violations`] for the same state and fault
-    /// schedule (with latencies well clear of the deadlines).
-    pub fn on_violations_sequential(&self, violations: &[FleetViolation]) -> Vec<FleetReport> {
-        let _span = obs::time(obs::Stage::FleetDrain);
-        let order = self.schedule(violations);
-        obs::count(obs::Counter::FleetViolations, order.len() as u64);
-        let lanes = order
-            .iter()
-            .map(|v| v.app)
-            .collect::<std::collections::BTreeSet<_>>();
-        obs::count(obs::Counter::FleetLanes, lanes.len() as u64);
-        let started = Instant::now();
-        order
-            .into_iter()
-            .map(|v| FleetReport {
-                app: v.app,
-                violation_at: v.violation_at,
-                report: self.diagnose_sequential(v.app, v.violation_at),
-                latency: started.elapsed(),
-            })
             .collect()
     }
 }
@@ -953,7 +871,25 @@ mod tests {
     }
 
     #[test]
-    fn drain_matches_sequential_reference() {
+    fn lookback_retry_saturates_a_huge_tenant_window() {
+        // A clean tenant with the largest possible override: the empty
+        // first answer triggers the widen path, whose 4× must saturate
+        // instead of overflowing.
+        let config = FChainConfig {
+            lookback_retry: crate::config::LookbackRetry::Widen,
+            ..FChainConfig::default()
+        };
+        let pool = Arc::new(SlaveDaemon::new(config.clone()));
+        let mut fleet = FleetMaster::new(config);
+        let app = fleet.add_tenant("shop");
+        feed_tenant(&pool, app, 0, 1000, None);
+        fleet.register_slave(app, Arc::new(TenantSlave::new(pool, app)));
+        assert_eq!(fleet.set_tenant_lookback(app, u64::MAX), u64::MAX);
+        assert_eq!(fleet.diagnose(app, 990).verdict, crate::Verdict::NoAnomaly);
+    }
+
+    #[test]
+    fn drain_matches_standalone_diagnoses() {
         let (fleet, shop, wiki) = two_tenant_fleet();
         let violations = [
             FleetViolation {
@@ -969,12 +905,18 @@ mod tests {
                 violation_at: 985,
             },
         ];
-        let parallel = fleet.on_violations(&violations);
-        let sequential = fleet.on_violations_sequential(&violations);
-        assert_eq!(parallel, sequential);
-        assert_eq!(parallel.len(), 3);
-        // Each drained report is bit-identical to a standalone diagnosis.
-        for r in &parallel {
+        let drained = fleet.on_violations(&violations);
+        // Reports come back in schedule order...
+        let drained_order: Vec<FleetViolation> = drained
+            .iter()
+            .map(|r| FleetViolation {
+                app: r.app,
+                violation_at: r.violation_at,
+            })
+            .collect();
+        assert_eq!(drained_order, fleet.schedule(&violations));
+        // ...and each is bit-identical to a standalone diagnosis.
+        for r in &drained {
             assert_eq!(r.report, fleet.diagnose(r.app, r.violation_at));
             assert_eq!(r.report.app, r.app);
         }
@@ -1059,8 +1001,7 @@ mod tests {
         feed_tenant(&pool, shop, 0, 1000, Some(940));
         feed_tenant(&pool, wiki, 1, 1000, Some(940));
         fleet.register_slave(shop, Arc::new(TenantSlave::new(Arc::clone(&pool), shop)));
-        // Two slaves for the wiki so its fan-out takes the parallel,
-        // deadline-enforcing path; the stalled one covers component 1.
+        // Two slaves for the wiki; the stalled one covers component 1.
         fleet.register_slave(
             wiki,
             Arc::new(FaultySlave::new(
@@ -1113,7 +1054,7 @@ mod tests {
         let app = fleet.add_tenant("a");
         let pool = Arc::new(SlaveDaemon::new(FChainConfig::default()));
         feed_tenant(&pool, app, 0, 1000, Some(940));
-        // Two slaves to force the parallel (deadline-enforcing) path.
+        // One stalled slave past the tenant budget, one healthy.
         fleet.register_slave(
             app,
             Arc::new(FaultySlave::new(

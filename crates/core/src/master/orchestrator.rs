@@ -25,7 +25,7 @@ use crate::config::FChainConfig;
 use crate::master::endpoint::SlaveEndpoint;
 use crate::master::fleet::FleetMaster;
 use crate::master::validation::ValidationProbe;
-use crate::report::{ComponentFinding, DiagnosisReport};
+use crate::report::DiagnosisReport;
 use fchain_deps::DependencyGraph;
 use fchain_metrics::{AppId, Tick};
 use std::sync::Arc;
@@ -72,17 +72,6 @@ impl Master {
         Master { fleet, app }
     }
 
-    /// The tenant id the wrapped fleet serves this application under
-    /// (always the default tenant).
-    pub fn app(&self) -> AppId {
-        self.app
-    }
-
-    /// The underlying fleet of one.
-    pub fn fleet(&self) -> &FleetMaster {
-        &self.fleet
-    }
-
     /// Registers the slave endpoint of one cloud node. Returns `true` if
     /// the endpoint was added; re-registering the *same* endpoint (the
     /// same `Arc` — a slave re-announcing itself after a reconnect) is a
@@ -105,23 +94,9 @@ impl Master {
         self.fleet.set_dependencies(self.app, deps);
     }
 
-    /// Collects every reachable slave's abnormal-change findings for the
-    /// look-back window ending at `violation_at`, merging duplicates.
-    pub fn collect_findings(&self, violation_at: Tick) -> Vec<ComponentFinding> {
-        self.fleet.collect_findings(self.app, violation_at)
-    }
-
     /// Full diagnosis on an SLO violation.
     pub fn on_violation(&self, violation_at: Tick) -> DiagnosisReport {
         self.fleet.diagnose(self.app, violation_at)
-    }
-
-    /// Reference single-threaded diagnosis: identical to
-    /// [`Master::on_violation`] with every fan-out replaced by a plain
-    /// loop. The parallel path is required (and tested) to produce a
-    /// bit-identical report for the same state and fault schedule.
-    pub fn on_violation_sequential(&self, violation_at: Tick) -> DiagnosisReport {
-        self.fleet.diagnose_sequential(self.app, violation_at)
     }
 
     /// Diagnosis followed by online pinpointing validation.
@@ -167,11 +142,27 @@ impl Master {
 mod tests {
     use super::*;
     use crate::master::endpoint::{CollectRequest, FaultySlave, SlaveError, SlaveFault};
-    use crate::report::{AbnormalChange, SlaveStatus};
+    use crate::report::{AbnormalChange, ComponentFinding, SlaveStatus};
     use crate::slave::{MetricSample, SlaveDaemon};
     use fchain_detect::Trend;
     use fchain_metrics::{ComponentId, MetricKind};
     use std::time::{Duration, Instant};
+
+    /// The reference master: the same endpoints, each wrapped in a
+    /// [`SlaveFault::Stall`] whose delay decreases with registration
+    /// index, so answers reach the fan-out in reverse order. Thread
+    /// timing must never change the report.
+    fn reversed_arrival(slaves: &[Arc<dyn SlaveEndpoint>]) -> Master {
+        let mut master = Master::new(FChainConfig::default());
+        for (i, slave) in slaves.iter().enumerate() {
+            let delay = Duration::from_millis(20 * (slaves.len() - i) as u64);
+            master.register_slave(Arc::new(FaultySlave::new(
+                Arc::clone(slave),
+                SlaveFault::Stall { delay },
+            )));
+        }
+        master
+    }
 
     /// Feeds `n` ticks of component `c` into `slave`, stepping CPU at
     /// `fault_at` if given.
@@ -316,22 +307,27 @@ mod tests {
         };
         let cpu = change(MetricKind::Cpu, 200);
         let memory = change(MetricKind::Memory, 180);
+        let slaves: [Arc<dyn SlaveEndpoint>; 2] = [
+            Arc::new(Canned(vec![ComponentFinding {
+                id: ComponentId(7),
+                changes: vec![cpu],
+            }])),
+            Arc::new(Canned(vec![ComponentFinding {
+                id: ComponentId(7),
+                changes: vec![memory],
+            }])),
+        ];
         let mut master = Master::new(FChainConfig::default());
-        master.register_slave(Arc::new(Canned(vec![ComponentFinding {
-            id: ComponentId(7),
-            changes: vec![cpu],
-        }])));
-        master.register_slave(Arc::new(Canned(vec![ComponentFinding {
-            id: ComponentId(7),
-            changes: vec![memory],
-        }])));
-        let findings = master.collect_findings(990);
+        for slave in &slaves {
+            master.register_slave(Arc::clone(slave));
+        }
+        let findings = master.on_violation(990).findings;
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].changes, vec![cpu, memory]);
         assert_eq!(findings[0].onset(), Some(180), "earliest onset must win");
-        // Identical duplicates collapse instead of doubling.
-        let sequential = master.on_violation_sequential(990);
-        assert_eq!(sequential.findings, findings);
+        // Registration order, not arrival order, fixes the union.
+        let reversed = reversed_arrival(&slaves).on_violation(990);
+        assert_eq!(reversed.findings, findings);
     }
 
     #[test]
@@ -342,9 +338,12 @@ mod tests {
         feed(&dead, 1, 1000, None);
         feed(&dead, 2, 1000, None);
 
+        let slaves: [Arc<dyn SlaveEndpoint>; 2] =
+            [healthy, Arc::new(FaultySlave::new(dead, SlaveFault::Crash))];
         let mut master = Master::new(FChainConfig::default());
-        master.register_slave(healthy);
-        master.register_slave(Arc::new(FaultySlave::new(dead, SlaveFault::Crash)));
+        for slave in &slaves {
+            master.register_slave(Arc::clone(slave));
+        }
 
         let report = master.on_violation(990);
         assert_eq!(report.pinpointed, vec![ComponentId(0)]);
@@ -359,8 +358,8 @@ mod tests {
             report.coverage.slaves,
             vec![SlaveStatus::Ok, SlaveStatus::Unreachable]
         );
-        // The sequential reference sees the same degraded picture.
-        assert_eq!(report, master.on_violation_sequential(990));
+        // Answers arriving in reverse order give the same degraded picture.
+        assert_eq!(report, reversed_arrival(&slaves).on_violation(990));
     }
 
     #[test]

@@ -24,10 +24,14 @@ pub trait ValidationProbe: std::fmt::Debug {
     fn scale_and_observe(&mut self, component: ComponentId, metric: MetricKind) -> bool;
 }
 
+/// How many abnormal metrics validation scales per pinpointed component:
+/// the paper adjusts up to the two strongest ones (§II.A, §III.D).
+pub const VALIDATION_MAX_METRICS: usize = 2;
+
 /// Validates a diagnosis in place: every pinpointed component gets its
-/// strongest abnormal metrics scaled (up to `max_metrics` attempts); if no
-/// scaling improves the SLO, the component is dropped from `pinpointed`
-/// into `removed_by_validation`.
+/// strongest abnormal metrics scaled (up to [`VALIDATION_MAX_METRICS`]
+/// attempts); if no scaling improves the SLO, the component is dropped
+/// from `pinpointed` into `removed_by_validation`.
 ///
 /// # Examples
 ///
@@ -62,15 +66,11 @@ pub trait ValidationProbe: std::fmt::Debug {
 ///     engine: Default::default(),
 ///     app: Default::default(),
 /// };
-/// validate_pinpointing(&mut report, &mut OnlyC1, 2);
+/// validate_pinpointing(&mut report, &mut OnlyC1);
 /// assert_eq!(report.pinpointed, vec![ComponentId(1)]);
 /// assert_eq!(report.removed_by_validation, vec![ComponentId(0)]);
 /// ```
-pub fn validate_pinpointing(
-    report: &mut DiagnosisReport,
-    probe: &mut dyn ValidationProbe,
-    max_metrics: usize,
-) {
+pub fn validate_pinpointing(report: &mut DiagnosisReport, probe: &mut dyn ValidationProbe) {
     let _span = obs::time(obs::Stage::MasterValidation);
     let mut kept = Vec::new();
     let mut removed = Vec::new();
@@ -90,7 +90,7 @@ pub fn validate_pinpointing(
             kept.push(c);
             continue;
         }
-        let confirmed = metrics.into_iter().take(max_metrics.max(1)).any(|m| {
+        let confirmed = metrics.into_iter().take(VALIDATION_MAX_METRICS).any(|m| {
             obs::count(obs::Counter::ValidationProbes, 1);
             probe.scale_and_observe(c, m)
         });
@@ -164,7 +164,7 @@ mod tests {
             approve: (ComponentId(2), MetricKind::Memory),
             calls: vec![],
         };
-        validate_pinpointing(&mut r, &mut probe, 2);
+        validate_pinpointing(&mut r, &mut probe);
         assert_eq!(r.pinpointed, vec![ComponentId(2)]);
         assert_eq!(r.removed_by_validation, vec![ComponentId(0)]);
     }
@@ -176,7 +176,7 @@ mod tests {
             approve: (ComponentId(2), MetricKind::Memory),
             calls: vec![],
         };
-        validate_pinpointing(&mut r, &mut probe, 2);
+        validate_pinpointing(&mut r, &mut probe);
         // Memory has the bigger error excess, so it is scaled first and
         // validation stops there.
         assert_eq!(probe.calls, vec![(ComponentId(2), MetricKind::Memory)]);
@@ -189,8 +189,8 @@ mod tests {
             approve: (ComponentId(9), MetricKind::Cpu), // never approves
             calls: vec![],
         };
-        validate_pinpointing(&mut r, &mut probe, 2);
-        assert_eq!(probe.calls.len(), 2);
+        validate_pinpointing(&mut r, &mut probe);
+        assert_eq!(probe.calls.len(), VALIDATION_MAX_METRICS);
         assert!(r.pinpointed.is_empty());
         assert_eq!(r.removed_by_validation, vec![ComponentId(1)]);
     }
@@ -206,7 +206,7 @@ mod tests {
             approve: (ComponentId(2), MetricKind::Memory),
             calls: vec![],
         };
-        validate_pinpointing(&mut r, &mut probe, 2);
+        validate_pinpointing(&mut r, &mut probe);
         assert_eq!(r.pinpointed, vec![ComponentId(2), ComponentId(9)]);
         assert!(r.removed_by_validation.is_empty());
         // The probe was never consulted about the finding-less component.
@@ -221,7 +221,7 @@ mod tests {
             approve: (ComponentId(5), MetricKind::Cpu), // never approves
             calls: vec![],
         };
-        validate_pinpointing(&mut r, &mut probe, 2);
+        validate_pinpointing(&mut r, &mut probe);
         assert_eq!(r.pinpointed, vec![ComponentId(0)]);
         assert!(probe.calls.is_empty(), "no metric, no experiment");
     }
@@ -233,7 +233,7 @@ mod tests {
             approve: (ComponentId(0), MetricKind::Cpu),
             calls: vec![],
         };
-        validate_pinpointing(&mut r, &mut probe, 2);
+        validate_pinpointing(&mut r, &mut probe);
         assert!(probe.calls.is_empty());
         assert!(r.pinpointed.is_empty());
         assert!(r.removed_by_validation.is_empty());

@@ -620,10 +620,10 @@ impl SlaveDaemon {
     /// Answers one [`CollectRequest`] for the whole host (`app: None`)
     /// or one tenant's shards, with findings in shard-key order.
     ///
-    /// Components are analyzed in parallel unless `request.sequential`
-    /// asks for the single-threaded reference; both give bit-identical
-    /// findings, since each component's analysis is independent and
-    /// results are assembled in list order.
+    /// Components are analyzed in parallel across the host's cores; with
+    /// one core or one shard the loop runs inline. Both give
+    /// bit-identical findings, since each component's analysis is
+    /// independent and results are assembled in list order.
     ///
     /// A look-back override is how the fleet serves a tenant that needs a
     /// longer window (the paper's `W = 500` disk hog) from a pool daemon
@@ -648,7 +648,7 @@ impl SlaveDaemon {
         let workers = std::thread::available_parallelism()
             .map_or(1, |n| n.get())
             .min(shards.len());
-        if request.sequential || workers <= 1 {
+        if workers <= 1 {
             return shards.iter().filter_map(analyze).collect();
         }
         let slots: Vec<Mutex<Option<ComponentFinding>>> =
@@ -673,12 +673,15 @@ impl SlaveDaemon {
 mod tests {
     use super::*;
 
-    /// The single-threaded reference request.
-    fn sequential(violation_at: Tick) -> CollectRequest {
-        CollectRequest {
-            sequential: true,
-            ..CollectRequest::at(violation_at)
-        }
+    /// The single-threaded reference: the public per-component entry
+    /// point over every monitored component, independent of the
+    /// `analyze_all` worker pool.
+    fn reference(daemon: &SlaveDaemon, violation_at: Tick) -> Vec<ComponentFinding> {
+        daemon
+            .monitored_components()
+            .into_iter()
+            .filter_map(|c| daemon.analyze(c, violation_at))
+            .collect()
     }
 
     fn feed_component(daemon: &SlaveDaemon, c: ComponentId, n: u64, fault_at: Option<u64>) {
@@ -869,7 +872,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_analyze_all_matches_sequential() {
+    fn parallel_analyze_all_matches_per_component_reference() {
         let daemon = SlaveDaemon::new(FChainConfig::default());
         feed_component(&daemon, ComponentId(0), 1000, Some(930));
         feed_component(&daemon, ComponentId(1), 1000, None);
@@ -877,7 +880,7 @@ mod tests {
         feed_component(&daemon, ComponentId(3), 1000, None);
         assert_eq!(
             daemon.analyze_all(None, &CollectRequest::at(990)),
-            daemon.analyze_all(None, &sequential(990))
+            reference(&daemon, 990)
         );
     }
 
@@ -886,8 +889,9 @@ mod tests {
         // Four writer threads keep feeding fresh ticks while the daemon
         // repeatedly analyzes the whole host. The run must not deadlock,
         // and a replay of the final state must reproduce the same findings
-        // sequentially (analysis is a pure function of the shard state at
-        // the violation tick, and ticks past `violation_at` are ignored).
+        // one component at a time (analysis is a pure function of the
+        // shard state at the violation tick, and ticks past
+        // `violation_at` are ignored).
         let daemon = Arc::new(SlaveDaemon::new(FChainConfig::default()));
         for c in 0..4u32 {
             feed_component(&daemon, ComponentId(c), 900, (c % 2 == 0).then_some(850));
@@ -917,9 +921,9 @@ mod tests {
             w.join().expect("writer thread");
         }
         // Once ingestion has quiesced the parallel path must agree with a
-        // sequential replay of the same state, sample for sample.
+        // per-component replay of the same state, sample for sample.
         let parallel = daemon.analyze_all(None, &CollectRequest::at(890));
-        let replay = daemon.analyze_all(None, &sequential(890));
+        let replay = reference(&daemon, 890);
         assert_eq!(parallel, replay);
         let faulty: Vec<ComponentId> = replay
             .iter()
@@ -999,8 +1003,8 @@ mod tests {
             batched.ingest_batch_for(app, chunk);
         }
         assert_eq!(
-            per_sample.analyze_all(None, &sequential(1190)),
-            batched.analyze_all(None, &sequential(1190))
+            per_sample.analyze_all(None, &CollectRequest::at(1190)),
+            batched.analyze_all(None, &CollectRequest::at(1190))
         );
     }
 
@@ -1024,8 +1028,8 @@ mod tests {
         // (trimmed tail, direct floor) and long before the fault.
         for v in [999, 990, 985, 700] {
             assert_eq!(
-                batch.analyze_all(None, &sequential(v)),
-                streaming.analyze_all(None, &sequential(v)),
+                batch.analyze_all(None, &CollectRequest::at(v)),
+                streaming.analyze_all(None, &CollectRequest::at(v)),
                 "engines disagree at violation tick {v}"
             );
         }
@@ -1061,8 +1065,8 @@ mod tests {
         }
         for v in [399, 1899, 1880, 1400] {
             assert_eq!(
-                batch.analyze_all(None, &sequential(v)),
-                streaming.analyze_all(None, &sequential(v)),
+                batch.analyze_all(None, &CollectRequest::at(v)),
+                streaming.analyze_all(None, &CollectRequest::at(v)),
                 "engines disagree at violation tick {v}"
             );
         }

@@ -354,15 +354,12 @@ mod tests {
             service.shutdown();
             daemon
         };
-        let reference = CollectRequest {
-            sequential: true,
-            ..CollectRequest::at(campaign.ticks - 1)
-        };
+        let request = CollectRequest::at(campaign.ticks - 1);
         for t in 0..campaign.tenants {
             let app = Some(AppId(t as u32));
             assert_eq!(
-                campaign_daemon.analyze_all(app, &reference),
-                result_daemon.analyze_all(app, &reference),
+                campaign_daemon.analyze_all(app, &request),
+                result_daemon.analyze_all(app, &request),
                 "tenant {t} diverged through the service"
             );
         }

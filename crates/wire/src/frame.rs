@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic        0x46_43_48_57 ("FCHW" big-endian bytes)
-//!      4     1  version      PROTOCOL_VERSION (1)
+//!      4     1  version      PROTOCOL_VERSION (2)
 //!      5     1  frame type   see FrameType
 //!      6     2  reserved     must be zero
 //!      8     8  request id   echoed verbatim in the response
@@ -33,7 +33,7 @@ pub const MAGIC: u32 = 0x4643_4857;
 
 /// The protocol revision this build speaks. A daemon receiving a frame
 /// with any other version rejects it explicitly instead of guessing.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Hard ceiling on a payload (64 MiB). A length prefix above this is
 /// corrupt or hostile; honoring it would let one bad frame exhaust the
@@ -144,7 +144,7 @@ pub enum Frame {
     CollectRequest {
         /// Tenant scope, or `None` for the whole daemon.
         app: Option<AppId>,
-        /// The window end, look-back override and sequential flag.
+        /// The window end and look-back override.
         request: CollectRequest,
     },
     /// Slave → master: the findings (empty unless `status` is
@@ -408,7 +408,6 @@ pub fn encode_frame(frame: &Frame, request_id: u64) -> Vec<u8> {
             put_u64(&mut payload, request.violation_at);
             put_bool(&mut payload, request.lookback.is_some());
             put_u64(&mut payload, request.lookback.unwrap_or(0));
-            put_bool(&mut payload, request.sequential);
         }
         Frame::CollectResponse { status, findings } => {
             put_u8(
@@ -519,11 +518,9 @@ fn decode_payload(frame_type: FrameType, c: &mut Cursor<'_>) -> Result<Frame, Wi
             let violation_at = c.get_u64()?;
             let has_lookback = c.get_bool()?;
             let lookback = c.get_u64()?;
-            let sequential = c.get_bool()?;
             let request = CollectRequest {
                 violation_at,
                 lookback: has_lookback.then_some(lookback),
-                sequential,
             };
             Frame::CollectRequest { app, request }
         }
@@ -638,7 +635,6 @@ mod tests {
                 request: CollectRequest {
                     violation_at: 1234,
                     lookback: Some(500),
-                    sequential: true,
                 },
             },
             Frame::CollectRequest {
@@ -680,15 +676,14 @@ mod tests {
         // Golden bytes: a round trip cannot catch a field-order or
         // layout change, so pin the collect request's exact encoding.
         #[rustfmt::skip]
-        let golden: [u8; HEADER_LEN + 23] = [
+        let golden: [u8; HEADER_LEN + 22] = [
             0x57, 0x48, 0x43, 0x46,                         // magic
-            PROTOCOL_VERSION, 1, 0, 0,                      // version, CollectRequest, reserved
+            2, 1, 0, 0,                                     // version 2, CollectRequest, reserved
             0, 0, 0, 0, 0, 0, 0, 0,                         // request id 0
-            23, 0, 0, 0,                                    // payload length
+            22, 0, 0, 0,                                    // payload length
             1, 4, 0, 0, 0,                                  // app: Some(AppId(4))
             0xD2, 0x04, 0, 0, 0, 0, 0, 0,                   // violation_at: 1234
             1, 0xF4, 0x01, 0, 0, 0, 0, 0, 0,                // lookback: Some(500)
-            1,                                              // sequential: true
         ];
         assert_eq!(encode_frame(&frames[0], 0), golden);
     }
@@ -726,6 +721,30 @@ mod tests {
         assert!(matches!(
             decode_frame(&buf),
             Err(WireError::UnsupportedVersion(_))
+        ));
+    }
+
+    #[test]
+    fn version_one_collect_request_is_rejected() {
+        // A version-1 peer still sends the dropped trailing flag byte.
+        #[rustfmt::skip]
+        let v1: [u8; HEADER_LEN + 23] = [
+            0x57, 0x48, 0x43, 0x46,                         // magic
+            1, 1, 0, 0,                                     // version 1, CollectRequest, reserved
+            0, 0, 0, 0, 0, 0, 0, 0,                         // request id 0
+            23, 0, 0, 0,                                    // payload length
+            1, 4, 0, 0, 0,                                  // app: Some(AppId(4))
+            0xD2, 0x04, 0, 0, 0, 0, 0, 0,                   // violation_at: 1234
+            1, 0xF4, 0x01, 0, 0, 0, 0, 0, 0,                // lookback: Some(500)
+            1,                                              // version-1 flag byte
+        ];
+        assert!(matches!(
+            decode_frame(&v1),
+            Err(WireError::UnsupportedVersion(1))
+        ));
+        assert!(matches!(
+            read_frame(&mut &v1[..]),
+            Err(WireError::UnsupportedVersion(1))
         ));
     }
 

@@ -81,7 +81,6 @@ fn frame() -> impl Strategy<Value = Frame> {
             opt_app(),
             0u64..=u64::MAX,
             proptest::option::of(0u64..=u64::MAX),
-            proptest::bool::ANY,
         ),
         (0u8..3, proptest::collection::vec(finding(), 0..6)),
         proptest::collection::vec((0u32..=u32::MAX).prop_map(ComponentId), 0..32),
@@ -89,40 +88,37 @@ fn frame() -> impl Strategy<Value = Frame> {
         (0u8..=u8::MAX, proptest::collection::vec(32u8..127, 0..64)),
     )
         .prop_map(
-            |(kind, (app, violation_at, lookback, sequential), resp, comps, samples, err)| {
-                match kind {
-                    0 => Frame::CollectRequest {
-                        app,
-                        request: CollectRequest {
-                            violation_at,
-                            lookback,
-                            sequential,
-                        },
+            |(kind, (app, violation_at, lookback), resp, comps, samples, err)| match kind {
+                0 => Frame::CollectRequest {
+                    app,
+                    request: CollectRequest {
+                        violation_at,
+                        lookback,
                     },
-                    1 => Frame::CollectResponse {
-                        status: match resp.0 {
-                            0 => ResponseStatus::Ok,
-                            1 => ResponseStatus::Transient,
-                            _ => ResponseStatus::Unreachable,
-                        },
-                        findings: resp.1,
+                },
+                1 => Frame::CollectResponse {
+                    status: match resp.0 {
+                        0 => ResponseStatus::Ok,
+                        1 => ResponseStatus::Transient,
+                        _ => ResponseStatus::Unreachable,
                     },
-                    2 => Frame::MonitoredRequest { app },
-                    3 => Frame::MonitoredResponse { components: comps },
-                    4 => Frame::IngestBatch {
-                        app: app.unwrap_or_default(),
-                        samples,
-                    },
-                    5 => Frame::IngestAck {
-                        accepted: violation_at,
-                    },
-                    6 => Frame::Error {
-                        code: err.0,
-                        message: String::from_utf8(err.1).expect("printable ascii"),
-                    },
-                    7 => Frame::Shutdown,
-                    _ => Frame::ShutdownAck,
-                }
+                    findings: resp.1,
+                },
+                2 => Frame::MonitoredRequest { app },
+                3 => Frame::MonitoredResponse { components: comps },
+                4 => Frame::IngestBatch {
+                    app: app.unwrap_or_default(),
+                    samples,
+                },
+                5 => Frame::IngestAck {
+                    accepted: violation_at,
+                },
+                6 => Frame::Error {
+                    code: err.0,
+                    message: String::from_utf8(err.1).expect("printable ascii"),
+                },
+                7 => Frame::Shutdown,
+                _ => Frame::ShutdownAck,
             },
         )
 }

@@ -1,7 +1,7 @@
 //! Degraded-mode diagnosis: the master must survive crashed, stalled,
 //! flaky and stale slaves — finishing within its deadline, reporting what
-//! it could not see, and staying bit-identical to the sequential
-//! reference (and to itself) for a fixed fault schedule.
+//! it could not see, and staying bit-identical to itself — whatever
+//! order the slaves' answers arrive in — for a fixed fault schedule.
 
 use fchain::core::master::Master;
 use fchain::core::slave::{MetricSample, SlaveDaemon};
@@ -56,6 +56,28 @@ fn master_with_faults(
         master.register_slave(Arc::new(FaultySlave::new(
             Arc::clone(daemon) as Arc<dyn SlaveEndpoint>,
             *fault,
+        )));
+    }
+    master
+}
+
+/// [`master_with_faults`] with every faulty endpoint wrapped once more in
+/// a stall whose delay decreases with registration index, so answers
+/// reach the fan-out in reverse order. Thread timing must never change
+/// the report.
+fn reversed_arrival(
+    daemons: &[Arc<SlaveDaemon>],
+    faults: &[SlaveFault],
+    config: FChainConfig,
+) -> Master {
+    assert_eq!(daemons.len(), faults.len());
+    let mut master = Master::new(config);
+    for (i, (daemon, fault)) in daemons.iter().zip(faults).enumerate() {
+        let faulty = FaultySlave::new(Arc::clone(daemon) as Arc<dyn SlaveEndpoint>, *fault);
+        let delay = Duration::from_millis(20 * (daemons.len() - i) as u64);
+        master.register_slave(Arc::new(FaultySlave::new(
+            Arc::new(faulty),
+            SlaveFault::Stall { delay },
         )));
     }
     master
@@ -139,21 +161,16 @@ fn seeded_fault_schedule_is_deterministic() {
     assert!(faults.iter().any(|f| matches!(f, SlaveFault::Crash)));
     assert!(faults.iter().any(|f| matches!(f, SlaveFault::None)));
 
-    let run = |sequential: bool| -> DiagnosisReport {
-        let master = master_with_faults(&daemons, &faults, degraded_config());
-        if sequential {
-            master.on_violation_sequential(990)
-        } else {
-            master.on_violation(990)
-        }
+    let run = || -> DiagnosisReport {
+        master_with_faults(&daemons, &faults, degraded_config()).on_violation(990)
     };
-    let first = run(false);
-    let second = run(false);
+    let first = run();
+    let second = run();
     assert_eq!(first, second, "same schedule, different report");
-    let sequential = run(true);
+    let reversed = reversed_arrival(&daemons, &faults, degraded_config()).on_violation(990);
     assert_eq!(
-        first, sequential,
-        "parallel and sequential degraded paths diverge"
+        first, reversed,
+        "reversed answer arrival changed the degraded report"
     );
     assert!(!first.coverage.unreachable_slaves.is_empty());
 }
@@ -175,7 +192,8 @@ fn no_fault_wrappers_match_the_plain_path() {
     let plain_report = plain.on_violation(990);
     let wrapped_report = wrapped.on_violation(990);
     assert_eq!(plain_report, wrapped_report);
-    assert_eq!(plain_report, plain.on_violation_sequential(990));
+    let reversed = reversed_arrival(&daemons, &faults, FChainConfig::default());
+    assert_eq!(plain_report, reversed.on_violation(990));
     assert_eq!(plain_report.pinpointed, vec![ComponentId(1)]);
     assert!(plain_report.coverage.is_complete());
     assert_eq!(plain_report.coverage.coverage, 1.0);

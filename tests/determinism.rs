@@ -1,11 +1,12 @@
-//! Parallel/sequential and batch/streaming parity: the sharded,
-//! multi-threaded diagnosis path (parallel `SlaveDaemon::analyze_all` +
-//! parallel master collection) must produce bit-identical reports to the
-//! single-threaded reference for the same seeded campaign cases, and the
-//! streaming analysis engine must produce bit-identical findings to the
-//! batch reference — over seeded simulator campaigns and over adversarial
-//! synthetic streams (gaps, duplicates, out-of-order ticks, outages that
-//! reset the series, injected step faults).
+//! Arrival-order and batch/streaming parity: the sharded, multi-threaded
+//! diagnosis path (parallel `SlaveDaemon::analyze_all` + parallel master
+//! fan-out) must produce bit-identical reports whatever order the slaves'
+//! answers arrive in — checked against the same master with its answers
+//! forced into reverse order — for the same seeded campaign cases, and
+//! the streaming analysis engine must produce bit-identical findings to
+//! the batch reference — over seeded simulator campaigns and over
+//! adversarial synthetic streams (gaps, duplicates, out-of-order ticks,
+//! outages that reset the series, injected step faults).
 
 use fchain::core::master::Master;
 use fchain::core::slave::{MetricSample, SlaveDaemon};
@@ -18,6 +19,7 @@ use fchain::metrics::{AppId, ComponentId, MetricKind};
 use fchain::sim::{AppKind, FaultKind, RunConfig, Simulator};
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The default config with the given engine selected.
 fn engine_config(engine: AnalysisEngine) -> FChainConfig {
@@ -27,23 +29,43 @@ fn engine_config(engine: AnalysisEngine) -> FChainConfig {
     }
 }
 
+/// How [`master_from_seeded_run_with`] registers each host's daemon.
+#[derive(Debug, Clone, Copy)]
+enum Wrap {
+    /// The daemon itself.
+    Plain,
+    /// A no-op [`FaultySlave`]: the endpoint indirection with fault
+    /// injection disabled must be invisible in the reports.
+    NoOp,
+    /// The reference for thread timing: a [`reversed_stall`] per host,
+    /// so answers reach the fan-out in reverse registration order.
+    ReversedArrival,
+}
+
+/// The stall for registration index `i` of `count` endpoints: the delay
+/// decreases with the index, so the last-registered slave answers first.
+fn reversed_stall(i: usize, count: usize) -> SlaveFault {
+    SlaveFault::Stall {
+        delay: Duration::from_millis(20 * (count - i) as u64),
+    }
+}
+
 /// Simulates one seeded run, streams every component's metrics into
 /// per-host slave daemons (two hosts, components split round-robin, so the
 /// master-level fan-out is exercised too), and returns the wired master
 /// plus the violation tick.
 fn master_from_seeded_run(app: AppKind, fault: FaultKind, seed: u64) -> Option<(Master, u64)> {
-    master_from_seeded_run_with(app, fault, seed, false, &FChainConfig::default())
+    master_from_seeded_run_with(app, fault, seed, Wrap::Plain, &FChainConfig::default())
 }
 
-/// Like [`master_from_seeded_run`], optionally wrapping every slave in a
-/// no-op [`FaultySlave`] — the endpoint indirection with fault injection
-/// disabled must be invisible in the reports — and with an explicit
-/// config so the analysis engine can be selected.
+/// Like [`master_from_seeded_run`], registering every host as `wrap`
+/// says and with an explicit config so the analysis engine can be
+/// selected.
 fn master_from_seeded_run_with(
     app: AppKind,
     fault: FaultKind,
     seed: u64,
-    wrap: bool,
+    wrap: Wrap,
     config: &FChainConfig,
 ) -> Option<(Master, u64)> {
     let run = Simulator::new(RunConfig::new(app, fault, seed)).run();
@@ -65,15 +87,20 @@ fn master_from_seeded_run_with(
         }
     }
     let mut master = Master::new(config.clone());
-    for host in hosts {
-        if wrap {
-            master.register_slave(Arc::new(FaultySlave::new(
-                host as Arc<dyn SlaveEndpoint>,
-                SlaveFault::None,
-            )));
-        } else {
-            master.register_slave(host);
-        }
+    let count = hosts.len();
+    for (i, host) in hosts.into_iter().enumerate() {
+        let fault = match wrap {
+            Wrap::Plain => {
+                master.register_slave(host);
+                continue;
+            }
+            Wrap::NoOp => SlaveFault::None,
+            Wrap::ReversedArrival => reversed_stall(i, count),
+        };
+        master.register_slave(Arc::new(FaultySlave::new(
+            host as Arc<dyn SlaveEndpoint>,
+            fault,
+        )));
     }
     if let Some(deps) = case.discovered_deps.clone() {
         master.set_dependencies(deps);
@@ -129,14 +156,22 @@ fn assert_parity(app: AppKind, fault: FaultKind, seeds: &[u64]) {
         let Some((master, violation_at)) = master_from_seeded_run(app, fault, seed) else {
             continue;
         };
-        let parallel = master.on_violation(violation_at);
-        let sequential = master.on_violation_sequential(violation_at);
+        let (reversed, _) = master_from_seeded_run_with(
+            app,
+            fault,
+            seed,
+            Wrap::ReversedArrival,
+            &FChainConfig::default(),
+        )
+        .expect("same seed must produce the same case");
+        let report = master.on_violation(violation_at);
         assert_eq!(
-            parallel, sequential,
-            "{app:?}/{fault:?} seed {seed}: parallel and sequential reports diverge"
+            report,
+            reversed.on_violation(violation_at),
+            "{app:?}/{fault:?} seed {seed}: reversed answer arrival changed the report"
         );
-        // Re-running the parallel path must also be stable with itself.
-        assert_eq!(parallel, master.on_violation(violation_at));
+        // Re-running the same master must also be stable with itself.
+        assert_eq!(report, master.on_violation(violation_at));
         compared += 1;
     }
     assert!(
@@ -165,7 +200,8 @@ fn systems_reports_are_identical_across_paths() {
 }
 
 /// With fault injection disabled, the `FaultySlave`-wrapped master must
-/// produce bit-identical reports to the plain one, on both paths.
+/// produce bit-identical reports to the plain one, and so must wrappers
+/// that only reorder the answers.
 #[test]
 fn disabled_fault_injection_is_invisible() {
     let mut compared = 0;
@@ -175,24 +211,27 @@ fn disabled_fault_injection_is_invisible() {
         else {
             continue;
         };
-        let (wrapped, _) = master_from_seeded_run_with(
-            AppKind::Rubis,
-            FaultKind::CpuHog,
-            seed,
-            true,
-            &FChainConfig::default(),
-        )
-        .expect("same seed must produce the same case");
+        let wrapped_with = |wrap| {
+            master_from_seeded_run_with(
+                AppKind::Rubis,
+                FaultKind::CpuHog,
+                seed,
+                wrap,
+                &FChainConfig::default(),
+            )
+            .expect("same seed must produce the same case")
+            .0
+        };
         let reference = plain.on_violation(violation_at);
         assert_eq!(
             reference,
-            wrapped.on_violation(violation_at),
-            "seed {seed}: a no-op FaultySlave changed the parallel report"
+            wrapped_with(Wrap::NoOp).on_violation(violation_at),
+            "seed {seed}: a no-op FaultySlave changed the report"
         );
         assert_eq!(
             reference,
-            wrapped.on_violation_sequential(violation_at),
-            "seed {seed}: a no-op FaultySlave changed the sequential report"
+            wrapped_with(Wrap::ReversedArrival).on_violation(violation_at),
+            "seed {seed}: reordering FaultySlaves changed the report"
         );
         compared += 1;
     }
@@ -215,12 +254,13 @@ fn batch_and_streaming_engines_agree_on_seeded_runs() {
         let batch_cfg = engine_config(AnalysisEngine::Batch);
         let streaming_cfg = engine_config(AnalysisEngine::Streaming);
         let Some((batch, violation_at)) =
-            master_from_seeded_run_with(app, fault, seed, false, &batch_cfg)
+            master_from_seeded_run_with(app, fault, seed, Wrap::Plain, &batch_cfg)
         else {
             continue;
         };
-        let (streaming, _) = master_from_seeded_run_with(app, fault, seed, false, &streaming_cfg)
-            .expect("same seed must produce the same case");
+        let (streaming, _) =
+            master_from_seeded_run_with(app, fault, seed, Wrap::Plain, &streaming_cfg)
+                .expect("same seed must produce the same case");
         let batch_report = batch.on_violation(violation_at);
         let streaming_report = streaming.on_violation(violation_at);
         // `DiagnosisReport::eq` ignores the provenance fields, so this is
@@ -239,8 +279,8 @@ fn batch_and_streaming_engines_agree_on_seeded_runs() {
 
 /// A fleet of one tenant must produce bit-identical diagnosis payloads
 /// to the single-app `Master` wrapper — same golden campaign cases, both
-/// engines, both drain paths. This is the contract that lets the
-/// single-app API stay a thin wrapper over the fleet layer.
+/// engines, drained and diagnosed standalone. This is the contract that
+/// lets the single-app API stay a thin wrapper over the fleet layer.
 #[test]
 fn fleet_of_one_matches_the_single_app_master() {
     let cases = [
@@ -254,7 +294,7 @@ fn fleet_of_one_matches_the_single_app_master() {
         let config = engine_config(engine);
         for (app, fault, seed) in cases {
             let Some((master, violation_at)) =
-                master_from_seeded_run_with(app, fault, seed, false, &config)
+                master_from_seeded_run_with(app, fault, seed, Wrap::Plain, &config)
             else {
                 continue;
             };
@@ -276,11 +316,10 @@ fn fleet_of_one_matches_the_single_app_master() {
                 drained[0].report,
                 "{app:?}/{fault:?} seed {seed} ({engine:?}): fleet drain diverges"
             );
-            let sequential = fleet.on_violations_sequential(&[violation]);
             assert_eq!(
-                master.on_violation_sequential(violation_at),
-                sequential[0].report,
-                "{app:?}/{fault:?} seed {seed} ({engine:?}): sequential drain diverges"
+                fleet.diagnose(tenant, violation_at),
+                drained[0].report,
+                "{app:?}/{fault:?} seed {seed} ({engine:?}): drain diverges from a standalone diagnosis"
             );
             compared += 1;
         }
@@ -292,8 +331,8 @@ fn fleet_of_one_matches_the_single_app_master() {
 /// false` (the default) the diagnosis path must be bit-identical to the
 /// plain default config no matter how the other ensemble knobs are set —
 /// the stage is fully gated, so pre-ensemble reports are pinned. With the
-/// stage enabled, reports must still be deterministic across the
-/// parallel and sequential drain paths.
+/// stage enabled, reports must still be independent of the order the
+/// slaves' answers arrive in.
 #[test]
 fn disabled_ensemble_is_invisible_and_enabled_is_deterministic() {
     let cases = [
@@ -316,22 +355,25 @@ fn disabled_ensemble_is_invisible_and_enabled_is_deterministic() {
         scrambled.ensemble.coverage_penalty = 17.0;
         scrambled.ensemble.centrality_widening = false;
         scrambled.ensemble.silent_hole = false;
-        let (gated, _) = master_from_seeded_run_with(app, fault, seed, false, &scrambled)
+        let (gated, _) = master_from_seeded_run_with(app, fault, seed, Wrap::Plain, &scrambled)
             .expect("same seed must produce the same case");
         assert_eq!(
             reference.on_violation(violation_at),
             gated.on_violation(violation_at),
             "{app:?}/{fault:?} seed {seed}: a disabled ensemble changed the report"
         );
-        // Enabled stage: parallel and sequential drains stay identical.
+        // Enabled stage: reversed answer arrival leaves the report alone.
         let mut enabled = FChainConfig::default();
         enabled.ensemble.enabled = true;
-        let (ensembled, _) = master_from_seeded_run_with(app, fault, seed, false, &enabled)
-            .expect("same seed must produce the same case");
+        let ensembled_with = |wrap| {
+            master_from_seeded_run_with(app, fault, seed, wrap, &enabled)
+                .expect("same seed must produce the same case")
+                .0
+        };
         assert_eq!(
-            ensembled.on_violation(violation_at),
-            ensembled.on_violation_sequential(violation_at),
-            "{app:?}/{fault:?} seed {seed}: ensemble drain paths diverge"
+            ensembled_with(Wrap::Plain).on_violation(violation_at),
+            ensembled_with(Wrap::ReversedArrival).on_violation(violation_at),
+            "{app:?}/{fault:?} seed {seed}: ensemble report depends on arrival order"
         );
         compared += 1;
     }
@@ -342,15 +384,14 @@ fn disabled_ensemble_is_invisible_and_enabled_is_deterministic() {
 /// same golden campaign case staged into two *separate-process*
 /// `fchaind` daemons (spawned from the built binary), streamed over the
 /// wire, collected through [`fchain::wire::RemoteSlave`] endpoints —
-/// over UDS and TCP, on both analysis engines, both drain paths. This
-/// is the transport-seam contract: the wire protocol adds failure
+/// over UDS and TCP, on both analysis engines, with answers arriving in
+/// registration order and reversed. This is the transport-seam contract: the wire protocol adds failure
 /// modes, never different answers.
 #[test]
 fn socket_transports_match_in_process_reports() {
     use fchain::wire::{RemoteSlave, WireAddr};
     use std::io::BufRead;
     use std::process::{Command, Stdio};
-    use std::time::Duration;
 
     let spawn_daemon = |config: &FChainConfig, tag: &str| {
         let config_path = std::env::temp_dir().join(format!(
@@ -400,10 +441,9 @@ fn socket_transports_match_in_process_reports() {
     for engine in [AnalysisEngine::Batch, AnalysisEngine::Streaming] {
         let config = engine_config(engine);
         let (reference, violation_at) =
-            master_from_seeded_run_with(app, fault, seed, false, &config)
+            master_from_seeded_run_with(app, fault, seed, Wrap::Plain, &config)
                 .expect("seed 900 fires the SLO");
-        let reference_parallel = reference.on_violation(violation_at);
-        let reference_sequential = reference.on_violation_sequential(violation_at);
+        let reference = reference.on_violation(violation_at);
 
         for transport in ["uds", "tcp"] {
             let daemons: Vec<_> = (0..2)
@@ -440,21 +480,28 @@ fn socket_transports_match_in_process_reports() {
                 }
             }
             let mut master = Master::new(config.clone());
-            for remote in &remotes {
-                master.register_slave(Arc::clone(remote) as Arc<dyn SlaveEndpoint>);
+            let mut reversed = Master::new(config.clone());
+            for (i, remote) in remotes.iter().enumerate() {
+                let endpoint = Arc::clone(remote) as Arc<dyn SlaveEndpoint>;
+                master.register_slave(Arc::clone(&endpoint));
+                reversed.register_slave(Arc::new(FaultySlave::new(
+                    endpoint,
+                    reversed_stall(i, remotes.len()),
+                )));
             }
             if let Some(deps) = case.discovered_deps.clone() {
-                master.set_dependencies(deps);
+                master.set_dependencies(deps.clone());
+                reversed.set_dependencies(deps);
             }
             assert_eq!(
-                reference_parallel,
+                reference,
                 master.on_violation(violation_at),
                 "{engine:?}/{transport}: socket report diverges from in-process"
             );
             assert_eq!(
-                reference_sequential,
-                master.on_violation_sequential(violation_at),
-                "{engine:?}/{transport}: sequential socket report diverges"
+                reference,
+                reversed.on_violation(violation_at),
+                "{engine:?}/{transport}: reversed socket answers diverge"
             );
             for remote in &remotes {
                 remote.shutdown().expect("clean shutdown");
@@ -563,10 +610,10 @@ proptest! {
         }
         prop_assert_eq!(batch.monitored_components(), streaming.monitored_components());
         for violation_at in [n - 1, n.saturating_sub(7), n / 2] {
-            let reference = CollectRequest { sequential: true, ..CollectRequest::at(violation_at) };
+            let request = CollectRequest::at(violation_at);
             prop_assert_eq!(
-                batch.analyze_all(None, &reference),
-                streaming.analyze_all(None, &reference),
+                batch.analyze_all(None, &request),
+                streaming.analyze_all(None, &request),
                 "engines diverge at violation tick {}", violation_at
             );
         }

@@ -1,8 +1,8 @@
 //! Fleet-layer integration: many tenants, one master, one shared slave
 //! pool — exercised through the `fchain` facade crate.
 //!
-//! * a heterogeneous two-tenant fleet drains to the same per-tenant
-//!   reports on the parallel and sequential paths;
+//! * a heterogeneous two-tenant fleet drains, in schedule order, to the
+//!   same per-tenant reports a standalone diagnosis produces;
 //! * duplicate slave registration is a documented no-op at both the
 //!   single-app and fleet APIs;
 //! * two back-to-back fleet campaigns in one process leave *disjoint*
@@ -74,13 +74,15 @@ fn heterogeneous_fleet_drains_on_both_paths_identically() {
         });
     }
 
-    let parallel = fleet.on_violations(&violations);
-    let sequential = fleet.on_violations_sequential(&violations);
-    assert_eq!(parallel.len(), 2, "every tenant must be drained");
-    // `FleetReport::eq` ignores the latency stamp, so this is per-tenant
-    // bit-identical diagnosis payloads in the same drain order.
-    assert_eq!(parallel, sequential);
-    for report in &parallel {
+    let drained = fleet.on_violations(&violations);
+    assert_eq!(drained.len(), 2, "every tenant must be drained");
+    let scheduled = fleet.schedule(&violations);
+    for (report, v) in drained.iter().zip(&scheduled) {
+        assert_eq!((report.app, report.violation_at), (v.app, v.violation_at));
+        // Bit-identical diagnosis payload to a standalone diagnosis.
+        assert_eq!(report.report, fleet.diagnose(v.app, v.violation_at));
+    }
+    for report in &drained {
         assert_eq!(
             report.report.verdict,
             Verdict::Faulty,
