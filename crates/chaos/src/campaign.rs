@@ -428,16 +428,8 @@ fn execute_plan_via(
         }
         // Same dependency evidence the solo pipeline uses (and, under the
         // ensemble, the declared topology as a weaker fallback).
-        let installed_deps = if config.ensemble.enabled {
-            case.discovered_deps
-                .clone()
-                .filter(|g| !g.is_empty())
-                .or_else(|| case.known_topology.clone())
-        } else {
-            case.discovered_deps.clone()
-        };
-        if let Some(deps) = installed_deps {
-            fleet.set_dependencies(app, deps);
+        if let Some(deps) = case.dependency_evidence(config.ensemble.enabled) {
+            fleet.set_dependencies(app, deps.clone());
         }
 
         violations.push(FleetViolation {

@@ -251,8 +251,7 @@ fn diagnose_remote(
 }
 
 /// Handles `--obs-json <PATH>`: dumps `snapshot` to the file. A no-op
-/// without the flag. With instrumentation compiled out (built without the
-/// `obs` feature) the snapshot is present but all-zero.
+/// without the flag.
 fn write_obs_json(args: &Args, snapshot: &PipelineSnapshot) -> CliResult {
     let Some(path) = args.get("obs-json") else {
         return Ok(());
@@ -805,12 +804,6 @@ pub fn obs(args: &Args) -> CliResult {
         println!(
             "removed by online validation: {:?}",
             report.removed_by_validation
-        );
-    }
-    if !obs::enabled() {
-        println!(
-            "\nnote: instrumentation is compiled out (built without the `obs` \
-             feature); every stage and counter below reads zero"
         );
     }
     println!("\nstages (this diagnosis only):");

@@ -60,6 +60,23 @@ impl CaseData {
         self.violation_at.saturating_sub(self.lookback)
     }
 
+    /// The dependency graph FChain's pinpointing uses: the discovered
+    /// dependencies. The ensemble stage (`ensemble == true`) falls back
+    /// to the operator-declared topology when request-trace discovery
+    /// found nothing (the System S outcome) — declared structure is
+    /// weaker evidence than observed propagation, but the ensemble weighs
+    /// it instead of ignoring it.
+    pub fn dependency_evidence(&self, ensemble: bool) -> Option<&DependencyGraph> {
+        if ensemble {
+            self.discovered_deps
+                .as_ref()
+                .filter(|g| !g.is_empty())
+                .or(self.known_topology.as_ref())
+        } else {
+            self.discovered_deps.as_ref()
+        }
+    }
+
     /// The look-back window samples of one metric on one component.
     ///
     /// # Panics

@@ -216,190 +216,52 @@ impl Deserialize for LookbackRetry {
     }
 }
 
-/// Fleet-layer knobs: how one FChain master serves many tenant
-/// applications concurrently.
-///
-/// The defaults make a fleet of one behave exactly like the single-app
-/// stack (no tenant cap, no per-tenant deadline override), which is what
-/// keeps the fleet-of-one parity suite bit-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetConfig {
-    /// Upper bound on admitted tenants; `0` means unbounded. A bound lets
-    /// a deployment cap the blast radius of a misbehaving control plane.
-    pub max_tenants: usize,
-    /// Seed of the deterministic round-robin scheduler that orders
-    /// concurrent tenant violations into the drain queue. Same seed, same
-    /// violations, same queue — the fleet analogue of the seeded fault
-    /// schedules.
-    pub scheduler_seed: u64,
-    /// Per-tenant slave-response deadline (milliseconds) applied to
-    /// diagnoses driven through the fleet; `0` inherits
-    /// [`FChainConfig::slave_deadline_ms`]. A nonzero budget is what
-    /// isolates tenants: a stalled tenant burns its own budget, never
-    /// another lane's.
-    pub tenant_deadline_ms: u64,
-}
-
-// Hand-written serde impls, for the same reason as [`AnalysisEngine`]'s:
-// a config serialized before the fleet layer existed has no `fleet` field
-// at all (`Content::Null` on lookup), and a partially-specified fleet map
-// fills the unnamed knobs with their defaults.
-impl Serialize for FleetConfig {
-    fn serialize(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            (
-                serde::Content::Str("max_tenants".to_string()),
-                serde::Content::U64(self.max_tenants as u64),
-            ),
-            (
-                serde::Content::Str("scheduler_seed".to_string()),
-                serde::Content::U64(self.scheduler_seed),
-            ),
-            (
-                serde::Content::Str("tenant_deadline_ms".to_string()),
-                serde::Content::U64(self.tenant_deadline_ms),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for FleetConfig {
-    fn deserialize(c: &serde::Content) -> Result<Self, serde::DeError> {
-        fn as_u64(key: &str, c: &serde::Content) -> Result<u64, serde::DeError> {
-            match c {
-                serde::Content::U64(v) => Ok(*v),
-                serde::Content::I64(v) if *v >= 0 => Ok(*v as u64),
-                other => Err(serde::DeError::expected(
-                    match key {
-                        "max_tenants" => "a non-negative tenant count",
-                        "scheduler_seed" => "a scheduler seed",
-                        _ => "a non-negative millisecond budget",
-                    },
-                    other,
-                )),
-            }
-        }
-        match c {
-            serde::Content::Null => Ok(FleetConfig::default()),
-            serde::Content::Map(entries) => {
-                let mut cfg = FleetConfig::default();
-                for (k, v) in entries {
-                    match k.as_str() {
-                        Some("max_tenants") => cfg.max_tenants = as_u64("max_tenants", v)? as usize,
-                        Some("scheduler_seed") => cfg.scheduler_seed = as_u64("scheduler_seed", v)?,
-                        Some("tenant_deadline_ms") => {
-                            cfg.tenant_deadline_ms = as_u64("tenant_deadline_ms", v)?
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(cfg)
-            }
-            other => Err(serde::DeError::expected("a fleet config map", other)),
-        }
-    }
-}
-
-/// Ensemble pinpointing knobs (see [`crate::master::ensemble`]): fuses
+/// Ensemble pinpointing switch (see [`crate::master::ensemble`]): fuses
 /// the onset chain with dependency-graph centrality and per-evidence
-/// confidence weights.
+/// confidence weights. The stage's tuning (confidence floor, coverage
+/// penalty, centrality widening, silent-hole reading) is fixed in
+/// [`crate::master::ensemble`]; only whether the stage runs is a choice.
 ///
 /// Disabled by default — with `enabled == false` every diagnosis is
 /// bit-identical to the base §II.C pipeline, which is what the
 /// determinism suite pins.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnsembleConfig {
     /// Master switch. Off = the base pipeline, bit for bit.
     pub enabled: bool,
-    /// Minimum per-evidence confidence (prediction-error excess ratio,
-    /// after the coverage penalty) for a change to vote in the onset
-    /// chain. Genuine faults land well above 1.35 on the calibration
-    /// campaigns; borderline noise sits in 1.0–1.3.
-    pub confidence_floor: f64,
-    /// How strongly missing coverage discounts evidence: a change's
-    /// confidence is divided by `1 + penalty * (1 - coverage)`. `0`
-    /// trusts clipped diagnoses as much as complete ones.
-    pub coverage_penalty: f64,
-    /// Pinpoint dependency-graph *sources* inside the near-concurrent
-    /// onset window even when detection jitter pushed them past the
-    /// strict concurrency threshold.
-    pub centrality_widening: bool,
-    /// Re-read an "external factor" wave with exactly one silent interior
-    /// component as that component's own fault (the bottleneck hole).
-    pub silent_hole: bool,
 }
 
-impl Default for EnsembleConfig {
-    fn default() -> Self {
-        EnsembleConfig {
-            enabled: false,
-            confidence_floor: 1.35,
-            coverage_penalty: 1.0,
-            centrality_widening: true,
-            silent_hole: true,
-        }
-    }
-}
-
-// Hand-written serde impls, same pattern as [`FleetConfig`]'s: configs
-// serialized before the ensemble stage existed have no `ensemble` field
-// (`Content::Null` on lookup) and must land on the disabled default; a
-// partially-specified map fills the unnamed knobs with their defaults.
+// Hand-written serde impls (the vendored derive has no `#[serde(...)]`
+// attribute support): configs serialized before the ensemble stage existed
+// have no `ensemble` field (`Content::Null` on lookup) and land on the
+// disabled default, and keys other than `enabled` — the tuning knobs
+// archived configs still carry — are ignored.
 impl Serialize for EnsembleConfig {
     fn serialize(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            (
-                serde::Content::Str("enabled".to_string()),
-                serde::Content::Bool(self.enabled),
-            ),
-            (
-                serde::Content::Str("confidence_floor".to_string()),
-                serde::Content::F64(self.confidence_floor),
-            ),
-            (
-                serde::Content::Str("coverage_penalty".to_string()),
-                serde::Content::F64(self.coverage_penalty),
-            ),
-            (
-                serde::Content::Str("centrality_widening".to_string()),
-                serde::Content::Bool(self.centrality_widening),
-            ),
-            (
-                serde::Content::Str("silent_hole".to_string()),
-                serde::Content::Bool(self.silent_hole),
-            ),
-        ])
+        serde::Content::Map(vec![(
+            serde::Content::Str("enabled".to_string()),
+            serde::Content::Bool(self.enabled),
+        )])
     }
 }
 
 impl Deserialize for EnsembleConfig {
     fn deserialize(c: &serde::Content) -> Result<Self, serde::DeError> {
-        fn as_bool(c: &serde::Content) -> Result<bool, serde::DeError> {
-            match c {
-                serde::Content::Bool(v) => Ok(*v),
-                other => Err(serde::DeError::expected("a boolean ensemble knob", other)),
-            }
-        }
-        fn as_f64(c: &serde::Content) -> Result<f64, serde::DeError> {
-            match c {
-                serde::Content::F64(v) => Ok(*v),
-                serde::Content::U64(v) => Ok(*v as f64),
-                serde::Content::I64(v) => Ok(*v as f64),
-                other => Err(serde::DeError::expected("a numeric ensemble knob", other)),
-            }
-        }
         match c {
             serde::Content::Null => Ok(EnsembleConfig::default()),
             serde::Content::Map(entries) => {
                 let mut cfg = EnsembleConfig::default();
                 for (k, v) in entries {
-                    match k.as_str() {
-                        Some("enabled") => cfg.enabled = as_bool(v)?,
-                        Some("confidence_floor") => cfg.confidence_floor = as_f64(v)?,
-                        Some("coverage_penalty") => cfg.coverage_penalty = as_f64(v)?,
-                        Some("centrality_widening") => cfg.centrality_widening = as_bool(v)?,
-                        Some("silent_hole") => cfg.silent_hole = as_bool(v)?,
-                        _ => {}
+                    if k.as_str() == Some("enabled") {
+                        cfg.enabled = match v {
+                            serde::Content::Bool(on) => *on,
+                            other => {
+                                return Err(serde::DeError::expected(
+                                    "a boolean ensemble switch",
+                                    other,
+                                ))
+                            }
+                        };
                     }
                 }
                 Ok(cfg)
@@ -407,6 +269,34 @@ impl Deserialize for EnsembleConfig {
             other => Err(serde::DeError::expected("an ensemble config map", other)),
         }
     }
+}
+
+/// The shortest look-back window `W` (ticks) the selection pipeline can
+/// work with: below it the CUSUM + bootstrap has too few samples to place
+/// a change point.
+pub const MIN_LOOKBACK: u64 = 10;
+
+/// The longest look-back window `W` (ticks) a configuration may ask for:
+/// one day of 1 Hz samples, far past the paper's longest profile (`W =
+/// 500` for the slow disk hog). The bound exists because slaves size their
+/// history rings and per-metric CUSUM buffers from `W` up front; an
+/// unbounded window overflows that arithmetic or aborts the process on
+/// allocation instead of failing validation.
+pub const MAX_LOOKBACK: u64 = 86_400;
+
+/// Ceiling on a widened look-back window: the paper's longest profile plus
+/// slack.
+const WIDENED_LOOKBACK_CAP: u64 = 600;
+
+/// The one widening rule shared by the adaptive look-back
+/// ([`FChainConfig::adaptive_lookback`]) and the master's
+/// [`LookbackRetry::Widen`] re-collect: four times the window, capped at
+/// 600 ticks, saturating rather than overflowing on a huge window. `None`
+/// when widening would not grow the window — the caller keeps its first
+/// answer.
+pub(crate) fn widened_lookback(lookback: u64) -> Option<u64> {
+    let widened = lookback.saturating_mul(4).min(WIDENED_LOOKBACK_CAP);
+    (widened > lookback).then_some(widened)
 }
 
 /// All knobs of the FChain system, with the defaults the paper reports
@@ -506,11 +396,6 @@ pub struct FChainConfig {
     /// before the seam existed — the field deserializes absence to
     /// in-process — mean exactly what they meant.
     pub transport: Transport,
-    /// Fleet-layer knobs (tenant cap, scheduler seed, per-tenant deadline
-    /// budget). Configs serialized before the fleet layer existed lack the
-    /// field — its `Deserialize` maps absence to the default, under which
-    /// a fleet of one behaves exactly like the single-app stack.
-    pub fleet: FleetConfig,
     /// Ensemble pinpointing stage (centrality + confidence fusion over
     /// the onset chain). Off by default; configs serialized before the
     /// stage existed lack the field and deserialize to the disabled
@@ -546,7 +431,6 @@ impl Default for FChainConfig {
             adaptive_smoothing: false,
             engine: AnalysisEngine::default(),
             transport: Transport::default(),
-            fleet: FleetConfig::default(),
             ensemble: EnsembleConfig::default(),
             learner: LearnerConfig::default(),
             cusum: CusumConfig::default(),
@@ -571,7 +455,10 @@ impl FChainConfig {
     ///
     /// Panics on nonsensical values (zero windows, out-of-range fractions).
     pub fn validate(&self) {
-        assert!(self.lookback >= 10, "lookback must be at least 10 ticks");
+        assert!(
+            (MIN_LOOKBACK..=MAX_LOOKBACK).contains(&self.lookback),
+            "lookback must be within [{MIN_LOOKBACK}, {MAX_LOOKBACK}] ticks"
+        );
         assert!(self.burst_window >= 2, "burst window too small");
         assert!(
             (0.0..=1.0).contains(&self.high_freq_fraction),
@@ -592,18 +479,6 @@ impl FChainConfig {
         assert!(
             self.slave_backoff_ms <= 60_000,
             "slave_backoff_ms must stay under a minute"
-        );
-        assert!(
-            self.fleet.tenant_deadline_ms <= 600_000,
-            "tenant_deadline_ms must stay under ten minutes"
-        );
-        assert!(
-            self.ensemble.confidence_floor.is_finite() && self.ensemble.confidence_floor >= 1.0,
-            "confidence_floor must be a finite ratio of at least 1.0"
-        );
-        assert!(
-            self.ensemble.coverage_penalty.is_finite() && self.ensemble.coverage_penalty >= 0.0,
-            "coverage_penalty must be finite and non-negative"
         );
     }
 }
@@ -720,41 +595,27 @@ mod tests {
     }
 
     #[test]
-    fn fleet_defaults_are_the_single_app_stack() {
-        let c = FChainConfig::default();
-        assert_eq!(c.fleet.max_tenants, 0, "unbounded by default");
-        assert_eq!(c.fleet.scheduler_seed, 0);
-        assert_eq!(c.fleet.tenant_deadline_ms, 0, "inherit slave_deadline_ms");
+    #[should_panic(expected = "lookback")]
+    fn unbounded_lookback_rejected() {
+        // A window past one day would size the slave's rings and CUSUM
+        // buffers from it: overflow or an allocation abort, not a config
+        // error.
+        FChainConfig::with_lookback(MAX_LOOKBACK + 1).validate();
     }
 
     #[test]
-    fn fleet_config_survives_serde_and_defaults_when_missing() {
-        let cfg = FChainConfig {
-            fleet: FleetConfig {
-                max_tenants: 32,
-                scheduler_seed: 12345,
-                tenant_deadline_ms: 250,
-            },
-            ..FChainConfig::default()
-        };
-        let json = serde_json::to_string(&cfg).expect("serializable config");
-        let back: FChainConfig = serde_json::from_str(&json).expect("round trip");
-        assert_eq!(back.fleet, cfg.fleet);
-        // Configs serialized before the fleet layer existed must still
-        // load, and land on the defaults.
-        let stripped = json.replace(
-            "\"fleet\":{\"max_tenants\":32,\"scheduler_seed\":12345,\"tenant_deadline_ms\":250},",
-            "",
-        );
-        assert_ne!(stripped, json, "fleet field not found in {json}");
-        let old: FChainConfig = serde_json::from_str(&stripped).expect("legacy config");
-        assert_eq!(old.fleet, FleetConfig::default());
-        // A partially-specified fleet map fills the rest with defaults.
-        let partial: FleetConfig =
-            serde_json::from_str("{\"scheduler_seed\":7}").expect("partial fleet map");
-        assert_eq!(partial.scheduler_seed, 7);
-        assert_eq!(partial.max_tenants, 0);
-        assert_eq!(partial.tenant_deadline_ms, 0);
+    fn lookback_bounds_are_inclusive() {
+        FChainConfig::with_lookback(MIN_LOOKBACK).validate();
+        FChainConfig::with_lookback(MAX_LOOKBACK).validate();
+    }
+
+    #[test]
+    fn widening_grows_fourfold_up_to_the_cap() {
+        assert_eq!(widened_lookback(100), Some(400));
+        assert_eq!(widened_lookback(500), Some(600));
+        assert_eq!(widened_lookback(600), None, "already at the cap");
+        assert_eq!(widened_lookback(u64::MAX), None, "saturates, never grows");
+        assert_eq!(widened_lookback(0), None);
     }
 
     #[test]
@@ -764,22 +625,12 @@ mod tests {
             !c.ensemble.enabled,
             "ensemble must default to the base pipeline"
         );
-        assert_eq!(c.ensemble.confidence_floor, 1.35);
-        assert_eq!(c.ensemble.coverage_penalty, 1.0);
-        assert!(c.ensemble.centrality_widening);
-        assert!(c.ensemble.silent_hole);
     }
 
     #[test]
     fn ensemble_config_survives_serde_and_defaults_when_missing() {
         let cfg = FChainConfig {
-            ensemble: EnsembleConfig {
-                enabled: true,
-                confidence_floor: 1.5,
-                coverage_penalty: 2.0,
-                centrality_widening: false,
-                silent_hole: false,
-            },
+            ensemble: EnsembleConfig { enabled: true },
             ..FChainConfig::default()
         };
         let json = serde_json::to_string(&cfg).expect("serializable config");
@@ -787,41 +638,10 @@ mod tests {
         assert_eq!(back.ensemble, cfg.ensemble);
         // Configs serialized before the ensemble stage existed must still
         // load, and land on the disabled default.
-        let needle = "\"ensemble\":{\"enabled\":true,\"confidence_floor\":1.5,\
-                      \"coverage_penalty\":2.0,\"centrality_widening\":false,\
-                      \"silent_hole\":false},";
-        let needle: String = needle.split_whitespace().collect();
-        let stripped = json.replace(&needle, "");
+        let stripped = json.replace("\"ensemble\":{\"enabled\":true},", "");
         assert_ne!(stripped, json, "ensemble field not found in {json}");
         let old: FChainConfig = serde_json::from_str(&stripped).expect("legacy config");
         assert_eq!(old.ensemble, EnsembleConfig::default());
-        // A partially-specified ensemble map fills the rest with defaults.
-        let partial: EnsembleConfig =
-            serde_json::from_str("{\"enabled\":true}").expect("partial ensemble map");
-        assert!(partial.enabled);
-        assert_eq!(partial.confidence_floor, 1.35);
-        assert!(partial.silent_hole);
-    }
-
-    #[test]
-    #[should_panic(expected = "confidence_floor")]
-    fn sub_unity_confidence_floor_rejected() {
-        let mut c = FChainConfig::default();
-        c.ensemble.confidence_floor = 0.5;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "tenant_deadline_ms")]
-    fn excessive_tenant_deadline_rejected() {
-        let c = FChainConfig {
-            fleet: FleetConfig {
-                tenant_deadline_ms: 1_000_000,
-                ..FleetConfig::default()
-            },
-            ..FChainConfig::default()
-        };
-        c.validate();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The FChain system: slaves + master wired together.
 
 use crate::case::CaseData;
-use crate::config::FChainConfig;
+use crate::config::{widened_lookback, FChainConfig};
 use crate::localizer::Localizer;
 use crate::master::ensemble::{ensemble_pinpoint, EnsembleInput};
 use crate::master::pinpoint::{pinpoint, PinpointInput};
@@ -91,11 +91,10 @@ impl FChain {
         if !touches_edge && !empty {
             return report;
         }
-        let extended = base_w.saturating_mul(4).min(600);
-        if extended <= base_w {
-            return report;
+        match widened_lookback(base_w) {
+            Some(extended) => self.diagnose_with_lookback(case, Some(extended)),
+            None => report,
         }
-        self.diagnose_with_lookback(case, Some(extended))
     }
 
     /// Diagnosis with an explicit look-back override.
@@ -110,29 +109,20 @@ impl FChain {
             .iter()
             .map(|cc| analyze_component(cc, case.violation_at, w, &self.config))
             .collect();
+        let dependencies = case.dependency_evidence(self.config.ensemble.enabled);
         let (verdict, pinpointed) = if self.config.ensemble.enabled {
-            // The ensemble's centrality scoring falls back to the
-            // operator-declared dataflow topology when request-trace
-            // discovery found nothing (the System S outcome) — declared
-            // structure is weaker evidence than observed propagation, but
-            // the ensemble weighs it instead of ignoring it.
-            let deps = case
-                .discovered_deps
-                .as_ref()
-                .filter(|g| !g.is_empty())
-                .or(case.known_topology.as_ref());
             ensemble_pinpoint(
                 &self.config,
                 &EnsembleInput {
                     findings: &findings,
-                    dependencies: deps,
+                    dependencies,
                     coverage: 1.0,
                 },
             )
         } else {
             pinpoint(&PinpointInput {
                 findings: &findings,
-                dependencies: case.discovered_deps.as_ref(),
+                dependencies,
                 concurrency_threshold: self.config.concurrency_threshold,
                 external_quorum: self.config.external_quorum,
             })

@@ -76,7 +76,8 @@ pub mod slave;
 
 pub use case::{CaseData, ComponentCase};
 pub use config::{
-    AnalysisEngine, EnsembleConfig, FChainConfig, FleetConfig, LookbackRetry, Transport,
+    AnalysisEngine, EnsembleConfig, FChainConfig, LookbackRetry, Transport, MAX_LOOKBACK,
+    MIN_LOOKBACK,
 };
 pub use fchain::FChain;
 pub use ingest::{

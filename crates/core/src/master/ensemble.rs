@@ -32,11 +32,13 @@
 //!    interior component surrounded by a uniform near-simultaneous wave is
 //!    re-read as the wave's origin instead of an external factor.
 //!
-//! The stage is gated behind [`EnsembleConfig::enabled`] (default *off*),
-//! and with the knob off every report stays bit-identical to the base
-//! pipeline.
+//! The stage is gated behind [`crate::EnsembleConfig::enabled`] (default
+//! *off*), and with the switch off every report stays bit-identical to the
+//! base pipeline. Its tuning is fixed: [`CONFIDENCE_FLOOR`] and
+//! [`COVERAGE_PENALTY`], with centrality widening and the silent-hole
+//! reading always on.
 
-use crate::config::{EnsembleConfig, FChainConfig};
+use crate::config::FChainConfig;
 use crate::master::pinpoint::{pinpoint, PinpointInput};
 use crate::report::{AbnormalChange, ComponentFinding, Verdict};
 use fchain_deps::DependencyGraph;
@@ -79,11 +81,20 @@ pub struct ScoredComponent {
     pub score: f64,
 }
 
-/// The ensemble pinpointing stage. Stateless; all knobs come from
-/// [`EnsembleConfig`] plus the base pinpointer's thresholds.
+/// Minimum per-evidence confidence (prediction-error excess ratio, after
+/// the coverage penalty) for a change to vote in the onset chain. Genuine
+/// faults land well above 1.35 on the calibration campaigns; borderline
+/// noise sits in 1.0–1.3.
+pub const CONFIDENCE_FLOOR: f64 = 1.35;
+
+/// How strongly missing coverage discounts evidence: a change's confidence
+/// is divided by `1 + COVERAGE_PENALTY * (1 - coverage)`.
+pub const COVERAGE_PENALTY: f64 = 1.0;
+
+/// The ensemble pinpointing stage. Stateless; its only inputs besides the
+/// fixed tuning above are the base pinpointer's thresholds.
 #[derive(Debug, Clone)]
 pub struct EnsembleScorer {
-    ensemble: EnsembleConfig,
     concurrency_threshold: u64,
     external_quorum: f64,
 }
@@ -95,7 +106,6 @@ impl EnsembleScorer {
     /// Builds a scorer from the full system configuration.
     pub fn new(config: &FChainConfig) -> Self {
         EnsembleScorer {
-            ensemble: config.ensemble,
             concurrency_threshold: config.concurrency_threshold,
             external_quorum: config.external_quorum,
         }
@@ -124,7 +134,7 @@ impl EnsembleScorer {
             return 0.0;
         }
         let missing = 1.0 - Self::sane_coverage(coverage);
-        ratio / (1.0 + self.ensemble.coverage_penalty.max(0.0) * missing)
+        ratio / (1.0 + COVERAGE_PENALTY * missing)
     }
 
     /// Dependency-graph source-ness of a component. With no (or an empty)
@@ -192,9 +202,7 @@ impl EnsembleScorer {
                 changes: f
                     .changes
                     .iter()
-                    .filter(|c| {
-                        self.confidence(c, input.coverage) >= self.ensemble.confidence_floor
-                    })
+                    .filter(|c| self.confidence(c, input.coverage) >= CONFIDENCE_FLOOR)
                     .cloned()
                     .collect(),
             })
@@ -421,7 +429,7 @@ impl EnsembleScorer {
             .findings
             .iter()
             .flat_map(|f| f.changes.iter())
-            .any(|c| self.confidence(c, input.coverage) >= self.ensemble.confidence_floor);
+            .any(|c| self.confidence(c, input.coverage) >= CONFIDENCE_FLOOR);
         (!confident).then_some(first)
     }
 
@@ -434,16 +442,12 @@ impl EnsembleScorer {
         let mut confident = self.confident_findings(input);
         self.drop_stale_loners(&mut confident);
 
-        if self.ensemble.silent_hole {
-            if let Some(hole) = self.silent_hole(&confident, input.findings, input.dependencies) {
-                return (Verdict::Faulty, vec![hole]);
-            }
+        if let Some(hole) = self.silent_hole(&confident, input.findings, input.dependencies) {
+            return (Verdict::Faulty, vec![hole]);
         }
 
-        if self.ensemble.centrality_widening {
-            if let Some(picked) = self.source_quorum(&confident, input) {
-                return (Verdict::Faulty, picked);
-            }
+        if let Some(picked) = self.source_quorum(&confident, input) {
+            return (Verdict::Faulty, picked);
         }
 
         // The external-factor inference (paper §II.C rule 3) must see the
@@ -488,7 +492,7 @@ impl EnsembleScorer {
             concurrency_threshold: self.concurrency_threshold,
             external_quorum: self.external_quorum,
         });
-        if verdict != Verdict::Faulty || !self.ensemble.centrality_widening {
+        if verdict != Verdict::Faulty {
             return (verdict, picked);
         }
 
@@ -528,7 +532,7 @@ impl EnsembleScorer {
 }
 
 /// Convenience entry point: builds the scorer from `config` and runs the
-/// stage. Callers gate on [`EnsembleConfig::enabled`] themselves so the
+/// stage. Callers gate on [`crate::EnsembleConfig::enabled`] themselves so the
 /// disabled path never constructs anything.
 pub fn ensemble_pinpoint(
     config: &FChainConfig,

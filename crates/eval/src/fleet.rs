@@ -398,14 +398,9 @@ impl FleetCampaign {
             // pipeline would use: observed request traces, and — only
             // under the ensemble, which knows how to weigh weaker
             // evidence — the declared dataflow topology as a fallback.
-            let installed_deps = if self.config.ensemble.enabled {
-                case.discovered_deps
-                    .clone()
-                    .filter(|g| !g.is_empty())
-                    .or_else(|| case.known_topology.clone())
-            } else {
-                case.discovered_deps.clone()
-            };
+            let installed_deps = case
+                .dependency_evidence(self.config.ensemble.enabled)
+                .cloned();
             if let Some(deps) = installed_deps.clone() {
                 fleet.set_dependencies(app, deps);
             }

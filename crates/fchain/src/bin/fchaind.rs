@@ -17,7 +17,7 @@
 //! The process exits when a client sends a shutdown frame.
 
 use fchain::core::slave::SlaveDaemon;
-use fchain::core::FChainConfig;
+use fchain::core::{FChainConfig, MAX_LOOKBACK, MIN_LOOKBACK};
 use fchain::wire::{WireAddr, WireServer};
 use std::io::Write;
 use std::path::PathBuf;
@@ -100,6 +100,12 @@ fn parse_args(argv: &[String]) -> Result<DaemonArgs, String> {
     };
     if let Some(w) = lookback {
         config.lookback = w;
+    }
+    if !(MIN_LOOKBACK..=MAX_LOOKBACK).contains(&config.lookback) {
+        return Err(format!(
+            "lookback {} is outside [{MIN_LOOKBACK}, {MAX_LOOKBACK}] ticks",
+            config.lookback
+        ));
     }
 
     Ok(DaemonArgs {

@@ -17,7 +17,7 @@
 //! * [`metrics`], [`model`], [`detect`], [`deps`] — the numeric and
 //!   algorithmic building blocks.
 //! * [`obs`] — pipeline observability: stage timings and counters,
-//!   compiled out unless the `obs` feature is on.
+//!   always compiled in, with a runtime switch to stop recording.
 //! * [`wire`] — the master↔slave wire protocol: compact binary framing,
 //!   the `fchaind` daemon's serving loop, and the remote-slave client
 //!   that lets a master fan out over Unix-domain or TCP sockets.

@@ -5,13 +5,9 @@
 //! drop. Design constraints, in order:
 //!
 //! 1. **Hot-path cost ~zero.** Recording is a few relaxed atomic RMWs on
-//!    `static` storage — no allocation, no locks, no syscalls. With the
-//!    `enabled` feature off, every recording function is an inline empty
-//!    body and the whole crate compiles away.
-//! 2. **No `#[cfg]` at call sites.** Downstream code calls
-//!    [`time`]/[`count`]/[`snapshot`] unconditionally; this crate owns the
-//!    feature dispatch. [`snapshot`] returns the full (all-zero) shape even
-//!    when compiled out, so report schemas never change.
+//!    `static` storage — no allocation, no locks, no syscalls.
+//! 2. **Fixed shape.** [`snapshot`] returns every stage and counter,
+//!    recorded or not, so report schemas never change.
 //! 3. **Determinism-safe.** Instrumentation observes the pipeline, never
 //!    steers it: snapshots are excluded from report equality, and a runtime
 //!    kill switch ([`set_enabled`]) lets one binary measure its own
@@ -34,8 +30,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod hist;
-#[cfg(feature = "enabled")]
-mod registry;
 pub mod snapshot;
 pub mod stage;
 
@@ -43,50 +37,50 @@ pub use hist::{bucket_of, Histogram, BUCKETS};
 pub use snapshot::{CounterSnapshot, PipelineSnapshot, StageSnapshot};
 pub use stage::{Counter, Stage};
 
-#[cfg(feature = "enabled")]
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Whether instrumentation is live: the `enabled` feature is compiled in
-/// *and* the runtime switch ([`set_enabled`]) is on.
+// The static registry backing every counter and stage histogram. All
+// storage is `static` and atomic — recording is allocation-free and
+// lock-free from any thread.
+
+/// Runtime kill switch, on by default.
+static ENABLED: AtomicBool = AtomicBool::new(true);
+
+static COUNTERS: [AtomicU64; Counter::ALL.len()] =
+    [const { AtomicU64::new(0) }; Counter::ALL.len()];
+
+static STAGES: [Histogram; Stage::ALL.len()] = [const { Histogram::new() }; Stage::ALL.len()];
+
+/// Whether instrumentation is live: the runtime switch ([`set_enabled`])
+/// is on.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        registry::enabled()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Flips the runtime kill switch (a no-op when the feature is compiled
-/// out). On by default. Used by the `obs_overhead` bench to compare an
-/// instrumented and an uninstrumented run of the same binary.
+/// Flips the runtime kill switch. On by default. Used by the
+/// `obs_overhead` bench to compare an instrumented and an uninstrumented
+/// run of the same binary.
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "enabled")]
-    registry::set_enabled(on);
-    #[cfg(not(feature = "enabled"))]
-    let _ = on;
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Adds `by` to a pipeline counter.
 #[inline]
 pub fn count(counter: Counter, by: u64) {
-    #[cfg(feature = "enabled")]
-    registry::count(counter, by);
-    #[cfg(not(feature = "enabled"))]
-    let _ = (counter, by);
+    if enabled() {
+        COUNTERS[counter.index()].fetch_add(by, Ordering::Relaxed);
+    }
 }
 
 /// Records one span duration (in ns) against a stage directly — for call
 /// sites that already measured the time themselves.
 #[inline]
 pub fn record_ns(stage: Stage, ns: u64) {
-    #[cfg(feature = "enabled")]
-    registry::record_ns(stage, ns);
-    #[cfg(not(feature = "enabled"))]
-    let _ = (stage, ns);
+    if enabled() {
+        STAGES[stage.index()].record(ns);
+    }
 }
 
 /// A scoped stage timer: created by [`time`], records the elapsed
@@ -98,7 +92,6 @@ pub fn record_ns(stage: Stage, ns: u64) {
 #[derive(Debug)]
 #[must_use = "a span records on drop; binding it to `_` drops it immediately"]
 pub struct Span {
-    #[cfg(feature = "enabled")]
     inner: Option<(Stage, Instant)>,
 }
 
@@ -106,70 +99,64 @@ impl Span {
     /// The span's duration so far in ns (0 when instrumentation is off).
     /// The span still records the *full* duration on drop.
     pub fn elapsed_ns(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        if let Some((_, start)) = self.inner {
-            return clamp_ns(start.elapsed().as_nanos());
-        }
-        0
+        self.inner
+            .map_or(0, |(_, start)| clamp_ns(start.elapsed().as_nanos()))
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
         if let Some((stage, start)) = self.inner.take() {
-            registry::record_ns(stage, clamp_ns(start.elapsed().as_nanos()));
+            record_ns(stage, clamp_ns(start.elapsed().as_nanos()));
         }
     }
 }
 
-#[cfg(feature = "enabled")]
 #[inline]
 fn clamp_ns(ns: u128) -> u64 {
     ns.min(u64::MAX as u128) as u64
 }
 
 /// Starts timing `stage`; the returned [`Span`] records on drop. When
-/// instrumentation is off (feature or runtime switch) the span is inert
-/// and costs nothing beyond one atomic load.
+/// the runtime switch is off the span is inert and costs nothing beyond
+/// one atomic load.
 #[inline]
 pub fn time(stage: Stage) -> Span {
-    #[cfg(feature = "enabled")]
-    {
-        Span {
-            inner: registry::enabled().then(|| (stage, Instant::now())),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = stage;
-        Span {}
+    Span {
+        inner: enabled().then(|| (stage, Instant::now())),
     }
 }
 
 /// Freezes the whole registry into a serializable [`PipelineSnapshot`].
-/// With instrumentation compiled out this returns the all-zero snapshot
-/// with the identical shape, so consumers never branch on the feature.
 pub fn snapshot() -> PipelineSnapshot {
-    #[cfg(feature = "enabled")]
-    {
-        registry::snapshot()
+    let mut snap = PipelineSnapshot::empty();
+    for (slot, out) in STAGES.iter().zip(snap.stages.iter_mut()) {
+        let (buckets, count, sum, min, max) = slot.load();
+        out.buckets = buckets;
+        out.count = count;
+        out.total_ns = sum;
+        out.min_ns = min;
+        out.max_ns = max;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        PipelineSnapshot::empty()
+    for (slot, out) in COUNTERS.iter().zip(snap.counters.iter_mut()) {
+        out.value = slot.load(Ordering::Relaxed);
     }
+    snap
 }
 
 /// Clears every counter and histogram back to zero. Tests and the CLI use
 /// this; the pipeline itself never resets (deltas are taken with
 /// [`PipelineSnapshot::delta_since`] instead, which is race-free).
 pub fn reset() {
-    #[cfg(feature = "enabled")]
-    registry::reset();
+    for slot in &STAGES {
+        slot.reset();
+    }
+    for slot in &COUNTERS {
+        slot.store(0, Ordering::Relaxed);
+    }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -226,27 +213,5 @@ mod tests {
         record_ns(Stage::EvalRun, 123);
         reset();
         assert!(snapshot().is_empty());
-    }
-}
-
-#[cfg(all(test, not(feature = "enabled")))]
-mod disabled_tests {
-    use super::*;
-
-    #[test]
-    fn everything_is_inert_but_shaped() {
-        assert!(!enabled());
-        set_enabled(true); // still off: the feature is compiled out
-        assert!(!enabled());
-        count(Counter::EvalRuns, 10);
-        record_ns(Stage::EvalRun, 999);
-        {
-            let span = time(Stage::EvalRun);
-            assert_eq!(span.elapsed_ns(), 0);
-        }
-        let snap = snapshot();
-        assert!(snap.is_empty());
-        assert_eq!(snap.stages.len(), Stage::ALL.len());
-        assert_eq!(snap.counters.len(), Counter::ALL.len());
     }
 }

@@ -146,8 +146,8 @@ impl Default for PipelineSnapshot {
 }
 
 impl PipelineSnapshot {
-    /// The all-zero snapshot (also what [`crate::snapshot`] returns when
-    /// instrumentation is compiled out).
+    /// The all-zero snapshot (what [`crate::snapshot`] returns before
+    /// anything is recorded).
     pub fn empty() -> Self {
         PipelineSnapshot {
             stages: Stage::ALL
@@ -171,8 +171,7 @@ impl PipelineSnapshot {
         self
     }
 
-    /// Whether nothing has been recorded (or instrumentation is compiled
-    /// out).
+    /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.stages.iter().all(|s| s.count == 0) && self.counters.iter().all(|c| c.value == 0)
     }

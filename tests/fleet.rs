@@ -7,13 +7,12 @@
 //!   single-app and fleet APIs;
 //! * two back-to-back fleet campaigns in one process leave *disjoint*
 //!   observability deltas: `delta_since` windows partition the fleet
-//!   counters instead of double-counting (with instrumentation compiled
-//!   out the test is vacuous and skips).
+//!   counters instead of double-counting.
 
 use fchain::core::master::Master;
 use fchain::core::slave::{MetricSample, SlaveDaemon};
 use fchain::core::{
-    FChainConfig, FleetMaster, FleetViolation, SlaveEndpoint, TenantSlave, Verdict,
+    FChainConfig, FleetMaster, FleetViolation, SlaveEndpoint, TenantSlave, Verdict, MIN_LOOKBACK,
 };
 use fchain::eval::{case_from_run, FleetCampaign};
 use fchain::metrics::MetricKind;
@@ -128,15 +127,17 @@ fn uncontended_fleet_reports_match_solo_per_tenant() {
     }
 }
 
-/// The per-tenant deadline budget (`fleet.tenant_deadline_ms`) overrides
-/// only how long the master waits for slaves — it must never shrink the
-/// evidence window a responding slave analyzes. Per-tenant look-back
-/// overrides are floored at the same minimum `FChainConfig::validate`
-/// enforces, with a warning counter on each clamp.
+/// A tight fan-out deadline bounds only how long the master waits for
+/// slaves — it must never shrink the evidence window a responding slave
+/// analyzes. Per-tenant look-back overrides are floored at the same
+/// minimum `FChainConfig::validate` enforces, with a warning counter on
+/// each clamp.
 #[test]
 fn tenant_deadline_never_shrinks_the_evidence_window() {
-    let mut config = FChainConfig::default();
-    config.fleet.tenant_deadline_ms = 1; // brutally tight budget
+    let config = FChainConfig {
+        slave_deadline_ms: 1, // brutally tight budget
+        ..FChainConfig::default()
+    };
     let lookback = config.lookback;
     let mut fleet = FleetMaster::new(config);
     let app = fleet.add_tenant("shop");
@@ -155,15 +156,10 @@ fn tenant_deadline_never_shrinks_the_evidence_window() {
     // honored, and counted.
     let before = obs::snapshot();
     let effective = fleet.set_tenant_lookback(app, 1);
-    assert!(
-        effective >= 10,
-        "sub-floor look-back was honored: {effective}"
-    );
+    assert_eq!(effective, MIN_LOOKBACK, "sub-floor look-back was honored");
     assert_eq!(fleet.tenant_lookback(app), effective);
-    if obs::enabled() {
-        let delta = obs::snapshot().delta_since(&before);
-        assert_eq!(delta.counter(Counter::FleetLookbackClamped), 1);
-    }
+    let delta = obs::snapshot().delta_since(&before);
+    assert_eq!(delta.counter(Counter::FleetLookbackClamped), 1);
 }
 
 #[test]
@@ -193,9 +189,6 @@ fn duplicate_slave_registration_is_a_no_op_everywhere() {
 #[test]
 fn back_to_back_campaigns_leave_disjoint_obs_deltas() {
     let _guard = drain_lock().lock().unwrap();
-    if !obs::enabled() {
-        return; // instrumentation compiled out or switched off
-    }
     let base = obs::snapshot();
     let first = FleetCampaign {
         duration: 1500,

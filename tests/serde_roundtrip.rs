@@ -2,7 +2,7 @@
 //! boundary (slave → master, run archives, result dumps) round-trips
 //! through serde_json unchanged.
 
-use fchain::core::{CaseData, DiagnosisReport, FChain, FChainConfig, FleetConfig};
+use fchain::core::{CaseData, DiagnosisReport, FChain, FChainConfig};
 use fchain::deps::DependencyGraph;
 use fchain::eval::{case_from_run, Counts, RocCurve};
 use fchain::metrics::{ComponentId, MetricKind, TimeSeries};
@@ -66,26 +66,15 @@ fn config_roundtrips_with_every_knob() {
     assert_eq!(back, config);
 }
 
+/// Configs archived while the fleet knobs and the ensemble tuning were
+/// settable carry a `fleet` map and a five-key `ensemble` map. Both still
+/// load: the retired keys are ignored and the ensemble switch is kept.
 #[test]
-fn fleet_config_roundtrips_and_missing_field_defaults() {
+fn archived_fleet_and_ensemble_keys_still_load() {
     let config = FChainConfig {
-        fleet: FleetConfig {
-            max_tenants: 16,
-            scheduler_seed: 99,
-            tenant_deadline_ms: 750,
-        },
+        lookback: 500,
         ..FChainConfig::default()
     };
-    let back: FChainConfig = roundtrip(&config);
-    assert_eq!(back, config);
-    assert_eq!(back.fleet.max_tenants, 16);
-    assert_eq!(back.fleet.scheduler_seed, 99);
-    assert_eq!(back.fleet.tenant_deadline_ms, 750);
-
-    // Configs archived before the fleet layer existed carry no "fleet"
-    // key at all: drop it from the serialized tree and the deserializer
-    // must land on the defaults, under which a fleet of one behaves
-    // exactly like the single-app stack.
     let mut tree: serde_json::Value =
         serde_json::from_str(&serde_json::to_string(&config).expect("serialize"))
             .expect("config JSON parses");
@@ -93,20 +82,29 @@ fn fleet_config_roundtrips_and_missing_field_defaults() {
         panic!("config must serialize to a map");
     };
     let before = entries.len();
-    entries.retain(|(k, _)| k.as_str() != Some("fleet"));
-    assert_eq!(entries.len(), before - 1, "fleet field not serialized");
-    let legacy: FChainConfig =
-        serde_json::from_str(&serde_json::to_string(&tree).expect("serialize"))
-            .expect("legacy config still loads");
-    assert_eq!(legacy.fleet, FleetConfig::default());
-    assert_eq!(legacy.lookback, config.lookback);
+    entries.retain(|(k, _)| k.as_str() != Some("ensemble"));
+    assert_eq!(entries.len(), before - 1, "ensemble field not serialized");
+    let archived_keys: serde_json::Value = serde_json::from_str(
+        r#"{
+            "fleet": {"max_tenants": 16, "scheduler_seed": 99, "tenant_deadline_ms": 750},
+            "ensemble": {"enabled": true, "confidence_floor": 1.5, "coverage_penalty": 2.0,
+                         "centrality_widening": false, "silent_hole": false}
+        }"#,
+    )
+    .expect("archived keys parse");
+    let serde_json::Value::Map(archived_entries) = archived_keys else {
+        panic!("archived keys must parse to a map");
+    };
+    entries.extend(archived_entries);
 
-    // A partially-specified fleet map fills the rest with defaults.
-    let partial: FleetConfig =
-        serde_json::from_str("{\"tenant_deadline_ms\":120}").expect("partial fleet map");
-    assert_eq!(partial.tenant_deadline_ms, 120);
-    assert_eq!(partial.max_tenants, 0);
-    assert_eq!(partial.scheduler_seed, 0);
+    let archived: FChainConfig =
+        serde_json::from_str(&serde_json::to_string(&tree).expect("serialize"))
+            .expect("archived config still loads");
+    assert!(archived.ensemble.enabled, "the ensemble switch is kept");
+    assert_eq!(archived.lookback, config.lookback);
+    let mut expected = config;
+    expected.ensemble.enabled = true;
+    assert_eq!(archived, expected);
 }
 
 #[test]
