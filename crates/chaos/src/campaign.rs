@@ -3,8 +3,8 @@
 use crate::scenario::{plan_scenario, Family, PartitionMode, ScenarioPlan};
 use fchain_core::slave::{MetricSample, SlaveDaemon};
 use fchain_core::{
-    BackpressurePolicy, FChain, FChainConfig, FaultySlave, FleetMaster, FleetViolation,
-    IngestConfig, IngestService, SlaveEndpoint, SlaveFault, TenantSlave,
+    FChain, FChainConfig, FaultySlave, FleetMaster, FleetViolation, SlaveEndpoint, SlaveFault,
+    TenantSlave,
 };
 use fchain_eval::{case_from_run, Counts};
 use fchain_metrics::{AppId, ComponentId, MetricKind, Tick};
@@ -299,24 +299,6 @@ fn run_config(plan: &ScenarioPlan, tenant: &crate::scenario::TenantPlan) -> RunC
 /// The executor consumes no randomness: every fault, host and violation
 /// comes from the plan, so replay and structural shrinking are exact.
 pub fn execute_plan(plan: &ScenarioPlan, config: &FChainConfig) -> ScenarioOutcome {
-    execute_plan_via(plan, config, true)
-}
-
-/// [`execute_plan`] with the ingest-service hop bypassed: evidence is
-/// pushed straight into the slave daemons with synchronous `ingest_for`
-/// calls. A test oracle only: the parity pin below uses it to prove the
-/// service transport is invisible — production sweeps always take the
-/// service path.
-#[cfg(test)]
-fn execute_plan_direct(plan: &ScenarioPlan, config: &FChainConfig) -> ScenarioOutcome {
-    execute_plan_via(plan, config, false)
-}
-
-fn execute_plan_via(
-    plan: &ScenarioPlan,
-    config: &FChainConfig,
-    via_service: bool,
-) -> ScenarioOutcome {
     let _span = obs::time(obs::Stage::ChaosScenario);
     obs::count(obs::Counter::ChaosScenarios, 1);
     obs::count(obs::Counter::ChaosFaultsInjected, plan.fault_count() as u64);
@@ -330,29 +312,6 @@ fn execute_plan_via(
     let pool: Vec<Arc<SlaveDaemon>> = (0..plan.hosts)
         .map(|_| Arc::new(SlaveDaemon::new(config.clone()).with_capacity(capacity)))
         .collect();
-    // Evidence reaches each host the way a live collector would deliver
-    // it: through that host's ingest rings. The lossless blocking policy
-    // plus per-metric FIFO order keeps the daemons bit-identical to
-    // synchronous ingestion, so scenario outcomes (and every regression
-    // pin) are unchanged by the service hop. Single drainer per host —
-    // the sweep already parallelizes across scenarios.
-    let ingest: Option<Vec<IngestService>> = via_service.then(|| {
-        pool.iter()
-            .map(|daemon| {
-                IngestService::spawn(
-                    Arc::clone(daemon),
-                    IngestConfig {
-                        shards: 2,
-                        ring_capacity: 4096,
-                        policy: BackpressurePolicy::Block,
-                        seed: plan.seed,
-                        max_batch: 1024,
-                        drain_threads: 1,
-                    },
-                )
-            })
-            .collect()
-    });
     let mut fleet = FleetMaster::new(config.clone());
     let solo = FChain::new(config.clone());
 
@@ -388,21 +347,17 @@ fn execute_plan_via(
             // surviving copy.
             for r in 0..replicas {
                 let host = (i + c + r) % plan.hosts;
-                let handle = ingest.as_ref().map(|services| services[host].handle());
                 for kind in MetricKind::ALL {
                     for (tick, value) in run.series[c][kind.index()].iter() {
-                        let sample = MetricSample {
-                            tick,
-                            component: ComponentId(c as u32),
-                            kind,
-                            value,
-                        };
-                        match &handle {
-                            Some(handle) => {
-                                handle.push_for(app, sample);
-                            }
-                            None => pool[host].ingest_for(app, sample),
-                        }
+                        pool[host].ingest_for(
+                            app,
+                            MetricSample {
+                                tick,
+                                component: ComponentId(c as u32),
+                                kind,
+                                value,
+                            },
+                        );
                     }
                 }
             }
@@ -444,12 +399,6 @@ fn execute_plan_via(
         }
         solo_reports.push(solo.diagnose(&case).pinpointed);
         engaged.push((i, name, app, run));
-    }
-
-    // Drain every ring to empty before the master reads the pool.
-    for service in ingest.into_iter().flatten() {
-        let stats = service.shutdown();
-        debug_assert_eq!(stats.lost(), 0, "block policy never loses samples");
     }
 
     let reports = fleet.on_violations(&violations);
@@ -583,28 +532,6 @@ mod tests {
         let b = serde_json::to_string_pretty(&campaign.run().to_json()).unwrap();
         assert_eq!(a, b, "same campaign must render byte-identical JSON");
         assert!(a.contains("\"report\": \"chaos_readiness\""));
-    }
-
-    #[test]
-    fn service_hop_is_invisible_across_a_family_cycle() {
-        // One full modern-band family cycle (all eight families,
-        // borderline mix included): executing each plan with evidence
-        // delivered through the per-host ingest services must produce
-        // the exact same scored outcome as synchronous `ingest_for`
-        // pushes — the service hop is a transport, not a transform.
-        use crate::scenario::LEGACY_FAMILY_BAND;
-        let start = LEGACY_FAMILY_BAND.next_multiple_of(Family::ALL.len());
-        let config = FChainConfig::default();
-        for index in start..start + Family::ALL.len() {
-            let plan = plan_scenario(42, index);
-            let via_service = execute_plan(&plan, &config);
-            let direct = execute_plan_direct(&plan, &config);
-            assert_eq!(
-                via_service, direct,
-                "scenario {index} ({:?}): the ingest-service hop changed the outcome",
-                plan.family
-            );
-        }
     }
 
     #[test]

@@ -832,19 +832,13 @@ pub fn obs(args: &Args) -> CliResult {
         println!("  {:<25} {:>9}", c.counter, c.value);
     }
     // Ingest hygiene gets its own section with zeros shown: a clean run
-    // must *visibly* report zero drops/gaps/resets, and the ring
-    // counters document which backpressure path the deployment
-    // exercised. (`--obs-json` carries the same values.)
+    // must *visibly* report zero drops/gaps/resets. (`--obs-json`
+    // carries the same values.)
     println!("\ningest hygiene (zeros shown):");
     for counter in [
         obs::Counter::IngestDroppedSamples,
         obs::Counter::IngestGapTicksBridged,
         obs::Counter::IngestSeriesResets,
-        obs::Counter::IngestEnqueued,
-        obs::Counter::IngestRingDropped,
-        obs::Counter::IngestRingRejected,
-        obs::Counter::IngestRingBlocked,
-        obs::Counter::IngestBatchesApplied,
     ] {
         let value = snapshot
             .counters
@@ -853,84 +847,6 @@ pub fn obs(args: &Args) -> CliResult {
             .map_or(0, |c| c.value);
         println!("  {:<25} {:>9}", counter.name(), value);
     }
-    Ok(())
-}
-
-/// `fchain ingest` — pump a sustained synthetic metric load through the
-/// continuous-ingest service and report throughput, backpressure
-/// accounting, visibility latency and the tiered-storage footprint.
-pub fn ingest(args: &Args) -> CliResult {
-    let seed = args.get_parsed("seed", 42u64)?;
-    let mut campaign = fchain_eval::IngestCampaign::new(seed);
-    campaign.components = args.get_parsed("components", campaign.components)?;
-    campaign.ticks = args.get_parsed("ticks", campaign.ticks)?;
-    campaign.tenants = args.get_parsed("tenants", campaign.tenants)?.max(1);
-    campaign.writers = args.get_parsed("writers", campaign.writers)?.max(1);
-    campaign.shards = args.get_parsed("shards", campaign.shards)?.max(1);
-    campaign.ring_capacity = args
-        .get_parsed("ring-capacity", campaign.ring_capacity)?
-        .max(1);
-    campaign.drain_threads = args
-        .get_parsed("drain-threads", campaign.drain_threads)?
-        .max(1);
-    if let Some(policy) = args.get("policy") {
-        campaign.policy = policy.parse()?;
-    }
-    let lookback = args.get_parsed("lookback", FChainConfig::default().lookback)?;
-    campaign.config = FChainConfig::with_lookback(lookback);
-
-    let result = campaign.run();
-    write_obs_json(args, &obs::snapshot())?;
-    let row = result.to_json();
-    if let Some(path) = args.get("out") {
-        let rendered = serde_json::to_string_pretty(&row)?;
-        std::fs::write(path, rendered + "\n").map_err(|e| format!("cannot write {path:?}: {e}"))?;
-        eprintln!("wrote ingest report to {path}");
-    }
-    if args.has("json") {
-        println!("{}", serde_json::to_string_pretty(&row)?);
-        return Ok(());
-    }
-
-    println!(
-        "continuous ingest — {} components x 6 metrics x {} ticks, {} tenants, \
-         {} writers -> {} rings ({} policy) -> {} drainers, W={lookback}",
-        result.components,
-        result.ticks,
-        result.tenants,
-        result.writers,
-        campaign.shards,
-        result.policy,
-        campaign.drain_threads,
-    );
-    println!(
-        "  offered {} samples, applied {} in {:.2} s -> {:.2} M metrics/sec sustained",
-        result.samples,
-        result.stats.applied,
-        result.wall_clock.as_secs_f64(),
-        result.sustained_rate / 1e6
-    );
-    println!(
-        "  backpressure: dropped-oldest {}, rejected {}, block-waits {}, {} batches",
-        result.stats.dropped_oldest,
-        result.stats.rejected,
-        result.stats.block_waits,
-        result.stats.batches
-    );
-    println!(
-        "  ingest-to-visible latency: p50 {}, p99 {} (sampled)",
-        fmt_ns(result.stats.visible_percentile_ns(50.0)),
-        fmt_ns(result.stats.visible_percentile_ns(99.0))
-    );
-    println!(
-        "  storage: hot {:.1} MiB + cold {:.1} MiB vs {:.1} MiB flat rings \
-         (cold/flat {:.2}, tiered/flat {:.2})",
-        result.hot_bytes as f64 / (1 << 20) as f64,
-        result.cold_bytes as f64 / (1 << 20) as f64,
-        result.flat_bytes as f64 / (1 << 20) as f64,
-        result.cold_ratio(),
-        result.tiered_ratio()
-    );
     Ok(())
 }
 

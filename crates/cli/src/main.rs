@@ -11,7 +11,6 @@
 //! fchain surge    --app rubis [--seed 1] [--runs 10]
 //! fchain obs      [--app rubis] [--fault cpuhog] [--seed 900] [--hosts 2] [--json]
 //! fchain chaos    [--seed 42] [--scenarios 70] [--scenario K] [--minimize] [--json]
-//! fchain ingest   [--components 2000] [--ticks 600] [--policy block] [--json]
 //! fchain list
 //! ```
 
@@ -40,7 +39,6 @@ COMMANDS:
     surge     demonstrate external-factor (workload change) detection
     obs       run one instrumented diagnosis and print the pipeline snapshot
     chaos     sweep seeded generative fault scenarios and report readiness
-    ingest    pump a sustained synthetic load through the continuous-ingest service
     list      print the available applications, faults and schemes
 
 COMMON FLAGS:
@@ -95,19 +93,6 @@ CHAOS FLAGS (fchain chaos):
     --minimize                      with --scenario: shrink a failing scenario to a
                                     locally-minimal failing core
     --out <PATH>                    write chaos_readiness.json to a file
-
-INGEST FLAGS (fchain ingest):
-    --components <N>                monitored components, 6 metrics each (default 2000)
-    --ticks <N>                     1 Hz samples per metric (default 600)
-    --tenants <N>                   tenant lanes (default 4)
-    --writers <N>                   producer threads (default 4)
-    --shards <N>                    ingest rings (default 32)
-    --ring-capacity <N>             per-ring capacity in samples (default 8192)
-    --policy <block|drop-oldest|reject>
-                                    full-ring backpressure policy (default block)
-    --drain-threads <N>             drainer threads (default 4)
-    --lookback <W>                  daemon window; sets the hot-tier width (default 100)
-    --out <PATH>                    write the JSON ingest report to a file
 ";
 
 fn main() -> ExitCode {
@@ -127,7 +112,6 @@ fn main() -> ExitCode {
         Some("surge") => commands::surge(&args),
         Some("obs") => commands::obs(&args),
         Some("chaos") => commands::chaos(&args),
-        Some("ingest") => commands::ingest(&args),
         Some("list") => commands::list(),
         Some("help") | None => {
             println!("{USAGE}");

@@ -70,7 +70,6 @@ mod fchain;
 mod localizer;
 mod report;
 
-pub mod ingest;
 pub mod master;
 pub mod slave;
 
@@ -80,9 +79,6 @@ pub use config::{
     MIN_LOOKBACK,
 };
 pub use fchain::FChain;
-pub use ingest::{
-    BackpressurePolicy, IngestConfig, IngestHandle, IngestService, IngestStats, PushOutcome,
-};
 pub use localizer::Localizer;
 pub use master::endpoint::{
     CollectRequest, FaultySlave, SlaveEndpoint, SlaveError, SlaveFault, SlaveFaultSchedule,

@@ -312,8 +312,7 @@ impl SlaveFaultSchedule {
 }
 
 /// The splitmix64 mixer: a tiny, high-quality, dependency-free PRNG step.
-/// Also seeds the fleet scheduler's deterministic start offset.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
+fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

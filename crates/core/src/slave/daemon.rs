@@ -433,7 +433,9 @@ impl SlaveDaemon {
     ///
     /// Samples must arrive in strictly increasing tick order per metric;
     /// duplicate-tick and out-of-order samples are dropped (monitoring
-    /// pipelines may repeat a tick on reconnect). Drops, bridged gap
+    /// pipelines may repeat a tick on reconnect). A NaN or infinite value
+    /// is dropped too, before it touches any state, so the next sample
+    /// bridges its tick like any other missing sample. Drops, bridged gap
     /// ticks and series resets are counted via `fchain-obs`
     /// (`ingest_dropped_samples` / `ingest_gap_ticks_bridged` /
     /// `ingest_series_resets`) and surface in the pipeline snapshot.
@@ -452,11 +454,11 @@ impl SlaveDaemon {
 
     /// Feeds a batch of samples into one tenant's shards, locking each
     /// component shard once per consecutive run of its samples instead
-    /// of once per sample — the amortization the ingest-ring drainers
-    /// rely on. Sample-for-sample identical to calling
-    /// [`SlaveDaemon::ingest_for`] in batch order: the per-sample path
-    /// (dup/out-of-order drop, gap bridging, outage reset, sketch
-    /// advance) is shared.
+    /// of once per sample — the amortization an `IngestBatch` frame from
+    /// the `fchaind` wire server relies on. Sample-for-sample identical
+    /// to calling [`SlaveDaemon::ingest_for`] in batch order: the
+    /// per-sample path (non-finite and dup/out-of-order drop, gap
+    /// bridging, outage reset, sketch advance) is shared.
     pub fn ingest_batch_for(&self, app: AppId, samples: &[MetricSample]) {
         let mut i = 0;
         while i < samples.len() {
@@ -476,6 +478,10 @@ impl SlaveDaemon {
 
     /// The per-sample ingest path, run under the component shard's lock.
     fn apply_sample(&self, comp: &mut ComponentState, sample: MetricSample) {
+        if !sample.value.is_finite() {
+            obs::count(obs::Counter::IngestDroppedSamples, 1);
+            return;
+        }
         let state = comp.metrics[sample.kind.index()]
             .get_or_insert_with(|| MetricState::new(&self.config, self.capacity));
         if let Some(last) = state.last_tick {
@@ -1006,6 +1012,80 @@ mod tests {
             per_sample.analyze_all(None, &CollectRequest::at(1190)),
             batched.analyze_all(None, &CollectRequest::at(1190))
         );
+    }
+
+    #[test]
+    fn non_finite_ingest_samples_are_dropped_like_missing_ones() {
+        // One NaN or infinite reading must neither poison the learner and
+        // error floor (silently hiding the step below) nor panic the
+        // sketch: the daemon must answer exactly as if the sample had
+        // never arrived.
+        let c = ComponentId(0);
+        let stream: Vec<MetricSample> = (0..600u64)
+            .flat_map(|t| {
+                MetricKind::ALL.map(|kind| {
+                    let normal = 40.0 + ((t * (kind.index() as u64 + 2)) % 5) as f64;
+                    let step = if kind == MetricKind::Cpu && t >= 560 {
+                        50.0
+                    } else {
+                        0.0
+                    };
+                    MetricSample {
+                        tick: t,
+                        component: c,
+                        kind,
+                        value: normal + step,
+                    }
+                })
+            })
+            .collect();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [10u64, 100, 300, 540, 550] {
+                let poisoned = SlaveDaemon::new(FChainConfig::default());
+                let skipped = SlaveDaemon::new(FChainConfig::default());
+                for &sample in &stream {
+                    if sample.tick == at && sample.kind == MetricKind::Cpu {
+                        poisoned.ingest(MetricSample {
+                            value: bad,
+                            ..sample
+                        });
+                    } else {
+                        poisoned.ingest(sample);
+                        skipped.ingest(sample);
+                    }
+                }
+                let want = skipped.analyze(c, 599).expect("monitored");
+                assert!(want.onset().is_some(), "the step must be found");
+                assert_eq!(poisoned.analyze(c, 599), Some(want), "{bad} at tick {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn ingest_past_capacity_keeps_the_cold_tier_compressed() {
+        // The paper's slow-fault window (W = 500, a 4 000-sample history)
+        // on a step-quantized 1 Hz signal, pumped past capacity so every
+        // value series carries a maximal cold tier — the worst case for
+        // the ratio.
+        let daemon = SlaveDaemon::new(FChainConfig::with_lookback(500));
+        assert_eq!(daemon.capacity(), 4000);
+        for t in 0..4200u64 {
+            for c in 0..4u64 {
+                for kind in MetricKind::ALL {
+                    let step = (t / 6) * (kind.index() as u64 + 2) + 7 * c;
+                    daemon.ingest(MetricSample {
+                        tick: t,
+                        component: ComponentId(c as u32),
+                        kind,
+                        value: 40.0 + (step % 5) as f64,
+                    });
+                }
+            }
+        }
+        let (_, cold, flat) = daemon.storage_tier_bytes();
+        let ratio = cold as f64 / flat as f64;
+        assert!(cold > 0, "a warmed series must freeze cold blocks");
+        assert!(ratio <= 0.35, "cold tier is {ratio:.3} of the flat rings");
     }
 
     /// A batch daemon fed the identical stream, for parity tests.

@@ -62,7 +62,7 @@ const SPREAD_TICKS: usize = 3;
 /// // roll back to 40.
 /// let mut xs = vec![10.0; 40];
 /// xs.extend((0..60).map(|i| 10.0 + 3.0 * i as f64));
-/// let cp = |index| ChangePoint { index, confidence: 1.0, magnitude: 5.0, direction: Trend::Up };
+/// let cp = |index| ChangePoint { index, magnitude: 5.0, direction: Trend::Up };
 /// let cps = vec![cp(40), cp(70)];
 /// assert_eq!(rollback_onset(&xs, &cps, &cps[1], 0.1), 40);
 /// ```
@@ -146,7 +146,6 @@ mod tests {
     fn cp(index: usize) -> ChangePoint {
         ChangePoint {
             index,
-            confidence: 1.0,
             magnitude: 5.0,
             direction: Trend::Up,
         }
@@ -295,7 +294,6 @@ mod proptests {
                 .iter()
                 .map(|&index| ChangePoint {
                     index,
-                    confidence: 1.0,
                     magnitude: 1.0,
                     direction: Trend::Up,
                 })

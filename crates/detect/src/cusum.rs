@@ -25,9 +25,6 @@ pub struct ChangePoint {
     /// Index into the analyzed slice; the change happens *at* this sample
     /// (the first sample of the new regime).
     pub index: usize,
-    /// Bootstrap confidence in `[0, 1]` that the segment contains a real
-    /// change.
-    pub confidence: f64,
     /// Absolute difference between the post- and pre-change segment means.
     pub magnitude: f64,
     /// Shift direction.
@@ -155,9 +152,8 @@ impl CusumDetector {
     /// consumes exactly `n - 1` draws, the fast-forward leaves the RNG in
     /// precisely the state the full loop would have — so every subsequent
     /// segment in the recursion sees identical reshuffles. Accepted
-    /// segments always run their full bootstrap (their exact confidence is
-    /// reported). The streaming analysis engine runs this variant; the
-    /// batch reference keeps the plain loop.
+    /// segments always run their full bootstrap. The streaming analysis
+    /// engine runs this variant; the batch reference keeps the plain loop.
     pub fn detect_into_pruned(
         &self,
         xs: &[f64],
@@ -220,8 +216,7 @@ impl CusumDetector {
         if depth > 24 {
             return;
         }
-        let Some((split, confidence)) = self.test_segment(xs, prefix, lo, hi, rng, scratch, prune)
-        else {
+        let Some(split) = self.test_segment(xs, prefix, lo, hi, rng, scratch, prune) else {
             return;
         };
         if split < self.config.min_segment || n - split < self.config.min_segment {
@@ -237,7 +232,6 @@ impl CusumDetector {
         };
         out.push(ChangePoint {
             index: lo + split,
-            confidence,
             magnitude,
             direction,
         });
@@ -265,9 +259,9 @@ impl CusumDetector {
         );
     }
 
-    /// Taylor's bootstrap test on `xs[lo..hi]`: returns `(split_index,
-    /// confidence)` — the split relative to `lo` — when a significant
-    /// change exists in the segment.
+    /// Taylor's bootstrap test on `xs[lo..hi]`: returns the split index
+    /// relative to `lo` when the bootstrap confidence that the segment
+    /// holds a real change reaches the configured threshold.
     #[allow(clippy::too_many_arguments)]
     fn test_segment(
         &self,
@@ -278,7 +272,7 @@ impl CusumDetector {
         rng: &mut SmallRng,
         scratch: &mut [f64],
         prune: bool,
-    ) -> Option<(usize, f64)> {
+    ) -> Option<usize> {
         let n = hi - lo;
         let mean = (prefix[hi] - prefix[lo]) / n as f64;
         // CUSUM: S_i = sum_{j<=i} (x_j - mean). Only the extremes and the
@@ -334,13 +328,12 @@ impl CusumDetector {
                 return None;
             }
         }
-        let confidence = below as f64 / bootstraps as f64;
-        if confidence < self.config.confidence {
+        if (below as f64 / bootstraps as f64) < self.config.confidence {
             return None;
         }
         // The change is estimated at the extreme of |S|; the new regime
         // starts on the next sample.
-        Some(((max_abs_idx + 1).min(n - 1), confidence))
+        Some((max_abs_idx + 1).min(n - 1))
     }
 }
 
@@ -371,7 +364,6 @@ mod tests {
         );
         assert_eq!(cp.direction, Trend::Up);
         assert!(cp.magnitude > 15.0);
-        assert!(cp.confidence >= 0.95);
     }
 
     #[test]
@@ -507,7 +499,6 @@ mod proptests {
                 prop_assert!(cp.index < xs.len());
                 prop_assert!(cp.magnitude >= 0.0);
                 prop_assert!(cp.magnitude <= span + 1e-9);
-                prop_assert!((0.0..=1.0).contains(&cp.confidence));
             }
         }
 

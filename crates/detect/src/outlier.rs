@@ -48,8 +48,8 @@ impl Default for OutlierConfig {
 /// // A window with ~unit normal spread.
 /// let window: Vec<f64> = (0..100).map(|i| 10.0 + (i % 3) as f64).collect();
 /// let cps = vec![
-///     ChangePoint { index: 20, confidence: 1.0, magnitude: 0.2, direction: Trend::Up },
-///     ChangePoint { index: 60, confidence: 1.0, magnitude: 30.0, direction: Trend::Up },
+///     ChangePoint { index: 20, magnitude: 0.2, direction: Trend::Up },
+///     ChangePoint { index: 60, magnitude: 30.0, direction: Trend::Up },
 /// ];
 /// let kept = magnitude_outliers(&cps, &window, &OutlierConfig::default());
 /// assert_eq!(kept.len(), 1);
@@ -96,7 +96,6 @@ mod tests {
     fn cp(index: usize, magnitude: f64) -> ChangePoint {
         ChangePoint {
             index,
-            confidence: 1.0,
             magnitude,
             direction: Trend::Up,
         }
@@ -172,7 +171,6 @@ mod proptests {
                 .enumerate()
                 .map(|(i, &m)| ChangePoint {
                     index: i * 5,
-                    confidence: 1.0,
                     magnitude: m,
                     direction: Trend::Up,
                 })

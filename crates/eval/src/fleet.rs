@@ -22,8 +22,8 @@ use crate::casegen::case_from_run;
 use crate::score::Counts;
 use fchain_core::slave::{MetricSample, SlaveDaemon};
 use fchain_core::{
-    FChain, FChainConfig, FaultySlave, FleetMaster, FleetViolation, IngestConfig, IngestService,
-    SlaveEndpoint, SlaveFault, TenantSlave, Transport,
+    FChain, FChainConfig, FaultySlave, FleetMaster, FleetViolation, SlaveEndpoint, SlaveFault,
+    TenantSlave, Transport,
 };
 use fchain_metrics::{stats, AppId, ComponentId, MetricKind, Tick};
 use fchain_sim::{tenant_mix, RunConfig, Simulator};
@@ -304,25 +304,6 @@ impl FleetCampaign {
             .map(|_| Arc::new(SlaveDaemon::new(self.config.clone()).with_capacity(capacity)))
             .collect();
         let servers = self.serve_pool(&pool);
-        // Staging ingests through the continuous-ingest service — the
-        // drain-a-campaign path is a thin wrapper over the long-running
-        // shape, so the parity tests cover the service end to end. One
-        // service per host daemon keeps the round-robin placement
-        // identical to direct ingestion.
-        let ingest: Vec<IngestService> = pool
-            .iter()
-            .map(|daemon| {
-                IngestService::spawn(
-                    Arc::clone(daemon),
-                    IngestConfig {
-                        shards: 4,
-                        drain_threads: 2,
-                        seed: self.base_seed,
-                        ..IngestConfig::default()
-                    },
-                )
-            })
-            .collect();
         let mut fleet = FleetMaster::new(self.config.clone());
 
         let solo = FChain::new(self.config.clone());
@@ -353,10 +334,10 @@ impl FleetCampaign {
                 fleet.set_tenant_lookback(app, lookback);
             }
             for (c, component) in case.components.iter().enumerate() {
-                let host = ingest[(i + c) % self.hosts].handle();
+                let host = &pool[(i + c) % self.hosts];
                 for kind in MetricKind::ALL {
                     for (tick, value) in component.metric(kind).iter() {
-                        host.push_for(
+                        host.ingest_for(
                             app,
                             MetricSample {
                                 tick,
@@ -430,12 +411,6 @@ impl FleetCampaign {
                 case,
                 deps: installed_deps,
             });
-        }
-        // Ingest-to-visible barrier: every accepted sample must be
-        // applied before any analysis reads the pool.
-        for service in ingest {
-            let stats = service.shutdown();
-            debug_assert_eq!(stats.lost(), 0, "block policy never loses samples");
         }
         StagedDrain {
             fleet,

@@ -22,10 +22,6 @@
 //!   applications through one [`fchain_core::FleetMaster`] over a shared
 //!   daemon pool, measuring diagnoses/sec and p50/p99 violation-to-report
 //!   latency;
-//! * [`IngestCampaign`] pumps a sustained synthetic metric load through a
-//!   live [`fchain_core::IngestService`], measuring applied metrics/sec,
-//!   backpressure accounting, ingest-to-visible latency, and the tiered
-//!   hot/cold storage footprint;
 //! * [`render`] prints the text tables the benchmark targets emit.
 
 #![deny(missing_docs)]
@@ -39,7 +35,6 @@ mod campaign;
 mod casegen;
 mod degraded;
 mod fleet;
-mod ingest;
 mod probe;
 mod roc;
 mod score;
@@ -51,7 +46,6 @@ pub use campaign::{Campaign, CampaignResult, CaseOutcome};
 pub use casegen::case_from_run;
 pub use degraded::{DegradedCampaign, DegradedPoint};
 pub use fleet::{FleetCampaign, FleetResult, TenantOutcome, SLOW_FAULT_LOOKBACK};
-pub use ingest::{IngestCampaign, IngestResult};
 pub use probe::OracleProbe;
 pub use roc::{RocCurve, RocPoint};
 pub use score::Counts;

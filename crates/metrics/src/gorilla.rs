@@ -1,15 +1,10 @@
-//! Gorilla-style time-series compression (Facebook's in-memory TSDB,
-//! VLDB 2015 §4.1): delta-of-delta timestamps and XOR'd IEEE-754 values.
+//! Gorilla-style value compression (Facebook's in-memory TSDB, VLDB
+//! 2015 §4.1.2): XOR'd IEEE-754 values over a packed bit stream.
 //!
 //! The cold tier of [`crate::TieredSeries`] freezes blocks of samples
-//! with the value codec, and the ingest load generator replays
-//! pre-encoded [`CompressedTrace`]s so sustained-throughput campaigns do
-//! not pay materialization cost for tens of millions of samples. Both
-//! codecs are **lossless to the bit**: decoding returns exactly the
-//! `u64`/`f64` bit patterns that went in (NaN payloads included), which
-//! is what lets the tiered store promise bit-identical reads.
-
-use crate::Tick;
+//! with this codec. It is **lossless to the bit**: decoding returns
+//! exactly the `f64` bit patterns that went in (NaN payloads included),
+//! which is what lets the tiered store promise bit-identical reads.
 
 /// An append-only bit stream backed by 64-bit words.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -241,214 +236,6 @@ impl ValueDecoder {
     }
 }
 
-/// Streaming delta-of-delta compressor for tick stamps (Gorilla §4.1.1).
-///
-/// The first tick is stored raw (64 bits) and the first delta in a wide
-/// bucket; every later tick stores the *change* of the delta in one of
-/// four range buckets — a metronomic 1 Hz feed costs one bit per sample.
-#[derive(Debug, Clone)]
-pub struct TickEncoder {
-    prev: Tick,
-    prev_delta: i64,
-    count: usize,
-}
-
-/// Writes one delta-of-delta in the smallest range bucket that fits.
-fn write_dod(dod: i64, out: &mut BitWriter) {
-    if dod == 0 {
-        out.write_bit(false);
-    } else if (-63..=64).contains(&dod) {
-        out.write_bits(0b10, 2);
-        out.write_bits((dod + 63) as u64, 7);
-    } else if (-255..=256).contains(&dod) {
-        out.write_bits(0b110, 3);
-        out.write_bits((dod + 255) as u64, 9);
-    } else if (-2047..=2048).contains(&dod) {
-        out.write_bits(0b1110, 4);
-        out.write_bits((dod + 2047) as u64, 12);
-    } else {
-        out.write_bits(0b1111, 4);
-        out.write_bits(dod as u64, 64);
-    }
-}
-
-/// Reads one delta-of-delta written by [`write_dod`].
-fn read_dod(bits: &mut BitReader<'_>) -> i64 {
-    if !bits.read_bit() {
-        return 0;
-    }
-    if !bits.read_bit() {
-        return bits.read_bits(7) as i64 - 63;
-    }
-    if !bits.read_bit() {
-        return bits.read_bits(9) as i64 - 255;
-    }
-    if !bits.read_bit() {
-        return bits.read_bits(12) as i64 - 2047;
-    }
-    bits.read_bits(64) as i64
-}
-
-impl TickEncoder {
-    /// A fresh encoder.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        TickEncoder {
-            prev: 0,
-            prev_delta: 0,
-            count: 0,
-        }
-    }
-
-    /// Appends one tick stamp to `out`. Ticks must be non-decreasing in
-    /// a monitoring feed but the codec round-trips any sequence.
-    pub fn push(&mut self, tick: Tick, out: &mut BitWriter) {
-        match self.count {
-            0 => out.write_bits(tick, 64),
-            1 => {
-                self.prev_delta = tick.wrapping_sub(self.prev) as i64;
-                write_dod(self.prev_delta, out);
-            }
-            _ => {
-                let delta = tick.wrapping_sub(self.prev) as i64;
-                write_dod(delta.wrapping_sub(self.prev_delta), out);
-                self.prev_delta = delta;
-            }
-        }
-        self.prev = tick;
-        self.count += 1;
-    }
-}
-
-/// Streaming decoder mirroring [`TickEncoder`].
-#[derive(Debug, Clone)]
-pub struct TickDecoder {
-    prev: Tick,
-    prev_delta: i64,
-    count: usize,
-}
-
-impl TickDecoder {
-    /// A fresh decoder.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Self {
-        TickDecoder {
-            prev: 0,
-            prev_delta: 0,
-            count: 0,
-        }
-    }
-
-    /// Decodes the next tick stamp.
-    pub fn next(&mut self, bits: &mut BitReader<'_>) -> Tick {
-        match self.count {
-            0 => self.prev = bits.read_bits(64),
-            1 => {
-                self.prev_delta = read_dod(bits);
-                self.prev = self.prev.wrapping_add(self.prev_delta as u64);
-            }
-            _ => {
-                self.prev_delta = self.prev_delta.wrapping_add(read_dod(bits));
-                self.prev = self.prev.wrapping_add(self.prev_delta as u64);
-            }
-        }
-        self.count += 1;
-        self.prev
-    }
-}
-
-/// One immutable compressed `(tick, value)` trace: delta-of-delta tick
-/// stamps beside XOR'd values, decodable as a lazy stream.
-///
-/// The ingest campaign pre-encodes its synthetic load into these so the
-/// timed pump loop replays compressed memory instead of re-simulating —
-/// the same representation a replay-trace workload would ship.
-#[derive(Debug, Clone, Default)]
-pub struct CompressedTrace {
-    ticks: BitWriter,
-    values: BitWriter,
-    len: usize,
-}
-
-impl CompressedTrace {
-    /// Compresses a sample stream.
-    pub fn encode(samples: impl IntoIterator<Item = (Tick, f64)>) -> Self {
-        let mut trace = CompressedTrace::default();
-        let mut ticks = TickEncoder::new();
-        let mut values = ValueEncoder::new();
-        for (tick, value) in samples {
-            ticks.push(tick, &mut trace.ticks);
-            values.push(value, &mut trace.values);
-            trace.len += 1;
-        }
-        trace.ticks.shrink_to_fit();
-        trace.values.shrink_to_fit();
-        trace
-    }
-
-    /// Number of samples in the trace.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the trace holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Compressed footprint in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        self.ticks.approx_bytes() + self.values.approx_bytes()
-    }
-
-    /// A lazy decoding iterator over the samples.
-    pub fn iter(&self) -> TraceIter<'_> {
-        TraceIter {
-            ticks: self.ticks.reader(),
-            values: self.values.reader(),
-            tick_decoder: TickDecoder::new(),
-            value_decoder: ValueDecoder::new(),
-            remaining: self.len,
-        }
-    }
-
-    /// Decompresses the whole trace.
-    pub fn decode(&self) -> Vec<(Tick, f64)> {
-        self.iter().collect()
-    }
-}
-
-/// Lazy decoder over a [`CompressedTrace`].
-#[derive(Debug, Clone)]
-pub struct TraceIter<'a> {
-    ticks: BitReader<'a>,
-    values: BitReader<'a>,
-    tick_decoder: TickDecoder,
-    value_decoder: ValueDecoder,
-    remaining: usize,
-}
-
-impl Iterator for TraceIter<'_> {
-    type Item = (Tick, f64);
-
-    fn next(&mut self) -> Option<(Tick, f64)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some((
-            self.tick_decoder.next(&mut self.ticks),
-            self.value_decoder.next(&mut self.values),
-        ))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for TraceIter<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,60 +286,6 @@ mod tests {
         }
         assert_eq!(out.bit_len(), 64 + 999);
     }
-
-    #[test]
-    fn metronomic_ticks_compress_to_a_bit_per_sample() {
-        let mut out = BitWriter::new();
-        let mut enc = TickEncoder::new();
-        for t in 100..1100u64 {
-            enc.push(t, &mut out);
-        }
-        // Raw tick + first delta bucket + one zero-dod bit per tick.
-        assert!(out.bit_len() < 64 + 16 + 1000, "{} bits", out.bit_len());
-        let mut bits = out.reader();
-        let mut dec = TickDecoder::new();
-        for t in 100..1100u64 {
-            assert_eq!(dec.next(&mut bits), t);
-        }
-    }
-
-    #[test]
-    fn gappy_ticks_round_trip() {
-        let ticks = [0u64, 1, 2, 40, 41, 100_000, 100_001, 100_900, 100_901];
-        let mut out = BitWriter::new();
-        let mut enc = TickEncoder::new();
-        for &t in &ticks {
-            enc.push(t, &mut out);
-        }
-        let mut bits = out.reader();
-        let mut dec = TickDecoder::new();
-        for &t in &ticks {
-            assert_eq!(dec.next(&mut bits), t);
-        }
-    }
-
-    #[test]
-    fn trace_round_trips_and_stays_small() {
-        let samples: Vec<(Tick, f64)> = (0..2000u64)
-            .map(|t| (t, 40.0 + ((t * 7) % 5) as f64))
-            .collect();
-        let trace = CompressedTrace::encode(samples.iter().copied());
-        assert_eq!(trace.len(), samples.len());
-        assert_eq!(trace.decode(), samples);
-        let flat = samples.len() * std::mem::size_of::<(Tick, f64)>();
-        assert!(
-            trace.approx_bytes() * 2 < flat,
-            "trace {} bytes vs flat {flat}",
-            trace.approx_bytes()
-        );
-    }
-
-    #[test]
-    fn empty_trace_is_empty() {
-        let trace = CompressedTrace::encode(std::iter::empty());
-        assert!(trace.is_empty());
-        assert_eq!(trace.decode(), Vec::new());
-    }
 }
 
 #[cfg(test)]
@@ -575,32 +308,6 @@ mod proptests {
             for &want in &values {
                 prop_assert_eq!(dec.next(&mut r).to_bits(), want.to_bits());
             }
-        }
-
-        /// Arbitrary non-decreasing tick streams round-trip exactly.
-        #[test]
-        fn tick_codec_is_lossless(start in 0u64..1_000_000, gaps in proptest::collection::vec(0u64..100_000, 1..200)) {
-            let mut tick = start;
-            let ticks: Vec<Tick> = gaps.iter().map(|&g| { tick += g; tick }).collect();
-            let mut out = BitWriter::new();
-            let mut enc = TickEncoder::new();
-            for &t in &ticks {
-                enc.push(t, &mut out);
-            }
-            let mut r = out.reader();
-            let mut dec = TickDecoder::new();
-            for &want in &ticks {
-                prop_assert_eq!(dec.next(&mut r), want);
-            }
-        }
-
-        /// The combined trace codec is an exact inverse.
-        #[test]
-        fn trace_codec_round_trips(samples in proptest::collection::vec((0u64..10_000, -1e9f64..1e9), 0..300)) {
-            let mut ticks: Vec<(Tick, f64)> = samples;
-            ticks.sort_by_key(|&(t, _)| t);
-            let trace = CompressedTrace::encode(ticks.iter().copied());
-            prop_assert_eq!(trace.decode(), ticks);
         }
     }
 }

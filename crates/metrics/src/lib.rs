@@ -57,7 +57,6 @@ pub mod smooth;
 pub mod stats;
 pub mod tangent;
 
-pub use gorilla::CompressedTrace;
 pub use kinds::{AppId, AppRegistry, ComponentId, MetricId, MetricKind};
 pub use ring::RingBuffer;
 pub use series::TimeSeries;

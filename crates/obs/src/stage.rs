@@ -38,14 +38,11 @@ pub enum Stage {
     /// One chaos scenario executed end to end: plan, simulate every
     /// tenant, stage the fleet, drain, score.
     ChaosScenario,
-    /// One ingest-service drain sweep: a drainer empties its ring subset
-    /// and applies the batches to the daemon shards.
-    IngestDrain,
 }
 
 impl Stage {
     /// Every stage, in registry order.
-    pub const ALL: [Stage; 14] = [
+    pub const ALL: [Stage; 13] = [
         Stage::SlaveSelection,
         Stage::SlaveCusum,
         Stage::SlaveFft,
@@ -59,7 +56,6 @@ impl Stage {
         Stage::EvalRun,
         Stage::FleetDrain,
         Stage::ChaosScenario,
-        Stage::IngestDrain,
     ];
 
     /// The stage's slot in the static registry.
@@ -85,7 +81,6 @@ impl Stage {
             Stage::EvalRun => "eval_run",
             Stage::FleetDrain => "fleet_drain",
             Stage::ChaosScenario => "chaos_scenario",
-            Stage::IngestDrain => "ingest_drain",
         }
     }
 }
@@ -121,9 +116,9 @@ pub enum Counter {
     EvalRuns,
     /// Campaign runs whose SLO fired and were diagnosed.
     EvalDiagnoses,
-    /// Out-of-order or duplicate-tick samples dropped at ingest (the
-    /// monitoring feed replayed or reordered data; the series keeps its
-    /// first-seen value per tick).
+    /// Out-of-order, duplicate-tick or non-finite samples dropped at
+    /// ingest (the monitoring feed replayed, reordered or corrupted data;
+    /// the series keeps its first-seen finite value per tick).
     IngestDroppedSamples,
     /// Ticks bridged by carrying the last value across a short monitoring
     /// gap at ingest.
@@ -150,19 +145,6 @@ pub enum Counter {
     /// Chaos scenarios whose scoring found at least one false positive or
     /// missed component — the fuzzer's hit counter.
     ChaosFailures,
-    /// Samples accepted into an ingest ring by the service front.
-    IngestEnqueued,
-    /// Oldest queued samples evicted by the drop-oldest backpressure
-    /// policy to admit new ones on a full ring.
-    IngestRingDropped,
-    /// New samples refused by the reject backpressure policy on a full
-    /// ring (the producer keeps the sample and may retry).
-    IngestRingRejected,
-    /// Producer waits under the blocking backpressure policy (each wait
-    /// parked the producer until a drainer freed ring space).
-    IngestRingBlocked,
-    /// Batches of ring samples applied to daemon shards by drainers.
-    IngestBatchesApplied,
     /// Empty violation-time fan-outs the master re-collected with a
     /// widened look-back window (the `lookback_retry` knob).
     LookbackRetryWidened,
@@ -170,7 +152,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in registry order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 25] = [
         Counter::MetricsAnalyzed,
         Counter::ComponentsAnalyzed,
         Counter::ChangePointCandidates,
@@ -195,11 +177,6 @@ impl Counter {
         Counter::ChaosScenarios,
         Counter::ChaosFaultsInjected,
         Counter::ChaosFailures,
-        Counter::IngestEnqueued,
-        Counter::IngestRingDropped,
-        Counter::IngestRingRejected,
-        Counter::IngestRingBlocked,
-        Counter::IngestBatchesApplied,
         Counter::LookbackRetryWidened,
     ];
 
@@ -237,11 +214,6 @@ impl Counter {
             Counter::ChaosScenarios => "chaos_scenarios",
             Counter::ChaosFaultsInjected => "chaos_faults_injected",
             Counter::ChaosFailures => "chaos_failures",
-            Counter::IngestEnqueued => "ingest_enqueued",
-            Counter::IngestRingDropped => "ingest_ring_dropped",
-            Counter::IngestRingRejected => "ingest_ring_rejected",
-            Counter::IngestRingBlocked => "ingest_ring_blocked",
-            Counter::IngestBatchesApplied => "ingest_batches_applied",
             Counter::LookbackRetryWidened => "lookback_retry_widened",
         }
     }

@@ -249,6 +249,8 @@ fn batch_and_streaming_engines_agree_on_seeded_runs() {
         (AppKind::Rubis, FaultKind::CpuHog, 901),
         (AppKind::Hadoop, FaultKind::ConcurrentMemLeak, 40),
         (AppKind::SystemS, FaultKind::MemLeak, 500),
+        (AppKind::Rubis, FaultKind::CpuHog, 11),
+        (AppKind::SystemS, FaultKind::Bottleneck, 3),
     ];
     let mut compared = 0;
     for (app, fault, seed) in cases {
@@ -289,6 +291,8 @@ fn fleet_of_one_matches_the_single_app_master() {
         (AppKind::Rubis, FaultKind::CpuHog, 901),
         (AppKind::Hadoop, FaultKind::ConcurrentMemLeak, 40),
         (AppKind::SystemS, FaultKind::MemLeak, 500),
+        (AppKind::Rubis, FaultKind::CpuHog, 11),
+        (AppKind::SystemS, FaultKind::Bottleneck, 3),
     ];
     let mut compared = 0;
     for engine in [AnalysisEngine::Batch, AnalysisEngine::Streaming] {
