@@ -19,7 +19,7 @@ use criterion::{black_box, Criterion};
 use fchain_core::slave::{MetricSample, SlaveDaemon};
 use fchain_core::{AnalysisEngine, CollectRequest, ComponentFinding, FChainConfig};
 use fchain_eval::case_from_run;
-use fchain_metrics::{MetricKind, Tick};
+use fchain_metrics::Tick;
 use fchain_sim::{AppKind, FaultKind, RunConfig, Simulator};
 use serde_json::json;
 use std::time::Duration;
@@ -66,15 +66,8 @@ fn build_engine_scenario(
     let streaming = SlaveDaemon::new(streaming_config);
     for daemon in [&batch, &streaming] {
         for component in &case.components {
-            for kind in MetricKind::ALL {
-                for (tick, value) in component.metric(kind).iter() {
-                    daemon.ingest(MetricSample {
-                        tick,
-                        component: component.id,
-                        kind,
-                        value,
-                    });
-                }
+            for sample in MetricSample::replay(component.id, &component.metrics) {
+                daemon.ingest(sample);
             }
         }
     }

@@ -17,7 +17,6 @@ use fchain_core::master::Master;
 use fchain_core::slave::{MetricSample, SlaveDaemon};
 use fchain_core::FChainConfig;
 use fchain_eval::case_from_run;
-use fchain_metrics::MetricKind;
 use fchain_obs as obs;
 use fchain_sim::{AppKind, FaultKind, RunConfig, Simulator};
 use serde_json::json;
@@ -37,15 +36,8 @@ fn seeded_master() -> (Master, u64) {
         .collect();
     for (i, component) in case.components.iter().enumerate() {
         let host = &hosts[i % hosts.len()];
-        for kind in MetricKind::ALL {
-            for (tick, value) in component.metric(kind).iter() {
-                host.ingest(MetricSample {
-                    tick,
-                    component: component.id,
-                    kind,
-                    value,
-                });
-            }
+        for sample in MetricSample::replay(component.id, &component.metrics) {
+            host.ingest(sample);
         }
     }
     let mut master = Master::new(FChainConfig::default());

@@ -7,7 +7,7 @@ use fchain_core::{
     TenantSlave,
 };
 use fchain_eval::{case_from_run, Counts};
-use fchain_metrics::{AppId, ComponentId, MetricKind, Tick};
+use fchain_metrics::{AppId, ComponentId, Tick};
 use fchain_obs as obs;
 use fchain_sim::{RunConfig, RunRecord, Simulator};
 use serde_json::json;
@@ -346,19 +346,9 @@ pub fn execute_plan(plan: &ScenarioPlan, config: &FChainConfig) -> ScenarioOutco
             // no component outright and the master must fail over to a
             // surviving copy.
             for r in 0..replicas {
-                let host = (i + c + r) % plan.hosts;
-                for kind in MetricKind::ALL {
-                    for (tick, value) in run.series[c][kind.index()].iter() {
-                        pool[host].ingest_for(
-                            app,
-                            MetricSample {
-                                tick,
-                                component: ComponentId(c as u32),
-                                kind,
-                                value,
-                            },
-                        );
-                    }
+                let host = &pool[(i + c + r) % plan.hosts];
+                for sample in MetricSample::replay(ComponentId(c as u32), &run.series[c]) {
+                    host.ingest_for(app, sample);
                 }
             }
         }

@@ -4,12 +4,10 @@ use crate::args::Args;
 use fchain_baselines::{DependencyScheme, HistogramScheme, NetMedic, Pal, TopologyScheme};
 use fchain_core::master::Master;
 use fchain_core::slave::{MetricSample, SlaveDaemon};
-use fchain_core::{
-    AnalysisEngine, FChain, FChainConfig, Localizer, PipelineSnapshot, Transport, Verdict,
-};
+use fchain_core::{AnalysisEngine, FChain, FChainConfig, Localizer, Transport, Verdict};
 use fchain_eval::{case_from_run, render, Campaign, DegradedCampaign, FleetCampaign, OracleProbe};
 use fchain_metrics::MetricKind;
-use fchain_obs as obs;
+use fchain_obs::{self as obs, PipelineSnapshot};
 use fchain_sim::{AppKind, FaultKind, RunConfig, RunRecord, Simulator, Workload as _};
 use serde_json::json;
 use std::sync::Arc;
@@ -93,6 +91,16 @@ fn parse_transport(args: &Args) -> Result<Transport, Box<dyn std::error::Error>>
     match args.get("transport") {
         None => Ok(Transport::default()),
         Some(v) => Ok(v.parse::<Transport>()?),
+    }
+}
+
+/// `--hosts <N>`: how many slave daemons to spread components over.
+/// Zero hosts would leave every component unmonitored, so it is an
+/// error rather than a silent clamp.
+fn parse_hosts(args: &Args, default: usize) -> Result<usize, Box<dyn std::error::Error>> {
+    match args.get_parsed("hosts", default)? {
+        0 => Err("--hosts must be at least 1".into()),
+        hosts => Ok(hosts),
     }
 }
 
@@ -182,8 +190,8 @@ fn diagnose_remote(
     case: &fchain_core::CaseData,
     engine: AnalysisEngine,
     transport: Transport,
+    hosts: usize,
 ) -> Result<fchain_core::DiagnosisReport, Box<dyn std::error::Error>> {
-    let hosts = args.get_parsed("hosts", 1usize)?.max(1);
     let deadline_ms = args.get_parsed("slave-deadline-ms", 2_000u64)?;
     let config = FChainConfig {
         engine,
@@ -206,27 +214,11 @@ fn diagnose_remote(
     let app = fchain_metrics::AppId::default();
     for (i, component) in case.components.iter().enumerate() {
         let remote = &remotes[i % remotes.len()];
-        let mut batch: Vec<MetricSample> = Vec::new();
-        for kind in MetricKind::ALL {
-            for (tick, value) in component.metric(kind).iter() {
-                batch.push(MetricSample {
-                    tick,
-                    component: component.id,
-                    kind,
-                    value,
-                });
-                if batch.len() >= 16_384 {
-                    remote
-                        .ingest_batch(app, std::mem::take(&mut batch))
-                        .map_err(|e| {
-                            format!("ingest to {}: {e:?}", daemons[i % daemons.len()].addr)
-                        })?;
-                }
-            }
-        }
-        if !batch.is_empty() {
+        let samples: Vec<MetricSample> =
+            MetricSample::replay(component.id, &component.metrics).collect();
+        for chunk in samples.chunks(16_384) {
             remote
-                .ingest_batch(app, batch)
+                .ingest_batch(app, chunk.to_vec())
                 .map_err(|e| format!("ingest to {}: {e:?}", daemons[i % daemons.len()].addr))?;
         }
     }
@@ -264,12 +256,6 @@ fn write_obs_json(args: &Args, snapshot: &PipelineSnapshot) -> CliResult {
 
 /// `fchain run` — simulate and summarize.
 pub fn run(args: &Args) -> CliResult {
-    // Accepted for flag symmetry with `diagnose`: the simulation itself
-    // never analyzes, so the engine and transport only show up in the
-    // JSON echo (use `fchain diagnose --transport uds` for the path
-    // that spawns and tears down real `fchaind` daemons).
-    let engine = parse_engine(args)?;
-    let transport = parse_transport(args)?;
     let run = build_run(args)?;
     let json_out = args.has("json");
     if json_out {
@@ -283,8 +269,6 @@ pub fn run(args: &Args) -> CliResult {
                 "violation_at": run.violation_at,
                 "components": run.model.components.iter().map(|c| &c.name).collect::<Vec<_>>(),
                 "packets": run.packets.len(),
-                "engine": engine.to_string(),
-                "transport": transport.to_string(),
             }))?
         );
         return Ok(());
@@ -337,6 +321,7 @@ fn mean(xs: &[f64]) -> f64 {
 pub fn diagnose(args: &Args) -> CliResult {
     let engine = parse_engine(args)?;
     let transport = parse_transport(args)?;
+    let hosts = parse_hosts(args, 1)?;
     let run = build_run(args)?;
     let fault = run.fault.kind;
     let lookback = args.get_parsed("lookback", default_lookback(fault))?;
@@ -351,7 +336,7 @@ pub fn diagnose(args: &Args) -> CliResult {
                     .into(),
             );
         }
-        diagnose_remote(args, &case, engine, transport)?
+        diagnose_remote(args, &case, engine, transport, hosts)?
     } else {
         let fchain = FChain::new(FChainConfig {
             engine,
@@ -502,7 +487,7 @@ pub fn degraded(args: &Args) -> CliResult {
         base_seed: args.get_parsed("seed", 1000u64)?,
         duration: args.get_parsed("duration", 1500u64)?,
         lookback: args.get_parsed("lookback", default_lookback(fault))?,
-        hosts: args.get_parsed("hosts", 4usize)?,
+        hosts: parse_hosts(args, 4)?,
         loss_rates,
         config,
     };
@@ -580,7 +565,7 @@ pub fn fleet(args: &Args) -> CliResult {
         base_seed: args.get_parsed("seed", 4100u64)?,
         duration: args.get_parsed("duration", 1500u64)?,
         lookback: args.get_parsed("lookback", 100u64)?,
-        hosts: args.get_parsed("hosts", 2usize)?,
+        hosts: parse_hosts(args, 2)?,
         rpc_delay_ms: args.get_parsed("rpc-delay-ms", 100u64)?,
         stalled_tenants: args.get_parsed("stalled", 0usize)?,
         stall_ms: args.get_parsed("stall-ms", 0u64)?,
@@ -728,7 +713,7 @@ pub fn obs(args: &Args) -> CliResult {
     let seed = args.get_parsed("seed", 900u64)?;
     let duration = args.get_parsed("duration", 3600u64)?;
     let lookback = args.get_parsed("lookback", default_lookback(fault))?;
-    let n_hosts = args.get_parsed("hosts", 2usize)?.max(1);
+    let n_hosts = parse_hosts(args, 2)?;
     let engine = parse_engine(args)?;
     let config = FChainConfig {
         engine,
@@ -749,15 +734,8 @@ pub fn obs(args: &Args) -> CliResult {
         .collect();
     for (i, component) in case.components.iter().enumerate() {
         let host = &hosts[i % hosts.len()];
-        for kind in MetricKind::ALL {
-            for (tick, value) in component.metric(kind).iter() {
-                host.ingest(MetricSample {
-                    tick,
-                    component: component.id,
-                    kind,
-                    value,
-                });
-            }
+        for sample in MetricSample::replay(component.id, &component.metrics) {
+            host.ingest(sample);
         }
     }
     let mut master = Master::new(config);
@@ -767,9 +745,12 @@ pub fn obs(args: &Args) -> CliResult {
     if let Some(deps) = case.discovered_deps.clone() {
         master.set_dependencies(deps);
     }
+    // This diagnosis's own profile: the registry delta around it (the
+    // only work in flight), labeled with the single tenant's name.
     let mut probe = OracleProbe::new(&run.oracle);
-    let report = master.on_violation_validated_observed(case.violation_at, &mut probe);
-    let snapshot = report.snapshot.clone().unwrap_or_default();
+    let before = obs::snapshot();
+    let report = master.on_violation_validated(case.violation_at, &mut probe);
+    let snapshot = obs::snapshot().delta_since(&before).labeled("default");
     write_obs_json(args, &snapshot)?;
 
     if args.has("json") {
@@ -840,12 +821,7 @@ pub fn obs(args: &Args) -> CliResult {
         obs::Counter::IngestGapTicksBridged,
         obs::Counter::IngestSeriesResets,
     ] {
-        let value = snapshot
-            .counters
-            .iter()
-            .find(|c| c.counter == counter.name())
-            .map_or(0, |c| c.value);
-        println!("  {:<25} {:>9}", counter.name(), value);
+        println!("  {:<25} {:>9}", counter.name(), snapshot.counter(counter));
     }
     Ok(())
 }
@@ -1221,6 +1197,32 @@ mod tests {
         ])
         .unwrap();
         assert!(degraded(&args).is_err());
+    }
+
+    #[test]
+    fn zero_hosts_is_a_clean_error() {
+        type Command = fn(&Args) -> CliResult;
+        let commands: [(&str, Command); 4] = [
+            ("diagnose", diagnose),
+            ("degraded", degraded),
+            ("fleet", fleet),
+            ("obs", obs),
+        ];
+        for (name, command) in commands {
+            let args = Args::parse([
+                name,
+                "--app",
+                "rubis",
+                "--fault",
+                "cpuhog",
+                "--tenants",
+                "1",
+                "--hosts",
+                "0",
+            ])
+            .unwrap();
+            assert!(command(&args).is_err(), "{name} --hosts 0 must be an error");
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl Deserialize for AnalysisEngine {
 ///
 /// * [`Transport::InProcess`] — the loopback transport: slaves are
 ///   in-process [`crate::SlaveEndpoint`] objects, as in every test and
-///   simulation. The default, and what a missing config field maps to.
+///   simulation. The default.
 /// * [`Transport::Uds`] — slaves are separate `fchaind` processes
 ///   reached over Unix-domain sockets (single-host deployment).
 /// * [`Transport::Tcp`] — slaves are `fchaind` processes reached over
@@ -122,25 +122,6 @@ impl FromStr for Transport {
             other => Err(format!(
                 "unknown transport {other:?} (expected in-process|uds|tcp)"
             )),
-        }
-    }
-}
-
-// Same contract as [`AnalysisEngine`]'s serde: lowercase name on the
-// wire, and a config serialized before the transport seam existed
-// (`Content::Null` on field lookup) lands on the in-process default.
-impl Serialize for Transport {
-    fn serialize(&self) -> serde::Content {
-        serde::Content::Str(self.to_string())
-    }
-}
-
-impl Deserialize for Transport {
-    fn deserialize(c: &serde::Content) -> Result<Self, serde::DeError> {
-        match c {
-            serde::Content::Null => Ok(Transport::default()),
-            serde::Content::Str(s) => s.parse().map_err(serde::DeError::custom),
-            other => Err(serde::DeError::expected("a transport name", other)),
         }
     }
 }
@@ -390,12 +371,6 @@ pub struct FChainConfig {
     /// configs lack the field — its `Deserialize` maps absence to the
     /// default.
     pub engine: AnalysisEngine,
-    /// How the master reaches its slaves (in-process loopback by
-    /// default; `uds`/`tcp` dial `fchaind` daemons). Every transport is
-    /// report-bit-identical on the same state, so configs serialized
-    /// before the seam existed — the field deserializes absence to
-    /// in-process — mean exactly what they meant.
-    pub transport: Transport,
     /// Ensemble pinpointing stage (centrality + confidence fusion over
     /// the onset chain). Off by default; configs serialized before the
     /// stage existed lack the field and deserialize to the disabled
@@ -430,7 +405,6 @@ impl Default for FChainConfig {
             slave_backoff_ms: 1,
             adaptive_smoothing: false,
             engine: AnalysisEngine::default(),
-            transport: Transport::default(),
             ensemble: EnsembleConfig::default(),
             learner: LearnerConfig::default(),
             cusum: CusumConfig::default(),
@@ -514,23 +488,6 @@ mod tests {
             assert_eq!(transport.to_string().parse::<Transport>(), Ok(transport));
         }
         assert!("carrier-pigeon".parse::<Transport>().is_err());
-    }
-
-    #[test]
-    fn transport_survives_serde_and_defaults_when_missing() {
-        let cfg = FChainConfig {
-            transport: Transport::Uds,
-            ..FChainConfig::default()
-        };
-        let json = serde_json::to_string(&cfg).expect("serializable config");
-        let back: FChainConfig = serde_json::from_str(&json).expect("round trip");
-        assert_eq!(back.transport, Transport::Uds);
-        // Configs serialized before the transport seam existed must
-        // still load — and mean the in-process loopback they meant.
-        let stripped = json.replace("\"transport\":\"uds\",", "");
-        assert_ne!(stripped, json, "transport field not found in {json}");
-        let old: FChainConfig = serde_json::from_str(&stripped).expect("legacy config");
-        assert_eq!(old.transport, Transport::InProcess);
     }
 
     #[test]

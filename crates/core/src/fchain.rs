@@ -3,8 +3,7 @@
 use crate::case::CaseData;
 use crate::config::{widened_lookback, FChainConfig};
 use crate::localizer::Localizer;
-use crate::master::ensemble::{ensemble_pinpoint, EnsembleInput};
-use crate::master::pinpoint::{pinpoint, PinpointInput};
+use crate::master::pinpoint::pinpoint_findings;
 use crate::master::validation::{validate_pinpointing, ValidationProbe};
 use crate::report::{ComponentFinding, DiagnosisReport};
 use crate::slave::analyze_component;
@@ -41,27 +40,6 @@ impl FChain {
         &self.config
     }
 
-    /// Runs the slave analysis for every component (the per-component
-    /// abnormal change findings, before pinpointing). Exposed separately
-    /// because the computation parallelizes across hosts in deployment and
-    /// because the examples/benches want to display the intermediate
-    /// chain.
-    pub fn analyze(&self, case: &CaseData) -> Vec<ComponentFinding> {
-        // The case's look-back window is authoritative (the master decides
-        // W per diagnosis — e.g. 500 s for slow-manifesting faults); the
-        // config's `lookback` is the default used when the case does not
-        // carry one.
-        let lookback = if case.lookback > 0 {
-            case.lookback
-        } else {
-            self.config.lookback
-        };
-        case.components
-            .iter()
-            .map(|cc| analyze_component(cc, case.violation_at, lookback, &self.config))
-            .collect()
-    }
-
     /// Full diagnosis without online validation.
     ///
     /// With [`FChainConfig::adaptive_lookback`] enabled, a diagnosis whose
@@ -70,15 +48,19 @@ impl FChain {
     /// means the manifestation probably started before the window — the
     /// slow-fault situation that otherwise requires hand-picking `W`.
     pub fn diagnose(&self, case: &CaseData) -> DiagnosisReport {
-        let report = self.diagnose_with_lookback(case, None);
-        if !self.config.adaptive_lookback {
-            return report;
-        }
+        // The case's look-back window is authoritative (the master
+        // decides W per diagnosis — e.g. 500 s for slow-manifesting
+        // faults); the config's `lookback` is the default used when the
+        // case does not carry one.
         let base_w = if case.lookback > 0 {
             case.lookback
         } else {
             self.config.lookback
         };
+        let report = self.diagnose_with_lookback(case, base_w);
+        if !self.config.adaptive_lookback {
+            return report;
+        }
         let window_start = case.violation_at.saturating_sub(base_w);
         let edge = window_start + base_w / 4;
         let touches_edge = report
@@ -92,51 +74,28 @@ impl FChain {
             return report;
         }
         match widened_lookback(base_w) {
-            Some(extended) => self.diagnose_with_lookback(case, Some(extended)),
+            Some(extended) => self.diagnose_with_lookback(case, extended),
             None => report,
         }
     }
 
-    /// Diagnosis with an explicit look-back override.
-    fn diagnose_with_lookback(&self, case: &CaseData, lookback: Option<u64>) -> DiagnosisReport {
-        let w = lookback.unwrap_or(if case.lookback > 0 {
-            case.lookback
-        } else {
-            self.config.lookback
-        });
+    /// Diagnosis over a look-back window of `w` ticks.
+    fn diagnose_with_lookback(&self, case: &CaseData, w: u64) -> DiagnosisReport {
         let findings: Vec<ComponentFinding> = case
             .components
             .iter()
             .map(|cc| analyze_component(cc, case.violation_at, w, &self.config))
             .collect();
         let dependencies = case.dependency_evidence(self.config.ensemble.enabled);
-        let (verdict, pinpointed) = if self.config.ensemble.enabled {
-            ensemble_pinpoint(
-                &self.config,
-                &EnsembleInput {
-                    findings: &findings,
-                    dependencies,
-                    coverage: 1.0,
-                },
-            )
-        } else {
-            pinpoint(&PinpointInput {
-                findings: &findings,
-                dependencies,
-                concurrency_threshold: self.config.concurrency_threshold,
-                external_quorum: self.config.external_quorum,
-            })
-        };
+        // The in-process API analyzes every component locally: there is
+        // no slave fan-out that could fail, so coverage is complete.
+        let (verdict, pinpointed) = pinpoint_findings(&self.config, &findings, dependencies, 1.0);
         DiagnosisReport {
             verdict,
             pinpointed,
             findings,
             removed_by_validation: Vec::new(),
-            // The in-process API analyzes every component locally: there
-            // is no slave fan-out that could fail, so coverage is
-            // complete.
             coverage: crate::report::DiagnosisCoverage::default(),
-            snapshot: None,
             engine: self.config.engine,
             // The in-process API serves one application: the default
             // tenant.

@@ -91,8 +91,3 @@ pub use master::validation::{validate_pinpointing, ValidationProbe};
 pub use report::{
     AbnormalChange, ComponentFinding, DiagnosisCoverage, DiagnosisReport, SlaveStatus, Verdict,
 };
-
-// The snapshot attached to `DiagnosisReport` is an `fchain_obs` type;
-// re-export it so downstream crates can consume reports without naming the
-// instrumentation crate.
-pub use fchain_obs::PipelineSnapshot;

@@ -16,8 +16,7 @@
 
 use crate::config::{widened_lookback, FChainConfig, MIN_LOOKBACK};
 use crate::master::endpoint::{CollectRequest, SlaveEndpoint, SlaveError};
-use crate::master::ensemble::{ensemble_pinpoint, EnsembleInput};
-use crate::master::pinpoint::{pinpoint, PinpointInput};
+use crate::master::pinpoint::pinpoint_findings;
 use crate::master::validation::{validate_pinpointing, ValidationProbe};
 use crate::report::{ComponentFinding, DiagnosisCoverage, DiagnosisReport, SlaveStatus};
 use fchain_deps::DependencyGraph;
@@ -50,7 +49,7 @@ pub struct FleetReport {
     pub report: DiagnosisReport,
     /// Violation-to-report latency: wall-clock from the start of the
     /// drain to this report's completion. Provenance, like
-    /// [`DiagnosisReport::snapshot`]: excluded from equality, because two
+    /// [`DiagnosisReport::engine`]: excluded from equality, because two
     /// drains of the same violations must compare bit-identical on
     /// payload while their wall-clocks necessarily differ.
     pub latency: Duration,
@@ -305,30 +304,19 @@ impl TenantState {
         coverage: DiagnosisCoverage,
     ) -> DiagnosisReport {
         let pinpoint_span = obs::time(obs::Stage::MasterPinpoint);
-        let (verdict, pinpointed) = if self.config.ensemble.enabled {
-            ensemble_pinpoint(
-                &self.config,
-                &EnsembleInput {
-                    findings: &findings,
-                    dependencies: self.dependencies.as_ref(),
-                    // Component-level coverage, not the slave-answered
-                    // ratio: every observed component yields a finding
-                    // (even a healthy one), so findings + blind spots is
-                    // the monitored universe. A crashed host whose shards
-                    // all have surviving replicas loses no evidence and
-                    // must not perturb the confidences.
-                    coverage: coverage
-                        .component_coverage(findings.len() + coverage.unreachable_components.len()),
-                },
-            )
-        } else {
-            pinpoint(&PinpointInput {
-                findings: &findings,
-                dependencies: self.dependencies.as_ref(),
-                concurrency_threshold: self.config.concurrency_threshold,
-                external_quorum: self.config.external_quorum,
-            })
-        };
+        // Component-level coverage, not the slave-answered ratio: every
+        // observed component yields a finding (even a healthy one), so
+        // findings + blind spots is the monitored universe. A crashed host
+        // whose shards all have surviving replicas loses no evidence and
+        // must not perturb the ensemble's confidences.
+        let observed =
+            coverage.component_coverage(findings.len() + coverage.unreachable_components.len());
+        let (verdict, pinpointed) = pinpoint_findings(
+            &self.config,
+            &findings,
+            self.dependencies.as_ref(),
+            observed,
+        );
         drop(pinpoint_span);
         DiagnosisReport {
             verdict,
@@ -336,7 +324,6 @@ impl TenantState {
             findings,
             removed_by_validation: Vec::new(),
             coverage,
-            snapshot: None,
             // Provenance: the engine the master is configured with. Each
             // slave daemon honors its *own* config at analysis time; in a
             // real deployment the master cannot retroactively change what
@@ -534,39 +521,6 @@ impl FleetMaster {
     ) -> DiagnosisReport {
         let mut report = self.diagnose(app, violation_at);
         validate_pinpointing(&mut report, probe);
-        report
-    }
-
-    /// Like [`FleetMaster::diagnose`], but the report carries a
-    /// [`fchain_obs::PipelineSnapshot`] of exactly this diagnosis's stage
-    /// timings and counters, labeled with the tenant's name. The payload
-    /// is identical to the unobserved report — snapshots are excluded
-    /// from report equality.
-    pub fn diagnose_observed(&self, app: AppId, violation_at: Tick) -> DiagnosisReport {
-        self.observed(app, || self.diagnose(app, violation_at))
-    }
-
-    /// [`FleetMaster::diagnose_validated`] with the diagnosis's own
-    /// labeled [`fchain_obs::PipelineSnapshot`] attached.
-    pub fn diagnose_validated_observed(
-        &self,
-        app: AppId,
-        violation_at: Tick,
-        probe: &mut dyn ValidationProbe,
-    ) -> DiagnosisReport {
-        self.observed(app, || self.diagnose_validated(app, violation_at, probe))
-    }
-
-    /// Runs one diagnosis of tenant `app` and attaches the observability
-    /// delta it produced, labeled with the tenant's name.
-    fn observed(&self, app: AppId, diagnose: impl FnOnce() -> DiagnosisReport) -> DiagnosisReport {
-        let before = obs::snapshot();
-        let mut report = diagnose();
-        let delta = obs::snapshot().delta_since(&before);
-        report.snapshot = Some(match self.tenant_name(app) {
-            Some(name) => delta.labeled(name),
-            None => delta,
-        });
         report
     }
 
@@ -1011,16 +965,6 @@ mod tests {
         assert_eq!(report.verdict, crate::Verdict::NoAnomaly);
         assert_eq!(report.app, AppId(7));
         assert!(report.coverage.is_complete());
-    }
-
-    #[test]
-    fn observed_diagnosis_is_labeled_with_the_tenant_name() {
-        let (fleet, shop, _) = two_tenant_fleet();
-        let report = fleet.diagnose_observed(shop, 990);
-        assert_eq!(report, fleet.diagnose(shop, 990), "snapshot excluded");
-        let snapshot = report.snapshot.expect("observed report has a snapshot");
-        assert_eq!(snapshot.app.as_deref(), Some("shop"));
-        assert!(snapshot.counter(obs::Counter::ComponentsAnalyzed) > 0);
     }
 
     #[test]

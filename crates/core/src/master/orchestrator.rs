@@ -114,28 +114,6 @@ impl Master {
     ) -> DiagnosisReport {
         self.fleet.diagnose_validated(self.app, violation_at, probe)
     }
-
-    /// Like [`Master::on_violation`], but the report carries a
-    /// [`fchain_obs::PipelineSnapshot`] of exactly this diagnosis's stage
-    /// timings and counters (the delta against the process-global
-    /// registry), labeled with the tenant name (`"default"`). The payload
-    /// is identical to the unobserved report — snapshots are excluded
-    /// from report equality.
-    pub fn on_violation_observed(&self, violation_at: Tick) -> DiagnosisReport {
-        self.fleet.diagnose_observed(self.app, violation_at)
-    }
-
-    /// [`Master::on_violation_validated`] with the diagnosis's own
-    /// [`fchain_obs::PipelineSnapshot`] attached (see
-    /// [`Master::on_violation_observed`]).
-    pub fn on_violation_validated_observed(
-        &self,
-        violation_at: Tick,
-        probe: &mut dyn ValidationProbe,
-    ) -> DiagnosisReport {
-        self.fleet
-            .diagnose_validated_observed(self.app, violation_at, probe)
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Integrated faulty component pinpointing (paper §II.C).
 
+use crate::config::FChainConfig;
+use crate::master::ensemble::{ensemble_pinpoint, EnsembleInput};
 use crate::report::{ComponentFinding, Verdict};
 use fchain_deps::DependencyGraph;
 use fchain_metrics::{ComponentId, Tick};
@@ -134,6 +136,36 @@ pub fn pinpoint(input: &PinpointInput<'_>) -> (Verdict, Vec<ComponentId>) {
 
     pinpointed.sort();
     (Verdict::Faulty, pinpointed)
+}
+
+/// Integrated pinpointing over collected findings: the ensemble stage
+/// when it is enabled, otherwise the paper's §II.C rules. `coverage` is
+/// the fraction of monitored components the findings observed
+/// ([`crate::DiagnosisCoverage::component_coverage`]); only the ensemble
+/// reads it.
+pub(crate) fn pinpoint_findings(
+    config: &FChainConfig,
+    findings: &[ComponentFinding],
+    dependencies: Option<&DependencyGraph>,
+    coverage: f64,
+) -> (Verdict, Vec<ComponentId>) {
+    if config.ensemble.enabled {
+        ensemble_pinpoint(
+            config,
+            &EnsembleInput {
+                findings,
+                dependencies,
+                coverage,
+            },
+        )
+    } else {
+        pinpoint(&PinpointInput {
+            findings,
+            dependencies,
+            concurrency_threshold: config.concurrency_threshold,
+            external_quorum: config.external_quorum,
+        })
+    }
 }
 
 #[cfg(test)]

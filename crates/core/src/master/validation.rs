@@ -62,7 +62,6 @@ pub const VALIDATION_MAX_METRICS: usize = 2;
 ///     ],
 ///     removed_by_validation: vec![],
 ///     coverage: Default::default(),
-///     snapshot: None,
 ///     engine: Default::default(),
 ///     app: Default::default(),
 /// };
@@ -137,7 +136,6 @@ mod tests {
                 .collect(),
             removed_by_validation: vec![],
             coverage: Default::default(),
-            snapshot: None,
             engine: Default::default(),
             app: Default::default(),
         }

@@ -3,7 +3,6 @@
 use crate::config::AnalysisEngine;
 use fchain_detect::Trend;
 use fchain_metrics::{AppId, ComponentId, MetricKind, Tick};
-use fchain_obs::PipelineSnapshot;
 use serde::{Deserialize, Serialize};
 
 /// One abnormal change selected on one metric of one component.
@@ -192,16 +191,9 @@ pub struct DiagnosisReport {
     /// coverage for diagnosis paths that never fan out over slaves (the
     /// batch [`crate::FChain`] API).
     pub coverage: DiagnosisCoverage,
-    /// Per-stage timings and counters observed while producing this
-    /// report (`None` unless requested via an `*_observed` entry point or
-    /// the `obs` CLI paths). Timings are wall-clock and therefore
-    /// nondeterministic — this field is deliberately excluded from
-    /// `PartialEq` so observed and unobserved diagnoses of the same data
-    /// still compare equal.
-    pub snapshot: Option<PipelineSnapshot>,
     /// Which analysis engine produced this report. Provenance only: both
     /// engines yield bit-identical findings, so the field is excluded
-    /// from `PartialEq` (like `snapshot`) and cross-engine reports of the
+    /// from `PartialEq` and cross-engine reports of the
     /// same data compare equal — which is exactly what the parity suite
     /// asserts.
     /// Older serialized reports lack the field — its `Deserialize` maps
@@ -216,11 +208,10 @@ pub struct DiagnosisReport {
     pub app: AppId,
 }
 
-/// Equality over the diagnosis *payload* only: `snapshot` carries
-/// wall-clock timings and `engine` and `app` are provenance, so all three
-/// are ignored, keeping report comparison (and the determinism/parity
-/// suites) meaningful for instrumented, cross-engine and fleet-of-one
-/// runs.
+/// Equality over the diagnosis *payload* only: `engine` and `app` are
+/// provenance, so both are ignored, keeping report comparison (and the
+/// determinism/parity suites) meaningful for cross-engine and
+/// fleet-of-one runs.
 impl PartialEq for DiagnosisReport {
     fn eq(&self, other: &Self) -> bool {
         self.verdict == other.verdict
@@ -320,7 +311,6 @@ mod tests {
             ],
             removed_by_validation: vec![],
             coverage: DiagnosisCoverage::default(),
-            snapshot: None,
             engine: AnalysisEngine::default(),
             app: AppId::default(),
         };
@@ -341,20 +331,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_engine_and_app_are_excluded_from_report_equality() {
+    fn engine_and_app_are_excluded_from_report_equality() {
         let base = DiagnosisReport {
             verdict: Verdict::NoAnomaly,
             pinpointed: vec![],
             findings: vec![],
             removed_by_validation: vec![],
             coverage: DiagnosisCoverage::default(),
-            snapshot: None,
             engine: AnalysisEngine::Streaming,
             app: AppId::default(),
         };
-        let mut observed = base.clone();
-        observed.snapshot = Some(PipelineSnapshot::empty());
-        assert_eq!(base, observed, "snapshot must not affect equality");
         let mut batch = base.clone();
         batch.engine = AnalysisEngine::Batch;
         assert_eq!(base, batch, "engine provenance must not affect equality");

@@ -28,7 +28,8 @@ use crate::slave::selection::{
     SelectionScratch,
 };
 use fchain_metrics::{
-    stats, AppId, ComponentId, MetricKind, PercentileSketch, Tick, TieredSeries, COLD_BLOCK_SAMPLES,
+    stats, AppId, ComponentId, MetricKind, PercentileSketch, Tick, TieredSeries, TimeSeries,
+    COLD_BLOCK_SAMPLES,
 };
 use fchain_model::OnlineLearner;
 use fchain_obs as obs;
@@ -62,6 +63,34 @@ pub struct MetricSample {
     pub kind: MetricKind,
     /// The sampled value.
     pub value: f64,
+}
+
+impl MetricSample {
+    /// Replays one component's recorded history (`metrics` indexed by
+    /// [`MetricKind::index`]) kind-major in [`MetricKind::ALL`] order,
+    /// each series tick-ascending from its start. Every harness staging
+    /// a recorded case feeds this one stream, so in-process, socket and
+    /// fleet slaves hold identical state. Non-finite values pass
+    /// through; dropping them is the daemon's job.
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics if `metrics` holds fewer than six series.
+    pub fn replay(
+        component: ComponentId,
+        metrics: &[TimeSeries],
+    ) -> impl Iterator<Item = MetricSample> + '_ {
+        MetricKind::ALL.into_iter().flat_map(move |kind| {
+            metrics[kind.index()]
+                .iter()
+                .map(move |(tick, value)| MetricSample {
+                    tick,
+                    component,
+                    kind,
+                    value,
+                })
+        })
+    }
 }
 
 /// Per-metric online state: the learner plus bounded recent history, and
@@ -723,6 +752,65 @@ mod tests {
         feed_component(&daemon, ComponentId(1), 1000, None);
         let finding = daemon.analyze(ComponentId(1), 990).expect("monitored");
         assert!(finding.changes.is_empty(), "{:?}", finding.changes);
+    }
+
+    #[test]
+    fn replay_is_kind_major_tick_ascending_and_matches_live_ingest() {
+        let (c, start, n) = (ComponentId(3), 7u64, 900u64);
+        let value = |kind: MetricKind, t: u64| {
+            let normal = 40.0 + ((t * (kind.index() as u64 + 2)) % 5) as f64;
+            if kind == MetricKind::Cpu && t >= 850 {
+                normal + 50.0
+            } else {
+                normal
+            }
+        };
+        let mut metrics: Vec<TimeSeries> = MetricKind::ALL
+            .iter()
+            .map(|&kind| {
+                TimeSeries::from_samples(start, (start..n).map(|t| value(kind, t)).collect())
+            })
+            .collect();
+        let len = (n - start) as usize;
+
+        let samples: Vec<MetricSample> = MetricSample::replay(c, &metrics).collect();
+        assert_eq!(samples.len(), 6 * len);
+        for (i, s) in samples.iter().enumerate() {
+            let (kind, t) = (MetricKind::ALL[i / len], start + (i % len) as u64);
+            assert_eq!((s.component, s.kind, s.tick), (c, kind, t));
+            assert_eq!(s.value.to_bits(), value(kind, t).to_bits());
+        }
+
+        // Fed the replay or fed live, tick by tick, the daemon holds the
+        // same state.
+        let live = SlaveDaemon::new(FChainConfig::default());
+        for t in start..n {
+            for kind in MetricKind::ALL {
+                live.ingest(MetricSample {
+                    tick: t,
+                    component: c,
+                    kind,
+                    value: value(kind, t),
+                });
+            }
+        }
+        let replayed = SlaveDaemon::new(FChainConfig::default());
+        for sample in MetricSample::replay(c, &metrics) {
+            replayed.ingest(sample);
+        }
+        let finding = replayed.analyze(c, 890).expect("monitored");
+        assert!(finding.onset().is_some());
+        assert_eq!(finding, live.analyze(c, 890).expect("monitored"));
+
+        // Non-finite values reach the daemon; the iterator filters nothing.
+        metrics[MetricKind::Memory.index()] =
+            TimeSeries::from_samples(0, vec![1.0, f64::NAN, f64::INFINITY]);
+        let memory: Vec<f64> = MetricSample::replay(c, &metrics)
+            .filter(|s| s.kind == MetricKind::Memory)
+            .map(|s| s.value)
+            .collect();
+        assert_eq!(memory.len(), 3);
+        assert!(memory[1].is_nan() && memory[2] == f64::INFINITY);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::fleet::{FleetCampaign, StagedTenant};
 use crate::score::Counts;
 use fchain_core::slave::{MetricSample, SlaveDaemon};
 use fchain_core::{FleetMaster, FleetReport, FleetViolation, SlaveEndpoint, TenantSlave};
-use fchain_metrics::{ComponentId, MetricKind};
+use fchain_metrics::ComponentId;
 use serde_json::json;
 use std::sync::Arc;
 
@@ -229,18 +229,8 @@ fn solo_report(campaign: &FleetCampaign, tenant: &StagedTenant) -> FleetReport {
     let app = fleet.add_tenant(&tenant.outcome.name);
     for (c, component) in tenant.case.components.iter().enumerate() {
         let host = &pool[(tenant.outcome.tenant + c) % campaign.hosts];
-        for kind in MetricKind::ALL {
-            for (tick, value) in component.metric(kind).iter() {
-                host.ingest_for(
-                    app,
-                    MetricSample {
-                        tick,
-                        component: component.id,
-                        kind,
-                        value,
-                    },
-                );
-            }
+        for sample in MetricSample::replay(component.id, &component.metrics) {
+            host.ingest_for(app, sample);
         }
     }
     for daemon in &pool {

@@ -13,7 +13,7 @@ use crate::score::Counts;
 use fchain_core::master::Master;
 use fchain_core::slave::{MetricSample, SlaveDaemon};
 use fchain_core::{FChainConfig, FaultySlave, SlaveEndpoint, SlaveFaultSchedule};
-use fchain_metrics::{MetricKind, Tick};
+use fchain_metrics::Tick;
 use fchain_sim::{AppKind, FaultKind, RunConfig, Simulator};
 use serde_json::json;
 use std::sync::Arc;
@@ -118,15 +118,8 @@ impl DegradedCampaign {
                 .collect();
             for (c, component) in case.components.iter().enumerate() {
                 let host = &daemons[c % self.hosts];
-                for kind in MetricKind::ALL {
-                    for (tick, value) in component.metric(kind).iter() {
-                        host.ingest(MetricSample {
-                            tick,
-                            component: component.id,
-                            kind,
-                            value,
-                        });
-                    }
+                for sample in MetricSample::replay(component.id, &component.metrics) {
+                    host.ingest(sample);
                 }
             }
 

@@ -25,7 +25,7 @@ use fchain_core::{
     FChain, FChainConfig, FaultySlave, FleetMaster, FleetViolation, SlaveEndpoint, SlaveFault,
     TenantSlave, Transport,
 };
-use fchain_metrics::{stats, AppId, ComponentId, MetricKind, Tick};
+use fchain_metrics::{stats, AppId, ComponentId, Tick};
 use fchain_sim::{tenant_mix, RunConfig, Simulator};
 use fchain_wire::{RemoteSlave, WireAddr, WireServer};
 use serde_json::json;
@@ -335,18 +335,8 @@ impl FleetCampaign {
             }
             for (c, component) in case.components.iter().enumerate() {
                 let host = &pool[(i + c) % self.hosts];
-                for kind in MetricKind::ALL {
-                    for (tick, value) in component.metric(kind).iter() {
-                        host.ingest_for(
-                            app,
-                            MetricSample {
-                                tick,
-                                component: component.id,
-                                kind,
-                                value,
-                            },
-                        );
-                    }
+                for sample in MetricSample::replay(component.id, &component.metrics) {
+                    host.ingest_for(app, sample);
                 }
             }
             for host in 0..pool.len() {

@@ -9,9 +9,9 @@
 //! 2. **Fixed shape.** [`snapshot`] returns every stage and counter,
 //!    recorded or not, so report schemas never change.
 //! 3. **Determinism-safe.** Instrumentation observes the pipeline, never
-//!    steers it: snapshots are excluded from report equality, and a runtime
-//!    kill switch ([`set_enabled`]) lets one binary measure its own
-//!    overhead.
+//!    steers it: snapshots live beside reports, never inside them, and a
+//!    runtime kill switch ([`set_enabled`]) lets one binary measure its
+//!    own overhead.
 //!
 //! ```
 //! use fchain_obs as obs;

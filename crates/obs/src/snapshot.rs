@@ -132,7 +132,7 @@ pub struct PipelineSnapshot {
     /// Counter values, in [`Counter::ALL`] order.
     pub counters: Vec<CounterSnapshot>,
     /// Which tenant application this snapshot was recorded for, when the
-    /// producer scoped it (per-tenant fleet diagnoses label their deltas;
+    /// producer scoped it (`fchain obs` labels its one diagnosis's delta;
     /// whole-process snapshots stay unlabeled). Snapshots serialized
     /// before the fleet layer existed lack the field — `Option`'s
     /// `Deserialize` maps absence to `None`.

@@ -76,15 +76,8 @@ fn master_from_seeded_run_with(
         .collect();
     for (i, component) in case.components.iter().enumerate() {
         let host = &hosts[i % hosts.len()];
-        for kind in MetricKind::ALL {
-            for (tick, value) in component.metric(kind).iter() {
-                host.ingest(MetricSample {
-                    tick,
-                    component: component.id,
-                    kind,
-                    value,
-                });
-            }
+        for sample in MetricSample::replay(component.id, &component.metrics) {
+            host.ingest(sample);
         }
     }
     let mut master = Master::new(config.clone());
@@ -128,18 +121,8 @@ fn fleet_from_seeded_run(
         .collect();
     for (i, component) in case.components.iter().enumerate() {
         let host = &hosts[i % hosts.len()];
-        for kind in MetricKind::ALL {
-            for (tick, value) in component.metric(kind).iter() {
-                host.ingest_for(
-                    tenant,
-                    MetricSample {
-                        tick,
-                        component: component.id,
-                        kind,
-                        value,
-                    },
-                );
-            }
+        for sample in MetricSample::replay(component.id, &component.metrics) {
+            host.ingest_for(tenant, sample);
         }
     }
     for host in hosts {
@@ -370,13 +353,6 @@ fn disabled_ensemble_is_invisible_and_enabled_is_deterministic() {
     assert!(compared >= 2, "only {compared} seeded cases fired");
 }
 
-/// Reports over real sockets must be bit-identical to in-process: the
-/// same golden campaign case staged into two *separate-process*
-/// `fchaind` daemons (spawned from the built binary), streamed over the
-/// wire, collected through [`fchain::wire::RemoteSlave`] endpoints —
-/// over UDS and TCP, on both analysis engines, with answers arriving in
-/// registration order and reversed. This is the transport-seam contract: the wire protocol adds failure
-/// modes, never different answers.
 /// Instrumentation observes, never steers: the same master answers the
 /// same violation identically with recording switched off and back on,
 /// and the switch really does stop recording in between.
@@ -390,11 +366,17 @@ fn instrumentation_switch_leaves_reports_unchanged() {
         let Some((master, violation_at)) = master_from_seeded_run(app, fault, seed) else {
             continue;
         };
-        let recorded = master.on_violation_observed(violation_at);
+        // The diagnosis's own profile: the registry delta around it.
+        let observed = || {
+            let before = obs::snapshot();
+            let report = master.on_violation(violation_at);
+            (report, obs::snapshot().delta_since(&before))
+        };
+        let (recorded, recorded_delta) = observed();
         obs::set_enabled(false);
-        let silent = master.on_violation_observed(violation_at);
+        let (silent, silent_delta) = observed();
         obs::set_enabled(true);
-        let again = master.on_violation_observed(violation_at);
+        let (again, again_delta) = observed();
 
         assert_eq!(
             recorded, silent,
@@ -404,15 +386,11 @@ fn instrumentation_switch_leaves_reports_unchanged() {
             recorded, again,
             "{app:?}/{fault:?} seed {seed}: report drifted"
         );
-        let counted = |r: &fchain::core::DiagnosisReport| {
-            r.snapshot
-                .as_ref()
-                .expect("observed report carries a snapshot")
-                .counter(obs::Counter::ComponentsAnalyzed)
-        };
-        assert!(counted(&recorded) > 0 && counted(&again) > 0);
+        let counted =
+            |delta: &obs::PipelineSnapshot| delta.counter(obs::Counter::ComponentsAnalyzed);
+        assert!(counted(&recorded_delta) > 0 && counted(&again_delta) > 0);
         assert!(
-            silent.snapshot.as_ref().is_some_and(|s| s.is_empty()),
+            silent_delta.is_empty(),
             "recording continued with the switch off"
         );
         compared += 1;
@@ -420,6 +398,13 @@ fn instrumentation_switch_leaves_reports_unchanged() {
     assert!(compared >= 1, "no seeded case fired");
 }
 
+/// Reports over real sockets must be bit-identical to in-process: the
+/// same golden campaign case staged into two *separate-process*
+/// `fchaind` daemons (spawned from the built binary), streamed over the
+/// wire, collected through [`fchain::wire::RemoteSlave`] endpoints —
+/// over UDS and TCP, on both analysis engines, with answers arriving in
+/// registration order and reversed. This is the transport-seam contract:
+/// the wire protocol adds failure modes, never different answers.
 #[test]
 fn socket_transports_match_in_process_reports() {
     use fchain::wire::{RemoteSlave, WireAddr};
@@ -495,17 +480,8 @@ fn socket_transports_match_in_process_reports() {
             // reference uses, streamed over the socket.
             for (i, component) in case.components.iter().enumerate() {
                 let remote = &remotes[i % remotes.len()];
-                let mut batch = Vec::new();
-                for kind in MetricKind::ALL {
-                    for (tick, value) in component.metric(kind).iter() {
-                        batch.push(fchain::core::slave::MetricSample {
-                            tick,
-                            component: component.id,
-                            kind,
-                            value,
-                        });
-                    }
-                }
+                let batch: Vec<MetricSample> =
+                    MetricSample::replay(component.id, &component.metrics).collect();
                 for chunk in batch.chunks(16384) {
                     remote
                         .ingest_batch(AppId::default(), chunk.to_vec())

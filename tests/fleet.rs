@@ -15,7 +15,6 @@ use fchain::core::{
     FChainConfig, FleetMaster, FleetViolation, SlaveEndpoint, TenantSlave, Verdict, MIN_LOOKBACK,
 };
 use fchain::eval::{case_from_run, FleetCampaign};
-use fchain::metrics::MetricKind;
 use fchain::obs::{self, Counter};
 use fchain::sim::{tenant_mix, RunConfig, Simulator};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -47,18 +46,8 @@ fn heterogeneous_fleet_drains_on_both_paths_identically() {
         let tenant = fleet.add_tenant(app_kind.name());
         for (c, component) in case.components.iter().enumerate() {
             let host = &pool[(i + c) % pool.len()];
-            for kind in MetricKind::ALL {
-                for (tick, value) in component.metric(kind).iter() {
-                    host.ingest_for(
-                        tenant,
-                        MetricSample {
-                            tick,
-                            component: component.id,
-                            kind,
-                            value,
-                        },
-                    );
-                }
+            for sample in MetricSample::replay(component.id, &component.metrics) {
+                host.ingest_for(tenant, sample);
             }
         }
         for host in &pool {

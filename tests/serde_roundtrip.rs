@@ -66,9 +66,10 @@ fn config_roundtrips_with_every_knob() {
     assert_eq!(back, config);
 }
 
-/// Configs archived while the fleet knobs and the ensemble tuning were
-/// settable carry a `fleet` map and a five-key `ensemble` map. Both still
-/// load: the retired keys are ignored and the ensemble switch is kept.
+/// Configs archived while the transport, the fleet knobs and the
+/// ensemble tuning were settable carry a `transport` name, a `fleet` map
+/// and a five-key `ensemble` map. They still load: the retired keys are
+/// ignored and the ensemble switch is kept.
 #[test]
 fn archived_fleet_and_ensemble_keys_still_load() {
     let config = FChainConfig {
@@ -86,6 +87,7 @@ fn archived_fleet_and_ensemble_keys_still_load() {
     assert_eq!(entries.len(), before - 1, "ensemble field not serialized");
     let archived_keys: serde_json::Value = serde_json::from_str(
         r#"{
+            "transport": "uds",
             "fleet": {"max_tenants": 16, "scheduler_seed": 99, "tenant_deadline_ms": 750},
             "ensemble": {"enabled": true, "confidence_floor": 1.5, "coverage_penalty": 2.0,
                          "centrality_widening": false, "silent_hole": false}
