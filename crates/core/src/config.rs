@@ -8,20 +8,22 @@ use std::str::FromStr;
 
 /// Which analysis implementation the slaves run at violation time.
 ///
-/// Both engines execute the same §II.B pipeline and produce bit-identical
-/// [`crate::ComponentFinding`]s — the parity is enforced by tests in
-/// `tests/determinism.rs`. They differ in *when* the work happens:
+/// Both engines run the same §II.B selection code over reused scratch
+/// buffers and produce bit-identical [`crate::ComponentFinding`]s — the
+/// parity is enforced by tests in `tests/determinism.rs`. The engine
+/// only decides which result-preserving shortcuts may fire:
 ///
-/// * [`AnalysisEngine::Batch`] — the reference implementation: everything
-///   (error-floor percentiles, smoothing, CUSUM + bootstrap, burst FFT,
-///   rollback) is recomputed from scratch at violation time.
+/// * [`AnalysisEngine::Batch`] — the reference: every metric runs the
+///   whole pipeline (error-floor percentiles, smoothing, CUSUM with every
+///   bootstrap reshuffle, burst FFT, rollback), and the slave frees its
+///   analysis buffers after each analysis.
 /// * [`AnalysisEngine::Streaming`] — the default: `ingest()` maintains
 ///   per-metric state (an exact sliding percentile sketch of the
 ///   normal-behaviour error span) so at violation time the engine reads
 ///   the error floor in O(1), screens out metrics whose window-maximum
-///   prediction error provably cannot pass the predictability filter, and
-///   runs the full pipeline only on the survivors — with persistent
-///   scratch buffers, so nothing allocates after warm-up.
+///   prediction error provably cannot pass the predictability filter,
+///   prunes rejection-certain CUSUM bootstrap segments, and keeps each
+///   component's analysis buffers, so nothing allocates after warm-up.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum AnalysisEngine {
     /// Recompute the whole pipeline at violation time (reference).
@@ -423,37 +425,48 @@ impl FChainConfig {
         }
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency, including the nested CUSUM and
+    /// learner configurations — a config that passes can analyze.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on nonsensical values (zero windows, out-of-range fractions).
-    pub fn validate(&self) {
-        assert!(
-            (MIN_LOOKBACK..=MAX_LOOKBACK).contains(&self.lookback),
-            "lookback must be within [{MIN_LOOKBACK}, {MAX_LOOKBACK}] ticks"
-        );
-        assert!(self.burst_window >= 2, "burst window too small");
-        assert!(
-            (0.0..=1.0).contains(&self.high_freq_fraction),
-            "high_freq_fraction must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=100.0).contains(&self.burst_percentile),
-            "burst_percentile must be in [0, 100]"
-        );
-        assert!(
-            self.tangent_epsilon > 0.0,
-            "tangent_epsilon must be positive"
-        );
-        assert!(
-            self.slave_retries <= 16,
-            "slave_retries must stay bounded (a crashed host is not coming back)"
-        );
-        assert!(
-            self.slave_backoff_ms <= 60_000,
-            "slave_backoff_ms must stay under a minute"
-        );
+    /// Names the first nonsensical value (zero windows, out-of-range
+    /// fractions, a detector or learner that cannot run).
+    pub fn validate(&self) -> Result<(), String> {
+        if !(MIN_LOOKBACK..=MAX_LOOKBACK).contains(&self.lookback) {
+            return Err(format!(
+                "lookback {} is outside [{MIN_LOOKBACK}, {MAX_LOOKBACK}] ticks",
+                self.lookback
+            ));
+        }
+        let rules = [
+            (self.burst_window >= 2, "burst window too small"),
+            (
+                (0.0..=1.0).contains(&self.high_freq_fraction),
+                "high_freq_fraction must be in [0, 1]",
+            ),
+            (
+                (0.0..=100.0).contains(&self.burst_percentile),
+                "burst_percentile must be in [0, 100]",
+            ),
+            (
+                self.tangent_epsilon > 0.0,
+                "tangent_epsilon must be positive",
+            ),
+            (
+                self.slave_retries <= 16,
+                "slave_retries must stay bounded (a crashed host is not coming back)",
+            ),
+            (
+                self.slave_backoff_ms <= 60_000,
+                "slave_backoff_ms must stay under a minute",
+            ),
+        ];
+        if let Some((_, rule)) = rules.iter().find(|(ok, _)| !ok) {
+            return Err(rule.to_string());
+        }
+        self.cusum.validate().map_err(|e| format!("cusum: {e}"))?;
+        self.learner.validate().map_err(|e| format!("learner: {e}"))
     }
 }
 
@@ -471,7 +484,7 @@ mod tests {
         assert_eq!(c.concurrency_threshold, 2);
         assert_eq!(c.tangent_epsilon, 0.1);
         assert_eq!(c.engine, AnalysisEngine::Streaming);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -538,7 +551,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lookback")]
     fn tiny_lookback_rejected() {
-        FChainConfig::with_lookback(5).validate();
+        FChainConfig::with_lookback(5).validate().unwrap();
     }
 
     #[test]
@@ -557,13 +570,30 @@ mod tests {
         // A window past one day would size the slave's rings and CUSUM
         // buffers from it: overflow or an allocation abort, not a config
         // error.
-        FChainConfig::with_lookback(MAX_LOOKBACK + 1).validate();
+        FChainConfig::with_lookback(MAX_LOOKBACK + 1)
+            .validate()
+            .unwrap();
     }
 
     #[test]
     fn lookback_bounds_are_inclusive() {
-        FChainConfig::with_lookback(MIN_LOOKBACK).validate();
-        FChainConfig::with_lookback(MAX_LOOKBACK).validate();
+        assert_eq!(FChainConfig::with_lookback(MIN_LOOKBACK).validate(), Ok(()));
+        assert_eq!(FChainConfig::with_lookback(MAX_LOOKBACK).validate(), Ok(()));
+    }
+
+    #[test]
+    fn nested_configs_that_cannot_analyze_are_rejected() {
+        // Zero bootstraps or zero quantizer bins pass serde but would
+        // panic at the first collect or ingest; validation must catch
+        // them up front.
+        let mut no_bootstraps = FChainConfig::default();
+        no_bootstraps.cusum.bootstraps = 0;
+        let err = no_bootstraps.validate().unwrap_err();
+        assert!(err.contains("cusum") && err.contains("bootstraps"), "{err}");
+        let mut no_bins = FChainConfig::default();
+        no_bins.learner.bins = 0;
+        let err = no_bins.validate().unwrap_err();
+        assert!(err.contains("learner") && err.contains("bins"), "{err}");
     }
 
     #[test]
@@ -608,6 +638,6 @@ mod tests {
             slave_retries: 1000,
             ..FChainConfig::default()
         };
-        c.validate();
+        c.validate().unwrap();
     }
 }

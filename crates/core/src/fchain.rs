@@ -31,7 +31,9 @@ impl FChain {
     /// Panics if the configuration is invalid (see
     /// [`FChainConfig::validate`]).
     pub fn new(config: FChainConfig) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid FChainConfig: {e}");
+        }
         FChain { config }
     }
 

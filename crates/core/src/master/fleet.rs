@@ -389,7 +389,9 @@ impl FleetMaster {
     /// Panics if the configuration is invalid (see
     /// [`FChainConfig::validate`]).
     pub fn new(config: FChainConfig) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid FChainConfig: {e}");
+        }
         FleetMaster {
             config,
             registry: AppRegistry::default(),
@@ -569,45 +571,32 @@ impl FleetMaster {
         obs::count(obs::Counter::FleetLanes, lanes.len() as u64);
 
         let started = Instant::now();
-        let mut reports: Vec<Option<FleetReport>> = Vec::new();
-        if lanes.len() <= 1 {
-            reports = order
-                .iter()
-                .map(|v| {
-                    Some(FleetReport {
-                        app: v.app,
-                        violation_at: v.violation_at,
-                        report: self.diagnose(v.app, v.violation_at),
-                        latency: started.elapsed(),
-                    })
-                })
-                .collect();
-        } else {
-            let slots: Vec<Mutex<Option<FleetReport>>> =
-                order.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for positions in lanes.values() {
-                    let order = &order;
-                    let slots = &slots;
-                    scope.spawn(move || {
-                        for &pos in positions {
-                            let v = order[pos];
-                            let report = self.diagnose(v.app, v.violation_at);
-                            *slots[pos].lock() = Some(FleetReport {
-                                app: v.app,
-                                violation_at: v.violation_at,
-                                report,
-                                latency: started.elapsed(),
-                            });
-                        }
-                    });
-                }
-            });
-            reports.extend(slots.into_iter().map(Mutex::into_inner));
-        }
-        reports
+        let slots: Vec<Mutex<Option<FleetReport>>> =
+            order.iter().map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for positions in lanes.values() {
+                let order = &order;
+                let slots = &slots;
+                scope.spawn(move || {
+                    for &pos in positions {
+                        let v = order[pos];
+                        let report = self.diagnose(v.app, v.violation_at);
+                        *slots[pos].lock() = Some(FleetReport {
+                            app: v.app,
+                            violation_at: v.violation_at,
+                            report,
+                            latency: started.elapsed(),
+                        });
+                    }
+                });
+            }
+        });
+        slots
             .into_iter()
-            .map(|r| r.expect("every scheduled violation is diagnosed"))
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("every scheduled violation is diagnosed")
+            })
             .collect()
     }
 }
@@ -798,34 +787,22 @@ mod tests {
     #[test]
     fn drain_matches_standalone_diagnoses() {
         let (fleet, shop, wiki) = two_tenant_fleet();
-        let violations = [
-            FleetViolation {
-                app: wiki,
-                violation_at: 990,
-            },
-            FleetViolation {
-                app: shop,
-                violation_at: 990,
-            },
-            FleetViolation {
-                app: shop,
-                violation_at: 985,
-            },
-        ];
-        let drained = fleet.on_violations(&violations);
-        // Reports come back in schedule order...
-        let drained_order: Vec<FleetViolation> = drained
-            .iter()
-            .map(|r| FleetViolation {
-                app: r.app,
-                violation_at: r.violation_at,
-            })
-            .collect();
-        assert_eq!(drained_order, fleet.schedule(&violations));
-        // ...and each is bit-identical to a standalone diagnosis.
-        for r in &drained {
-            assert_eq!(r.report, fleet.diagnose(r.app, r.violation_at));
-            assert_eq!(r.report.app, r.app);
+        let v = |app, violation_at| FleetViolation { app, violation_at };
+        // Two lanes, then a single-tenant list that drains in one lane.
+        for violations in [
+            vec![v(wiki, 990), v(shop, 990), v(shop, 985)],
+            vec![v(shop, 990), v(shop, 985)],
+        ] {
+            let drained = fleet.on_violations(&violations);
+            // Reports come back in schedule order...
+            let drained_order: Vec<FleetViolation> =
+                drained.iter().map(|r| v(r.app, r.violation_at)).collect();
+            assert_eq!(drained_order, fleet.schedule(&violations));
+            // ...and each is bit-identical to a standalone diagnosis.
+            for r in &drained {
+                assert_eq!(r.report, fleet.diagnose(r.app, r.violation_at));
+                assert_eq!(r.report.app, r.app);
+            }
         }
     }
 

@@ -23,12 +23,9 @@ use crate::config::{AnalysisEngine, FChainConfig};
 use crate::master::endpoint::CollectRequest;
 use crate::report::{AbnormalChange, ComponentFinding};
 use crate::slave::derived::DerivedSeries;
-use crate::slave::selection::{
-    error_floor_from_parts, select_abnormal_changes, select_abnormal_changes_streaming,
-    SelectionScratch,
-};
+use crate::slave::selection::{error_floor_sorted, select, SelectionScratch};
 use fchain_metrics::{
-    stats, AppId, ComponentId, MetricKind, PercentileSketch, Tick, TieredSeries, TimeSeries,
+    AppId, ComponentId, MetricKind, PercentileSketch, Tick, TieredSeries, TimeSeries,
     COLD_BLOCK_SAMPLES,
 };
 use fchain_model::OnlineLearner;
@@ -188,17 +185,14 @@ impl MetricState {
     /// computation over `errors[cal .. n − w]` because the sketch holds
     /// exactly that multiset, sorted the same way.
     fn sketch_floor(&self, config: &FChainConfig) -> f64 {
-        let sorted = self.sketch.sorted();
-        let p90 = stats::percentile_sorted(sorted, 90.0).unwrap_or(0.0);
-        let p99 = stats::percentile_sorted(sorted, 99.0).unwrap_or(0.0);
-        let max_normal = sorted.last().copied().unwrap_or(0.0);
-        error_floor_from_parts(p90, p99, max_normal, config)
+        error_floor_sorted(self.sketch.sorted(), config)
     }
 }
 
-/// The streaming engine's per-component violation-time buffers: the ring
-/// snapshots and the selection pipeline's scratch, allocated on the first
-/// analysis and reused for every later one.
+/// One component's violation-time buffers: the ring snapshots and the
+/// selection pipeline's scratch. Both engines analyze through one; the
+/// streaming engine keeps it in the shard for the next analysis, the
+/// batch engine drops it when the analysis ends.
 #[derive(Debug)]
 struct AnalysisScratch {
     hist: Vec<f64>,
@@ -224,8 +218,9 @@ struct ComponentState {
     /// Indexed by [`MetricKind::index`]; `None` until the first sample of
     /// that kind arrives.
     metrics: [Option<MetricState>; 6],
-    /// Streaming-engine analysis buffers; `None` until the first analysis
-    /// (and always `None` under the batch engine).
+    /// Streaming-engine analysis buffers kept between analyses; `None`
+    /// until the first analysis (and always `None` under the batch
+    /// engine).
     scratch: Option<Box<AnalysisScratch>>,
 }
 
@@ -290,8 +285,15 @@ pub struct SlaveDaemon {
 impl SlaveDaemon {
     /// Creates a daemon retaining enough history for the configured
     /// look-back window plus the model's normal-error span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid (see
+    /// [`FChainConfig::validate`]).
     pub fn new(config: FChainConfig) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid FChainConfig: {e}");
+        }
         let capacity = Self::capacity_for_lookback(config.lookback);
         SlaveDaemon {
             config,
@@ -569,15 +571,14 @@ impl SlaveDaemon {
 
     /// The per-component analysis, run under that component's lock.
     ///
-    /// Engine dispatch happens here. The batch reference reproduces the
-    /// original behaviour exactly: snapshot the rings into fresh vectors
-    /// and run the full selection pipeline. The streaming engine reuses
-    /// the component's persistent scratch (no steady-state allocation)
-    /// and, when the violation tick coincides with the latest sample,
-    /// hands the selection core the error floor precomputed by the ingest
-    /// path — the reads that let it screen out provably clean metrics
-    /// before smoothing/CUSUM/FFT ever run. Both engines share one
-    /// selection core, so their findings are bit-identical.
+    /// Both engines snapshot the rings into one scratch bundle and run
+    /// the same selection pipeline, so their findings are bit-identical.
+    /// When the violation tick coincides with the latest sample, the
+    /// streaming engine hands the pipeline the error floor its ingest path
+    /// maintained, the read that lets it screen out provably clean
+    /// metrics before smoothing/CUSUM/FFT run. The engine also decides
+    /// whether the shard keeps the scratch: streaming reuses it (no
+    /// steady-state allocation), batch frees it after every analysis.
     fn analyze_shard(
         &self,
         component: ComponentId,
@@ -587,10 +588,10 @@ impl SlaveDaemon {
     ) -> Option<ComponentFinding> {
         let _span = obs::time(obs::Stage::SlaveAnalyze);
         obs::count(obs::Counter::ComponentsAnalyzed, 1);
-        let streaming = self.config.engine == AnalysisEngine::Streaming;
-        if streaming && comp.scratch.is_none() {
-            comp.scratch = Some(Box::new(AnalysisScratch::new(&self.config)));
-        }
+        let mut scratch = comp
+            .scratch
+            .take()
+            .unwrap_or_else(|| Box::new(AnalysisScratch::new(&self.config)));
         let mut changes: Vec<AbnormalChange> = Vec::new();
         let mut seen = false;
         for kind in MetricKind::ALL {
@@ -611,40 +612,33 @@ impl SlaveDaemon {
             if state.values.len() <= drop_tail + 40 {
                 continue;
             }
-            let change = if streaming {
-                let scratch = comp.scratch.as_mut().expect("scratch installed above");
-                state.values.copy_into(&mut scratch.hist);
-                state.errors.copy_into(&mut scratch.errs, &state.values);
-                scratch.hist.truncate(state.values.len() - drop_tail);
-                scratch.errs.truncate(state.errors.len() - drop_tail);
-                // The sketch mirrors the normal span of the ring's *full*
-                // contents at the configured window; trimming a tail moves
-                // the span and a per-call look-back override moves the
-                // window boundary, so the O(1) floor only applies when
-                // neither happened.
-                let floor_hint =
-                    (drop_tail == 0 && state.sketch_ok && lookback == self.config.lookback)
-                        .then(|| state.sketch_floor(&self.config));
-                select_abnormal_changes_streaming(
-                    &scratch.hist,
-                    &scratch.errs,
-                    kind,
-                    violation_at,
-                    lookback,
-                    &self.config,
-                    floor_hint,
-                    &mut scratch.selection,
-                )
-            } else {
-                let values = state.values.to_vec();
-                let errors = state.errors.to_vec(&state.values);
-                let hist = &values[..values.len() - drop_tail];
-                let errs = &errors[..errors.len() - drop_tail];
-                select_abnormal_changes(hist, errs, kind, violation_at, lookback, &self.config)
-            };
-            if let Some(change) = change {
+            state.values.copy_into(&mut scratch.hist);
+            state.errors.copy_into(&mut scratch.errs, &state.values);
+            scratch.hist.truncate(state.values.len() - drop_tail);
+            scratch.errs.truncate(state.errors.len() - drop_tail);
+            // The sketch (live only under the streaming engine) mirrors
+            // the normal span of the ring's *full* contents at the
+            // configured window; trimming a tail moves the span and a
+            // per-call look-back override moves the window boundary, so
+            // the O(1) floor only applies when neither happened.
+            let floor_hint =
+                (drop_tail == 0 && state.sketch_ok && lookback == self.config.lookback)
+                    .then(|| state.sketch_floor(&self.config));
+            if let Some(change) = select(
+                &scratch.hist,
+                &scratch.errs,
+                kind,
+                violation_at,
+                lookback,
+                &self.config,
+                floor_hint,
+                &mut scratch.selection,
+            ) {
                 changes.push(change);
             }
+        }
+        if self.config.engine == AnalysisEngine::Streaming {
+            comp.scratch = Some(scratch);
         }
         seen.then_some(ComponentFinding {
             id: component,
@@ -1242,18 +1236,20 @@ mod tests {
 
     #[test]
     fn repeated_streaming_analyses_are_stable() {
-        // The persistent scratch must not leak state between analyses.
-        let daemon = SlaveDaemon::new(FChainConfig::default());
-        feed_component(&daemon, ComponentId(0), 1000, Some(940));
-        let first = daemon.analyze(ComponentId(0), 990).expect("monitored");
-        for _ in 0..5 {
-            assert_eq!(daemon.analyze(ComponentId(0), 990).as_ref(), Some(&first));
+        // Neither the streaming engine's persistent scratch nor the batch
+        // engine's per-analysis one may leak state between analyses.
+        for daemon in [SlaveDaemon::new(FChainConfig::default()), batch_daemon()] {
+            feed_component(&daemon, ComponentId(0), 1000, Some(940));
+            let first = daemon.analyze(ComponentId(0), 990).expect("monitored");
+            for _ in 0..5 {
+                assert_eq!(daemon.analyze(ComponentId(0), 990).as_ref(), Some(&first));
+            }
+            // Interleaving a different violation tick must not perturb
+            // later answers either.
+            let other = daemon.analyze(ComponentId(0), 700).expect("monitored");
+            assert_eq!(daemon.analyze(ComponentId(0), 990), Some(first));
+            assert_eq!(daemon.analyze(ComponentId(0), 700), Some(other));
         }
-        // Interleaving a different violation tick must not perturb later
-        // answers either.
-        let other = daemon.analyze(ComponentId(0), 700).expect("monitored");
-        assert_eq!(daemon.analyze(ComponentId(0), 990), Some(first));
-        assert_eq!(daemon.analyze(ComponentId(0), 700), Some(other));
     }
 
     #[test]
@@ -1270,9 +1266,9 @@ mod tests {
                 let errs = state.errors.to_vec(&state.values);
                 let n = errs.len();
                 let w = (config.lookback as usize).min(n - 1);
-                let span = &errs[config.learner.calibration_samples..n - w];
-                let mut buf = Vec::new();
-                let direct = crate::slave::selection::compute_error_floor(span, &config, &mut buf);
+                let mut span = errs[config.learner.calibration_samples..n - w].to_vec();
+                span.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
+                let direct = error_floor_sorted(&span, &config);
                 assert_eq!(state.sketch.len(), span.len());
                 assert_eq!(state.sketch_floor(&config).to_bits(), direct.to_bits());
             }

@@ -166,6 +166,7 @@ impl DerivedSeries {
     }
 
     /// The whole series as a vector, oldest first.
+    #[cfg(test)]
     pub(crate) fn to_vec(&self, values: &TieredSeries) -> Vec<f64> {
         let mut out = Vec::new();
         self.copy_into(&mut out, values);

@@ -14,4 +14,4 @@ pub mod rollback;
 pub mod selection;
 
 pub use daemon::{MetricSample, SlaveDaemon};
-pub use selection::{analyze_component, select_abnormal_changes};
+pub use selection::analyze_component;

@@ -3,25 +3,23 @@
 use crate::config::{AnalysisEngine, FChainConfig};
 use crate::report::{AbnormalChange, ComponentFinding};
 use crate::ComponentCase;
-use fchain_detect::{magnitude_outliers, ChangePoint, StreamingCusum};
+use fchain_detect::{magnitude_outliers, ChangePoint, CusumDetector};
 use fchain_metrics::fft::FftPlan;
 use fchain_metrics::{smooth, stats, MetricKind, Tick};
 use fchain_model::OnlineLearner;
 use fchain_obs as obs;
 
-/// Persistent buffers for the selection pipeline.
-///
-/// Every allocation the pipeline needs — the CUSUM prefix/bootstrap
-/// scratch (inside [`StreamingCusum`]), the smoothing prefix and output,
-/// the sorted error span for the floor percentiles, and the FFT plan with
-/// its cached twiddle tables — lives here. The streaming engine keeps one
-/// bundle per component so repeated violations allocate nothing; the
-/// batch reference path builds a fresh bundle per call, which reproduces
-/// the original allocating behaviour while sharing one code path (the
-/// parity guarantee is structural, not test-only).
+/// Every buffer the selection pipeline needs: the CUSUM detector with its
+/// prefix, bootstrap and change-point buffers, the smoothing prefix and
+/// output, the sorted error span for the floor percentiles, and the FFT
+/// plan with its cached twiddle tables. Reusing a bundle never changes an
+/// emitted value; it only saves allocations.
 #[derive(Debug)]
 pub(crate) struct SelectionScratch {
-    cusum: StreamingCusum,
+    cusum: CusumDetector,
+    cusum_prefix: Vec<f64>,
+    bootstrap: Vec<f64>,
+    change_points: Vec<ChangePoint>,
     smooth_prefix: Vec<f64>,
     window_smooth: Vec<f64>,
     floor_buf: Vec<f64>,
@@ -30,10 +28,13 @@ pub(crate) struct SelectionScratch {
 
 impl SelectionScratch {
     /// Builds the bundle for `config` (panics on an invalid CUSUM config,
-    /// exactly like the previous per-call `CusumDetector::new`).
+    /// like [`CusumDetector::new`]).
     pub(crate) fn new(config: &FChainConfig) -> Self {
         SelectionScratch {
-            cusum: StreamingCusum::new(config.cusum.clone(), (config.lookback as usize).max(1) + 1),
+            cusum: CusumDetector::new(config.cusum.clone()),
+            cusum_prefix: Vec::new(),
+            bootstrap: Vec::new(),
+            change_points: Vec::new(),
             smooth_prefix: Vec::new(),
             window_smooth: Vec::new(),
             floor_buf: Vec::new(),
@@ -87,16 +88,7 @@ pub fn analyze_component(
     config: &FChainConfig,
 ) -> ComponentFinding {
     let mut changes = Vec::new();
-    // Engine dispatch: the streaming engine reuses one scratch bundle
-    // across the component's six metrics (and applies its error-floor
-    // fast screen); the batch reference recomputes everything per metric.
-    // Both run the same `select_with_scratch` core, so the findings are
-    // bit-identical.
-    let mut scratch = match config.engine {
-        AnalysisEngine::Streaming => Some(SelectionScratch::new(config)),
-        AnalysisEngine::Batch => None,
-    };
-
+    let mut scratch = SelectionScratch::new(config);
     for kind in MetricKind::ALL {
         let history = component.metric(kind);
         let hist = history.window(history.start(), violation_at);
@@ -121,13 +113,18 @@ pub fn analyze_component(
                 })
                 .collect()
         };
-        if let Some(change) = analyze_metric(
+        // 1. Causal prediction errors over the full history (in deployment
+        // the slave daemon already holds these — see `SlaveDaemon`).
+        let errors = OnlineLearner::new(config.learner.clone()).train_errors(&sanitized);
+        if let Some(change) = select(
             &sanitized,
+            &errors,
             kind,
             violation_at,
             lookback,
             config,
-            scratch.as_mut(),
+            None,
+            &mut scratch,
         ) {
             changes.push(change);
         }
@@ -138,74 +135,21 @@ pub fn analyze_component(
     }
 }
 
-/// Runs the selection pipeline on one metric history `[0, t_v]`. Returns
-/// the earliest abnormal change (rolled back to onset) if any.
-fn analyze_metric(
-    hist: &[f64],
-    kind: MetricKind,
-    violation_at: Tick,
-    lookback: u64,
-    config: &FChainConfig,
-    scratch: Option<&mut SelectionScratch>,
-) -> Option<AbnormalChange> {
-    // 1. Causal prediction errors over the full history (in deployment the
-    // slave daemon already holds these — see `SlaveDaemon`).
-    let mut learner = OnlineLearner::new(config.learner.clone());
-    let errors = learner.train_errors(hist);
-    match scratch {
-        Some(scratch) => select_abnormal_changes_streaming(
-            hist,
-            &errors,
-            kind,
-            violation_at,
-            lookback,
-            config,
-            None,
-            scratch,
-        ),
-        None => select_abnormal_changes(hist, &errors, kind, violation_at, lookback, config),
-    }
-}
-
-/// The selection stages downstream of the online model: change point
-/// detection, outlier filtering, the predictability filter and rollback,
-/// given an already-computed causal prediction-error series aligned with
-/// `hist` (the last sample of both is at `violation_at`).
+/// The selection stages downstream of the online model — change point
+/// detection, outlier filtering, the predictability filter and rollback —
+/// given a causal prediction-error series aligned with `hist` (the last
+/// sample of both is at `violation_at`). Returns the earliest abnormal
+/// change, rolled back to its onset, if any.
 ///
-/// Public so the latency benches can drive the exact deployed pipeline on
-/// precomputed error series; [`analyze_component`] and [`SlaveDaemon`]
-/// are the intended entry points.
-///
-/// [`SlaveDaemon`]: crate::slave::SlaveDaemon
-pub fn select_abnormal_changes(
-    hist: &[f64],
-    errors: &[f64],
-    kind: MetricKind,
-    violation_at: Tick,
-    lookback: u64,
-    config: &FChainConfig,
-) -> Option<AbnormalChange> {
-    let mut scratch = SelectionScratch::new(config);
-    select_with_scratch(
-        hist,
-        errors,
-        kind,
-        violation_at,
-        lookback,
-        config,
-        None,
-        false,
-        &mut scratch,
-    )
-}
-
-/// The streaming engine's entry point: [`select_abnormal_changes`] with
-/// persistent buffers, an optional precomputed error floor (from the
-/// daemon's per-metric [`fchain_metrics::PercentileSketch`], which holds
-/// exactly the normal-span multiset), the fast screen enabled and the
-/// CUSUM bootstrap pruned (both provably result-preserving).
+/// Both engines run this one function. `floor_hint` is an error floor
+/// precomputed over exactly the normal span (the daemon's per-metric
+/// [`fchain_metrics::PercentileSketch`]); without one the floor is
+/// computed here. Under [`AnalysisEngine::Streaming`] two shortcuts may
+/// fire — the fast screen and the pruned CUSUM bootstrap — and neither
+/// changes any emitted value, so the engines' findings are bit-identical
+/// by construction.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn select_abnormal_changes_streaming(
+pub(crate) fn select(
     hist: &[f64],
     errors: &[f64],
     kind: MetricKind,
@@ -213,37 +157,6 @@ pub(crate) fn select_abnormal_changes_streaming(
     lookback: u64,
     config: &FChainConfig,
     floor_hint: Option<f64>,
-    scratch: &mut SelectionScratch,
-) -> Option<AbnormalChange> {
-    select_with_scratch(
-        hist,
-        errors,
-        kind,
-        violation_at,
-        lookback,
-        config,
-        floor_hint,
-        true,
-        scratch,
-    )
-}
-
-/// The single shared selection core. Both engines run this code; they
-/// differ only in buffer lifetime (per-call vs persistent), in whether
-/// the error floor arrives precomputed, and in whether the streaming
-/// shortcuts (the fast screen and the pruned CUSUM bootstrap) may fire —
-/// none of which changes any emitted value, so the engines' findings are
-/// bit-identical by construction.
-#[allow(clippy::too_many_arguments)]
-fn select_with_scratch(
-    hist: &[f64],
-    errors: &[f64],
-    kind: MetricKind,
-    violation_at: Tick,
-    lookback: u64,
-    config: &FChainConfig,
-    floor_hint: Option<f64>,
-    fast_screen: bool,
     scratch: &mut SelectionScratch,
 ) -> Option<AbnormalChange> {
     let _selection_span = obs::time(obs::Stage::SlaveSelection);
@@ -255,6 +168,7 @@ fn select_with_scratch(
     if n == 0 || errors.len() != n {
         return None;
     }
+    let shortcuts = config.engine == AnalysisEngine::Streaming;
 
     // Adaptive floor: the model's typical error during the pre-window
     // period (skip the calibration prefix where errors are trivially 0).
@@ -265,8 +179,11 @@ fn select_with_scratch(
     let error_floor = floor_hint.unwrap_or_else(|| {
         let normal_span_start = config.learner.calibration_samples.min(n.saturating_sub(1));
         let normal_span_end = n.saturating_sub(w).max(normal_span_start + 1).min(n);
-        let normal_errors = &errors[normal_span_start..normal_span_end];
-        compute_error_floor(normal_errors, config, &mut scratch.floor_buf)
+        let sorted = &mut scratch.floor_buf;
+        sorted.clear();
+        sorted.extend_from_slice(&errors[normal_span_start..normal_span_end]);
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample in percentile"));
+        error_floor_sorted(sorted, config)
     });
 
     // Fast screen (streaming engine only): every acceptance below requires
@@ -278,7 +195,7 @@ fn select_with_scratch(
     // accepted and the whole smoothing/CUSUM/FFT tail is provably a
     // no-op. On healthy metrics this screen is the entire violation-time
     // cost.
-    if fast_screen {
+    if shortcuts {
         let screen_lo = window_start.saturating_sub(2);
         let window_max = errors[screen_lo..].iter().copied().fold(0.0, f64::max);
         if window_max <= error_floor {
@@ -300,18 +217,29 @@ fn select_with_scratch(
         &mut scratch.smooth_prefix,
         &mut scratch.window_smooth,
     );
-    let window_smooth = &scratch.window_smooth;
-    let change_points = {
+    {
         let _span = obs::time(obs::Stage::SlaveCusum);
         // The streaming engine prunes rejection-certain bootstrap
         // segments (bit-identical, see `detect_into_pruned`); the batch
         // reference runs every reshuffle.
-        if fast_screen {
-            scratch.cusum.detect_window_pruned(window_smooth)
+        if shortcuts {
+            scratch.cusum.detect_into_pruned(
+                &scratch.window_smooth,
+                &mut scratch.cusum_prefix,
+                &mut scratch.bootstrap,
+                &mut scratch.change_points,
+            );
         } else {
-            scratch.cusum.detect_window(window_smooth)
+            scratch.cusum.detect_into(
+                &scratch.window_smooth,
+                &mut scratch.cusum_prefix,
+                &mut scratch.bootstrap,
+                &mut scratch.change_points,
+            );
         }
-    };
+    }
+    let window_smooth = &scratch.window_smooth;
+    let change_points = &scratch.change_points;
     obs::count(
         obs::Counter::ChangePointCandidates,
         change_points.len() as u64,
@@ -387,42 +315,21 @@ fn select_with_scratch(
     })
 }
 
-/// The error floor over the pre-window normal span: two scaled
-/// percentiles plus the span maximum (see the call site for the
-/// rationale). Sorts into `buf`, so a caller holding the buffer pays no
-/// allocation; the values are identical to `stats::percentile` /
-/// `stats::max` over the same span — the property that lets the daemon
-/// substitute its incrementally maintained sketch for this computation.
-pub(crate) fn compute_error_floor(
-    normal_errors: &[f64],
-    config: &FChainConfig,
-    buf: &mut Vec<f64>,
-) -> f64 {
-    buf.clear();
-    buf.extend_from_slice(normal_errors);
-    buf.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample in percentile"));
+/// The error floor over the pre-window normal span, from its errors in
+/// ascending order. The selection pipeline sorts the span itself; the
+/// daemon's per-metric sketch holds the same multiset already sorted, so
+/// both produce the same bits.
+pub(crate) fn error_floor_sorted(sorted: &[f64], config: &FChainConfig) -> f64 {
     // Two floors: typical error (p90) scaled up, and the error *tail*
     // (p99) with a smaller multiplier — rare-but-normal fluctuations (the
     // tail of learnable bursts) must not qualify as abnormal.
-    let p90 = stats::percentile_sorted(buf, 90.0).unwrap_or(0.0);
-    let p99 = stats::percentile_sorted(buf, 99.0).unwrap_or(0.0);
+    let p90 = stats::percentile_sorted(sorted, 90.0).unwrap_or(0.0);
+    let p99 = stats::percentile_sorted(sorted, 99.0).unwrap_or(0.0);
     // The strictest floor is empirical: an abnormal prediction error must
     // exceed every error the model produced across the whole pre-window
     // normal span — "the model has seen fluctuation this size before" is
     // exactly what disqualifies a change point as abnormal.
-    let max_normal = buf.last().copied().unwrap_or(0.0);
-    error_floor_from_parts(p90, p99, max_normal, config)
-}
-
-/// Combines the normal-span order statistics into the error floor. Shared
-/// between [`compute_error_floor`] and the daemon's sketch-backed fast
-/// path so both produce the same bits.
-pub(crate) fn error_floor_from_parts(
-    p90: f64,
-    p99: f64,
-    max_normal: f64,
-    config: &FChainConfig,
-) -> f64 {
+    let max_normal = sorted.last().copied().unwrap_or(0.0);
     (config.error_floor_scale * p90)
         .max(1.8 * p99)
         .max(1.02 * max_normal)
@@ -686,7 +593,9 @@ mod proptests {
 
         /// Selection must survive every history/look-back/violation shape —
         /// empty windows, `lookback >= n`, violations earlier than the
-        /// window — without any slice-length or arithmetic panic.
+        /// window — without any slice-length or arithmetic panic, both
+        /// with the streaming shortcuts and through the unscreened batch
+        /// pipeline.
         #[test]
         fn degenerate_windows_never_panic(
             hist in proptest::collection::vec(0.0f64..100.0, 0..150),
@@ -694,14 +603,22 @@ mod proptests {
             violation_at in 0u64..2000,
         ) {
             let errors: Vec<f64> = hist.iter().map(|x| (x * 0.01).abs()).collect();
-            let _ = select_abnormal_changes(
-                &hist,
-                &errors,
-                MetricKind::Cpu,
-                violation_at,
-                lookback,
-                &FChainConfig::default(),
-            );
+            for engine in [AnalysisEngine::Batch, AnalysisEngine::Streaming] {
+                let config = FChainConfig {
+                    engine,
+                    ..FChainConfig::default()
+                };
+                let _ = select(
+                    &hist,
+                    &errors,
+                    MetricKind::Cpu,
+                    violation_at,
+                    lookback,
+                    &config,
+                    None,
+                    &mut SelectionScratch::new(&config),
+                );
+            }
         }
     }
 }

@@ -47,6 +47,27 @@ pub struct CusumConfig {
     pub seed: u64,
 }
 
+impl CusumConfig {
+    /// Checks that a detector can run with this configuration.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violated rule: `bootstraps == 0`, `confidence`
+    /// outside `(0, 1]`, or `min_segment < 4`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.bootstraps == 0 {
+            return Err("bootstraps must be non-zero".into());
+        }
+        if !(self.confidence > 0.0 && self.confidence <= 1.0) {
+            return Err("confidence must be in (0, 1]".into());
+        }
+        if self.min_segment < 4 {
+            return Err("min_segment must be at least 4".into());
+        }
+        Ok(())
+    }
+}
+
 impl Default for CusumConfig {
     fn default() -> Self {
         CusumConfig {
@@ -88,15 +109,11 @@ impl CusumDetector {
     ///
     /// # Panics
     ///
-    /// Panics if `bootstraps == 0`, `confidence` is outside `(0, 1]`, or
-    /// `min_segment < 4`.
+    /// Panics if [`CusumConfig::validate`] rejects `config`.
     pub fn new(config: CusumConfig) -> Self {
-        assert!(config.bootstraps > 0, "bootstraps must be non-zero");
-        assert!(
-            config.confidence > 0.0 && config.confidence <= 1.0,
-            "confidence must be in (0, 1]"
-        );
-        assert!(config.min_segment >= 4, "min_segment must be at least 4");
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         CusumDetector { config }
     }
 
@@ -122,11 +139,12 @@ impl CusumDetector {
     /// [`CusumDetector::detect`] with caller-owned buffers.
     ///
     /// `prefix`, `scratch` and `out` are cleared and refilled; holding them
-    /// across calls (as [`crate::StreamingCusum`] does) makes repeated
-    /// detection allocation-free after warm-up. The prefix table is rebuilt
-    /// from scratch on every call — accumulating it incrementally across a
-    /// sliding window would change the floating-point summation order and
-    /// break bit-for-bit parity with [`CusumDetector::detect`].
+    /// across calls (as the slave's per-component selection scratch does)
+    /// makes repeated detection allocation-free after warm-up. The prefix
+    /// table is rebuilt from scratch on every call — accumulating it
+    /// incrementally across a sliding window would change the
+    /// floating-point summation order and break bit-for-bit parity with
+    /// [`CusumDetector::detect`].
     pub fn detect_into(
         &self,
         xs: &[f64],
@@ -502,15 +520,24 @@ mod proptests {
             }
         }
 
-        /// Bootstrap pruning never changes the detected change points.
+        /// Bootstrap pruning never changes the detected change points,
+        /// and neither does reusing dirty buffers: both variants run
+        /// repeatedly on the same buffers over windows that shrink and
+        /// grow, and each answer must equal a fresh `detect`.
         #[test]
         fn pruned_matches_plain(xs in proptest::collection::vec(0.0f64..100.0, 0..200)) {
             let d = CusumDetector::default();
             let (mut prefix, mut scratch) = (Vec::new(), Vec::new());
             let (mut plain, mut pruned) = (Vec::new(), Vec::new());
-            d.detect_into(&xs, &mut prefix, &mut scratch, &mut plain);
-            d.detect_into_pruned(&xs, &mut prefix, &mut scratch, &mut pruned);
-            prop_assert_eq!(plain, pruned);
+            let n = xs.len();
+            for window in [0..n, n / 2..n, n / 4..3 * n / 4, 0..n / 3, 0..n] {
+                let xs = &xs[window];
+                let fresh = d.detect(xs);
+                d.detect_into(xs, &mut prefix, &mut scratch, &mut plain);
+                d.detect_into_pruned(xs, &mut prefix, &mut scratch, &mut pruned);
+                prop_assert_eq!(&plain, &fresh);
+                prop_assert_eq!(&pruned, &fresh);
+            }
         }
 
         /// A large clean step is always detected.

@@ -89,12 +89,6 @@ impl Campaign {
         self
     }
 
-    /// Overrides the number of runs.
-    pub fn with_runs(mut self, runs: usize) -> Self {
-        self.runs = runs;
-        self
-    }
-
     /// Simulates run `i` of the campaign.
     pub fn run_record(&self, i: usize) -> RunRecord {
         let cfg = RunConfig::new(self.app, self.fault, self.base_seed + i as u64)

@@ -17,7 +17,7 @@
 //! The process exits when a client sends a shutdown frame.
 
 use fchain::core::slave::SlaveDaemon;
-use fchain::core::{FChainConfig, MAX_LOOKBACK, MIN_LOOKBACK};
+use fchain::core::FChainConfig;
 use fchain::wire::{WireAddr, WireServer};
 use std::io::Write;
 use std::path::PathBuf;
@@ -101,12 +101,7 @@ fn parse_args(argv: &[String]) -> Result<DaemonArgs, String> {
     if let Some(w) = lookback {
         config.lookback = w;
     }
-    if !(MIN_LOOKBACK..=MAX_LOOKBACK).contains(&config.lookback) {
-        return Err(format!(
-            "lookback {} is outside [{MIN_LOOKBACK}, {MAX_LOOKBACK}] ticks",
-            config.lookback
-        ));
-    }
+    config.validate()?;
 
     Ok(DaemonArgs {
         addr,

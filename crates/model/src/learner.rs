@@ -33,6 +33,35 @@ pub struct LearnerConfig {
     pub detrend_alpha: f64,
 }
 
+impl LearnerConfig {
+    /// Checks that a learner can calibrate and train with this
+    /// configuration.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violated rule: `bins == 0`,
+    /// `calibration_samples == 0`, `detrend_alpha` outside `[0, 1)`,
+    /// `decay` outside `(0, 1]`, or `min_row_mass < 0`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.bins == 0 {
+            return Err("bins must be non-zero".into());
+        }
+        if self.calibration_samples == 0 {
+            return Err("calibration_samples must be non-zero".into());
+        }
+        if !(0.0..1.0).contains(&self.detrend_alpha) {
+            return Err("detrend_alpha must be in [0, 1)".into());
+        }
+        if !(self.decay > 0.0 && self.decay <= 1.0) {
+            return Err("decay must be in (0, 1]".into());
+        }
+        if !(0.0..).contains(&self.min_row_mass) {
+            return Err("min_row_mass must be non-negative".into());
+        }
+        Ok(())
+    }
+}
+
 impl Default for LearnerConfig {
     fn default() -> Self {
         LearnerConfig {
@@ -81,16 +110,14 @@ pub struct OnlineLearner {
 
 impl OnlineLearner {
     /// Creates a learner that will calibrate itself from its first samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`LearnerConfig::validate`] rejects `config`.
     pub fn new(config: LearnerConfig) -> Self {
-        assert!(config.bins > 0, "bins must be non-zero");
-        assert!(
-            config.calibration_samples > 0,
-            "calibration_samples must be non-zero"
-        );
-        assert!(
-            (0.0..1.0).contains(&config.detrend_alpha),
-            "detrend_alpha must be in [0, 1)"
-        );
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         OnlineLearner {
             config,
             calibration: Vec::new(),

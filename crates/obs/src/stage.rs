@@ -8,7 +8,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// One metric's full abnormal-change selection pass
-    /// (`select_abnormal_changes`).
+    /// (`slave::selection::select` in `fchain-core`).
     SlaveSelection,
     /// CUSUM + bootstrap change point detection on the smoothed window.
     SlaveCusum,

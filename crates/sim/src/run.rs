@@ -144,13 +144,6 @@ impl RunConfig {
         self
     }
 
-    /// Overrides the glitch rate.
-    pub fn with_glitch_rate(mut self, rate: f64) -> Self {
-        assert!((0.0..1.0).contains(&rate), "glitch rate must be in [0, 1)");
-        self.glitch_rate = rate;
-        self
-    }
-
     /// Pins the primary fault onset to an exact tick instead of drawing it
     /// from [`RunConfig::fault_window`].
     ///

@@ -188,11 +188,6 @@ impl WireServer {
         &self.addr
     }
 
-    /// Whether a shutdown (local or via [`Frame::Shutdown`]) happened.
-    pub fn is_shut_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Stops accepting and joins the accept loop. Handler threads for
     /// connections already accepted finish their current request and
     /// exit on their own.

@@ -239,3 +239,56 @@ fn shutdown_frame_exits_the_daemon_process() {
     let status = daemon.child.wait().expect("reap the daemon");
     assert!(status.success(), "fchaind exited with {status:?}");
 }
+
+/// A config file that parses but can never analyze (zero CUSUM
+/// bootstraps, zero learner bins) is a startup error: `fchaind` exits 1
+/// with a named `fchaind:` error before it ever prints `listening`,
+/// instead of serving a daemon whose every collect or ingest panics.
+#[test]
+fn invalid_config_file_fails_startup() {
+    let mut no_bootstraps = FChainConfig::default();
+    no_bootstraps.cusum.bootstraps = 0;
+    let mut no_bins = FChainConfig::default();
+    no_bins.learner.bins = 0;
+    for (field, config) in [("bootstraps", no_bootstraps), ("bins", no_bins)] {
+        let stem = std::env::temp_dir().join(format!(
+            "fchain-wire-test-{}-{}",
+            std::process::id(),
+            NONCE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let config_path = stem.with_extension("json");
+        let socket_path = stem.with_extension("sock");
+        std::fs::write(
+            &config_path,
+            serde_json::to_string(&config).expect("serializable config"),
+        )
+        .expect("write the config file");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_fchaind"))
+            .arg("--uds")
+            .arg(&socket_path)
+            .arg("--config")
+            .arg(&config_path)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn fchaind");
+        // A daemon that accepted the config would listen until shut down;
+        // give it a bounded time to exit on its own.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while child.try_wait().expect("poll fchaind").is_none() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let _ = child.kill();
+        let out = child.wait_with_output().expect("reap fchaind");
+        let _ = std::fs::remove_file(&config_path);
+        let _ = std::fs::remove_file(&socket_path);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{field}: stderr {stderr:?}");
+        assert!(!stdout.contains("listening"), "{field}: {stdout:?}");
+        assert!(
+            stderr.starts_with("fchaind: ") && stderr.contains(field),
+            "{field}: {stderr:?}"
+        );
+    }
+}
