@@ -23,7 +23,9 @@ use crate::config::{AnalysisEngine, FChainConfig};
 use crate::master::endpoint::CollectRequest;
 use crate::report::{AbnormalChange, ComponentFinding};
 use crate::slave::derived::DerivedSeries;
-use crate::slave::selection::{error_floor_sorted, select, SelectionScratch};
+use crate::slave::selection::{
+    error_floor_sorted, screen, select, suffix_starts, SelectionScratch, Suffix,
+};
 use fchain_metrics::{
     AppId, ComponentId, MetricKind, PercentileSketch, Tick, TieredSeries, TimeSeries,
     COLD_BLOCK_SAMPLES,
@@ -41,11 +43,12 @@ use std::sync::Arc;
 const MAX_GAP_FILL: u64 = 30;
 
 /// Raw hot-suffix length for a look-back window: the streaming sketch
-/// reads `errors[len − 1 − W]` on every push and the window analysis
-/// reads the last `W` samples, so the hot tier must cover `W + 2`;
-/// rounding up to whole cold blocks keeps freezes block-aligned.
+/// reads `errors[len − 1 − W]` on every push, and the violation-time
+/// screen reads `errors[len − W − 3 ..]` (the window plus the two ticks
+/// before it), so the hot tier must cover `W + 3`; rounding up to whole
+/// cold blocks keeps freezes block-aligned.
 fn hot_capacity_for(lookback: u64) -> usize {
-    let need = lookback as usize + 2;
+    let need = lookback as usize + 3;
     need.div_ceil(COLD_BLOCK_SAMPLES) * COLD_BLOCK_SAMPLES
 }
 
@@ -189,10 +192,12 @@ impl MetricState {
     }
 }
 
-/// One component's violation-time buffers: the ring snapshots and the
-/// selection pipeline's scratch. Both engines analyze through one; the
-/// streaming engine keeps it in the shard for the next analysis, the
-/// batch engine drops it when the analysis ends.
+/// One component's violation-time buffers: the ring snapshots (whole
+/// rings, or only the suffixes selection reads once the sketch floor has
+/// screened the metric) and the selection pipeline's scratch. Both
+/// engines analyze through one; the streaming engine keeps it in the
+/// shard for the next analysis, the batch engine drops it when the
+/// analysis ends.
 #[derive(Debug)]
 struct AnalysisScratch {
     hist: Vec<f64>,
@@ -571,14 +576,17 @@ impl SlaveDaemon {
 
     /// The per-component analysis, run under that component's lock.
     ///
-    /// Both engines snapshot the rings into one scratch bundle and run
-    /// the same selection pipeline, so their findings are bit-identical.
-    /// When the violation tick coincides with the latest sample, the
-    /// streaming engine hands the pipeline the error floor its ingest path
-    /// maintained, the read that lets it screen out provably clean
-    /// metrics before smoothing/CUSUM/FFT run. The engine also decides
-    /// whether the shard keeps the scratch: streaming reuses it (no
-    /// steady-state allocation), batch frees it after every analysis.
+    /// Both engines run the same selection pipeline over ring snapshots
+    /// in one scratch bundle, so their findings are bit-identical. When
+    /// the violation tick coincides with the latest sample at the
+    /// configured window, the streaming engine reads the error floor its
+    /// ingest path maintained and works in order of need: it screens the
+    /// window's errors in place in the hot suffix, so a provably clean
+    /// metric costs one scan and no copy, and a suspect one copies only
+    /// the suffixes selection reads, all from the hot error tier. The
+    /// engine also decides whether the shard keeps the scratch: streaming
+    /// reuses it (no steady-state allocation), batch frees it after every
+    /// analysis.
     fn analyze_shard(
         &self,
         component: ComponentId,
@@ -612,26 +620,51 @@ impl SlaveDaemon {
             if state.values.len() <= drop_tail + 40 {
                 continue;
             }
-            state.values.copy_into(&mut scratch.hist);
-            state.errors.copy_into(&mut scratch.errs, &state.values);
-            scratch.hist.truncate(state.values.len() - drop_tail);
-            scratch.errs.truncate(state.errors.len() - drop_tail);
+            let n = state.values.len() - drop_tail;
             // The sketch (live only under the streaming engine) mirrors
             // the normal span of the ring's *full* contents at the
             // configured window; trimming a tail moves the span and a
             // per-call look-back override moves the window boundary, so
             // the O(1) floor only applies when neither happened.
-            let floor_hint =
-                (drop_tail == 0 && state.sketch_ok && lookback == self.config.lookback)
-                    .then(|| state.sketch_floor(&self.config));
+            let floor = (drop_tail == 0 && state.sketch_ok && lookback == self.config.lookback)
+                .then(|| state.sketch_floor(&self.config));
+            let (hist, errs) = if let Some(floor) = floor {
+                let (values_start, errors_start) = suffix_starts(n, lookback, &self.config);
+                debug_assert!(
+                    errors_start >= state.errors.hot_start(),
+                    "screened errors must be hot"
+                );
+                let selection_span = obs::time(obs::Stage::SlaveSelection);
+                if screen(state.errors.hot_range(errors_start, n), floor) {
+                    obs::count(obs::Counter::MetricsAnalyzed, 1);
+                    continue;
+                }
+                drop(selection_span);
+                scratch.hist.clear();
+                scratch
+                    .hist
+                    .extend(state.values.iter_range(values_start, n));
+                scratch.errs.clear();
+                scratch.errs.extend(state.errors.hot_range(errors_start, n));
+                (
+                    Suffix::new(values_start, &scratch.hist),
+                    Suffix::new(errors_start, &scratch.errs),
+                )
+            } else {
+                state.values.copy_into(&mut scratch.hist);
+                state.errors.copy_into(&mut scratch.errs, &state.values);
+                scratch.hist.truncate(n);
+                scratch.errs.truncate(n);
+                (Suffix::whole(&scratch.hist), Suffix::whole(&scratch.errs))
+            };
             if let Some(change) = select(
-                &scratch.hist,
-                &scratch.errs,
+                hist,
+                errs,
                 kind,
                 violation_at,
                 lookback,
                 &self.config,
-                floor_hint,
+                floor,
                 &mut scratch.selection,
             ) {
                 changes.push(change);
@@ -1047,6 +1080,18 @@ mod tests {
         }
         // Horizon sizing keeps the whole run plus gap-bridging slack.
         assert!(SlaveDaemon::capacity_for_horizon(3600) > 3600);
+    }
+
+    #[test]
+    fn hot_tier_covers_the_screened_errors() {
+        // The violation-time screen reads `errors[n − W − 3 ..]`: W + 3
+        // samples. Sizing for W + 2 would leave the lowest one cold
+        // whenever W + 2 is a multiple of the block size (W = 126, 254, …).
+        for lookback in 10u64..=2000 {
+            let hot = hot_capacity_for(lookback);
+            assert!(hot >= lookback as usize + 3, "W={lookback}: hot {hot}");
+            assert_eq!(hot % COLD_BLOCK_SAMPLES, 0, "W={lookback}: hot {hot}");
+        }
     }
 
     #[test]

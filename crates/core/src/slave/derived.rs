@@ -20,12 +20,15 @@
 //! about to leave the window), amortized by decoding the paired series'
 //! doomed prefix in chunks.
 //!
-//! Deep error reads happen only on sketch rebuilds (series transitions)
-//! and violation-time analyses — both rare — while the per-push read
-//! `errors[len − 1 − W]` stays inside the hot suffix by construction
-//! (`hot ≥ W + 2`). The trade is a replay of at most `capacity` cheap
-//! `feed` calls on those rare paths for the elimination of the one cold
-//! tier that refuses to compress.
+//! Deep error reads happen only on sketch rebuilds (a series reaching
+//! steady state) and on violation-time analyses whose error floor must
+//! come from history: under the batch engine, or with a trimmed tail, a
+//! look-back override or a series not yet in steady state. The per-push
+//! read `errors[len − 1 − W]` and the streaming engine's violation-time
+//! reads `errors[len − W − 3 ..]` stay inside the hot suffix by
+//! construction (`hot ≥ W + 3`). The trade is a replay of at most
+//! `capacity` cheap `feed` calls on those paths for the elimination of
+//! the one cold tier that refuses to compress.
 
 use fchain_metrics::TieredSeries;
 use fchain_model::OnlineLearner;
@@ -115,7 +118,7 @@ impl DerivedSeries {
         if i >= self.len {
             return None;
         }
-        let hot_start = self.len - self.hot.len();
+        let hot_start = self.hot_start();
         if i >= hot_start {
             return Some(self.hot[i - hot_start]);
         }
@@ -135,7 +138,7 @@ impl DerivedSeries {
     pub(crate) fn range_vec(&self, start: usize, end: usize, values: &TieredSeries) -> Vec<f64> {
         let end = end.min(self.len);
         let start = start.min(end);
-        let hot_start = self.len - self.hot.len();
+        let hot_start = self.hot_start();
         let mut out = Vec::with_capacity(end - start);
         if start < hot_start {
             // One replay covers every below-hot index; the decoded
@@ -154,10 +157,32 @@ impl DerivedSeries {
         out
     }
 
+    /// First ring-local index of the materialized hot suffix.
+    pub(crate) fn hot_start(&self) -> usize {
+        self.len - self.hot.len()
+    }
+
+    /// The errors at ring-local `[start, end)` (`end` clamped to the
+    /// length), read in place from the hot suffix: no copy, no replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range reaches below [`DerivedSeries::hot_start`].
+    pub(crate) fn hot_range(&self, start: usize, end: usize) -> impl Iterator<Item = f64> + '_ {
+        let end = end.min(self.len);
+        let start = start.min(end);
+        let hot_start = self.hot_start();
+        assert!(
+            start >= hot_start,
+            "error range reaches below the hot suffix"
+        );
+        self.hot.range(start - hot_start..end - hot_start).copied()
+    }
+
     /// Clears `out` and fills it with the whole series, oldest first.
     pub(crate) fn copy_into(&self, out: &mut Vec<f64>, values: &TieredSeries) {
         out.clear();
-        let hot_start = self.len - self.hot.len();
+        let hot_start = self.hot_start();
         if hot_start > 0 {
             let mut shadow = self.shadow.clone();
             out.extend(values.iter_range(0, hot_start).map(|v| shadow.feed(v)));
@@ -268,6 +293,56 @@ mod tests {
         for (i, (a, b)) in full.iter().zip(&reference).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "index {i} diverged");
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Every range read the violation-time analysis takes is exact
+        /// across evictions and hot/cold straddles: the in-place hot
+        /// range (and its max, the screen's fold) and the paired values'
+        /// range iterator equal the flat reference slice bit for bit,
+        /// and the replaying range read does too.
+        #[test]
+        fn range_reads_match_flat_slices(
+            ticks in 0u64..1400,
+            capacity in 40usize..600,
+            hot in 1usize..300,
+            ranges in proptest::collection::vec((0usize..5000, 0usize..5000), 1..8),
+        ) {
+            let (values, errors, reference) = build(ticks, capacity, hot);
+            let flat_values = values.to_vec();
+            let len = errors.len();
+            proptest::prop_assert_eq!(errors.hot_start(), len - hot.min(len));
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (a, b) in ranges {
+                let (a, b) = (a % (len + 1), b % (len + 1));
+                let (a, b) = (a.min(b), a.max(b));
+                let read: Vec<f64> = values.iter_range(a, b).collect();
+                proptest::prop_assert_eq!(bits(&read), bits(&flat_values[a..b]));
+                proptest::prop_assert_eq!(
+                    bits(&errors.range_vec(a, b, &values)),
+                    bits(&reference[a..b])
+                );
+                if b < errors.hot_start() {
+                    continue;
+                }
+                let lo = a.max(errors.hot_start());
+                let hot_read: Vec<f64> = errors.hot_range(lo, b).collect();
+                proptest::prop_assert_eq!(bits(&hot_read), bits(&reference[lo..b]));
+                proptest::prop_assert_eq!(
+                    errors.hot_range(lo, b).fold(0.0, f64::max).to_bits(),
+                    reference[lo..b].iter().copied().fold(0.0, f64::max).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "below the hot suffix")]
+    fn hot_range_refuses_cold_indices() {
+        let (_, errors, _) = build(700, 600, 128);
+        let _ = errors.hot_range(errors.hot_start() - 1, errors.len());
     }
 
     #[test]

@@ -43,6 +43,84 @@ impl SelectionScratch {
     }
 }
 
+/// The tail of a series from absolute index `start` to its end: what
+/// [`select`] reads. The daemon copies only the suffix selection needs
+/// instead of the whole ring; every index below is absolute, so the
+/// arithmetic is the same as over the full history.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Suffix<'a> {
+    start: usize,
+    data: &'a [f64],
+}
+
+impl<'a> Suffix<'a> {
+    /// `data` holds the series from absolute index `start` on.
+    pub(crate) fn new(start: usize, data: &'a [f64]) -> Self {
+        Suffix { start, data }
+    }
+
+    /// The whole series.
+    pub(crate) fn whole(data: &'a [f64]) -> Self {
+        Suffix::new(0, data)
+    }
+
+    /// Logical length of the series the suffix ends.
+    fn len(&self) -> usize {
+        self.start + self.data.len()
+    }
+
+    /// Absolute `[lo, hi)`; panics if `lo` precedes the suffix.
+    fn range(&self, lo: usize, hi: usize) -> &'a [f64] {
+        &self.data[lo - self.start..hi - self.start]
+    }
+
+    /// Absolute `[lo, len)`.
+    fn from(&self, lo: usize) -> &'a [f64] {
+        self.range(lo, self.len())
+    }
+}
+
+/// The look-back window over a history of `n >= 1` samples: its clamped
+/// length `w` and first index. `lookback >= n` degrades to "the whole
+/// history minus one sample" instead of underflowing the start.
+fn window(n: usize, lookback: u64) -> (usize, usize) {
+    let w = (lookback as usize).min(n.saturating_sub(1));
+    (w, n - 1 - w)
+}
+
+/// Where the suffixes [`select`] reads begin, for a history of `n >= 1`
+/// samples and a known error floor: `(values_start, errors_start)`.
+/// Values reach back from the window start by the FFT context
+/// [`expected_error`] reads before the earliest possible anchor; errors
+/// by the two ticks of [`real_error`]'s backward allowance, which is also
+/// the lower bound of the [`screen`]ed range.
+pub(crate) fn suffix_starts(n: usize, lookback: u64, config: &FChainConfig) -> (usize, usize) {
+    let (_, window_start) = window(n, lookback);
+    let context = 2 * config.burst_window as usize + burst_guard(config);
+    (
+        window_start.saturating_sub(context),
+        window_start.saturating_sub(2),
+    )
+}
+
+/// The fast screen (streaming engine only), given the errors from
+/// `errors_start` (see [`suffix_starts`]) to the end. Every acceptance in
+/// [`select`] requires some outlier's `real` error, a maximum over
+/// `errors[abs_idx-2 ..= abs_idx+slack]` with `abs_idx >= window_start`,
+/// to exceed an expectation that is itself floored at `error_floor`. So
+/// if the maximum error over `errors[window_start-2 ..]` (a superset of
+/// every `real` range) does not exceed the floor, no change point can be
+/// accepted and the whole smoothing/CUSUM/FFT tail is provably a no-op.
+/// Returns `true` (and counts the metric as screened) in that case.
+pub(crate) fn screen(errors: impl Iterator<Item = f64>, error_floor: f64) -> bool {
+    let window_max = errors.fold(0.0, f64::max);
+    let clean = window_max <= error_floor;
+    if clean {
+        obs::count(obs::Counter::StreamingScreened, 1);
+    }
+    clean
+}
+
 /// Analyzes one component: for each of its six metrics, detect change
 /// points in the look-back window, filter them down to abnormal ones, and
 /// roll each back to its onset.
@@ -117,8 +195,8 @@ pub fn analyze_component(
         // the slave daemon already holds these — see `SlaveDaemon`).
         let errors = OnlineLearner::new(config.learner.clone()).train_errors(&sanitized);
         if let Some(change) = select(
-            &sanitized,
-            &errors,
+            Suffix::whole(&sanitized),
+            Suffix::whole(&errors),
             kind,
             violation_at,
             lookback,
@@ -141,22 +219,25 @@ pub fn analyze_component(
 /// sample of both is at `violation_at`). Returns the earliest abnormal
 /// change, rolled back to its onset, if any.
 ///
-/// Both engines run this one function. `floor_hint` is an error floor
-/// precomputed over exactly the normal span (the daemon's per-metric
-/// [`fchain_metrics::PercentileSketch`]); without one the floor is
-/// computed here. Under [`AnalysisEngine::Streaming`] two shortcuts may
-/// fire — the fast screen and the pruned CUSUM bootstrap — and neither
-/// changes any emitted value, so the engines' findings are bit-identical
-/// by construction.
+/// Both engines run this one function. `screened_floor` is an error
+/// floor precomputed over exactly the normal span (the daemon's
+/// per-metric [`fchain_metrics::PercentileSketch`]) that the caller has
+/// already [`screen`]ed the window against; the suffixes then need only
+/// start at [`suffix_starts`]. Without one, both must be whole: the floor
+/// is computed here from the pre-window errors and, under
+/// [`AnalysisEngine::Streaming`], the window is screened here. The
+/// streaming engine's two shortcuts, the screen and the pruned CUSUM
+/// bootstrap, change no emitted value, so the engines' findings are
+/// bit-identical by construction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select(
-    hist: &[f64],
-    errors: &[f64],
+    hist: Suffix<'_>,
+    errors: Suffix<'_>,
     kind: MetricKind,
     violation_at: Tick,
     lookback: u64,
     config: &FChainConfig,
-    floor_hint: Option<f64>,
+    screened_floor: Option<f64>,
     scratch: &mut SelectionScratch,
 ) -> Option<AbnormalChange> {
     let _selection_span = obs::time(obs::Stage::SlaveSelection);
@@ -169,43 +250,30 @@ pub(crate) fn select(
         return None;
     }
     let shortcuts = config.engine == AnalysisEngine::Streaming;
-
-    // Adaptive floor: the model's typical error during the pre-window
-    // period (skip the calibration prefix where errors are trivially 0).
-    // `w` is clamped so that `lookback >= n` degrades to "the whole
-    // history minus one sample" instead of underflowing `window_start`.
-    let w = (lookback as usize).min(n.saturating_sub(1));
-    let window_start = n - 1 - w;
-    let error_floor = floor_hint.unwrap_or_else(|| {
-        let normal_span_start = config.learner.calibration_samples.min(n.saturating_sub(1));
-        let normal_span_end = n.saturating_sub(w).max(normal_span_start + 1).min(n);
-        let sorted = &mut scratch.floor_buf;
-        sorted.clear();
-        sorted.extend_from_slice(&errors[normal_span_start..normal_span_end]);
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample in percentile"));
-        error_floor_sorted(sorted, config)
-    });
-
-    // Fast screen (streaming engine only): every acceptance below requires
-    // some outlier's `real` error — a maximum over `errors[abs_idx-2 ..=
-    // abs_idx+slack]` with `abs_idx >= window_start` — to exceed an
-    // expectation that is itself floored at `error_floor`. So if the
-    // maximum error over `errors[window_start-2 ..]` (a superset of every
-    // `real` range) does not exceed the floor, no change point can be
-    // accepted and the whole smoothing/CUSUM/FFT tail is provably a
-    // no-op. On healthy metrics this screen is the entire violation-time
-    // cost.
-    if shortcuts {
-        let screen_lo = window_start.saturating_sub(2);
-        let window_max = errors[screen_lo..].iter().copied().fold(0.0, f64::max);
-        if window_max <= error_floor {
-            obs::count(obs::Counter::StreamingScreened, 1);
-            return None;
+    let (w, window_start) = window(n, lookback);
+    let error_floor = match screened_floor {
+        Some(floor) => floor,
+        None => {
+            // Adaptive floor: the model's typical error during the
+            // pre-window period (skip the calibration prefix where errors
+            // are trivially 0).
+            let normal_span_start = config.learner.calibration_samples.min(n - 1);
+            let normal_span_end = n.saturating_sub(w).max(normal_span_start + 1).min(n);
+            let sorted = &mut scratch.floor_buf;
+            sorted.clear();
+            sorted.extend_from_slice(errors.range(normal_span_start, normal_span_end));
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample in percentile"));
+            let floor = error_floor_sorted(sorted, config);
+            let (_, errors_start) = suffix_starts(n, lookback, config);
+            if shortcuts && screen(errors.from(errors_start).iter().copied(), floor) {
+                return None;
+            }
+            floor
         }
-    }
+    };
 
     // 2. Change points on the smoothed look-back window.
-    let window_raw = &hist[window_start..];
+    let window_raw = hist.from(window_start);
     let half = if config.adaptive_smoothing {
         adaptive_half(window_raw, config.smoothing_half)
     } else {
@@ -265,7 +333,7 @@ pub(crate) fn select(
     let head_end = (window_start + q2).min(n - 1);
     let fft_span = obs::time(obs::Stage::SlaveFft);
     let head = scratch.plan.burst_magnitude(
-        &hist[window_start..=head_end],
+        hist.range(window_start, head_end + 1),
         config.high_freq_fraction,
         config.burst_percentile,
     ) * config.burst_scale;
@@ -283,9 +351,9 @@ pub(crate) fn select(
         // A genuine regime change keeps surprising the model for several
         // ticks; an isolated noise spike does not. Requiring sustained
         // errors alongside the peak filters one-tick accidents.
-        let sus_hi = (abs_idx + 6).min(errors.len() - 1);
+        let sus_hi = (abs_idx + 6).min(n - 1);
         let sustained =
-            errors[abs_idx..=sus_hi].iter().sum::<f64>() / (sus_hi - abs_idx + 1) as f64;
+            errors.range(abs_idx, sus_hi + 1).iter().sum::<f64>() / (sus_hi - abs_idx + 1) as f64;
         if real > expected && sustained > 0.4 * expected {
             abnormal.push((*cp, real, expected));
         }
@@ -361,10 +429,10 @@ fn adaptive_half(window: &[f64], base: usize) -> usize {
 /// in `[idx − 2, idx + slack]` — the change manifests *from* the change
 /// point onward (fast faults take a few ticks to saturate), while only a
 /// small backward allowance covers change-point placement jitter.
-fn real_error(errors: &[f64], idx: usize, slack: usize) -> f64 {
+fn real_error(errors: Suffix<'_>, idx: usize, slack: usize) -> f64 {
     let lo = idx.saturating_sub(2);
     let hi = (idx + slack).min(errors.len() - 1);
-    errors[lo..=hi].iter().copied().fold(0.0, f64::max)
+    errors.range(lo, hi + 1).iter().copied().fold(0.0, f64::max)
 }
 
 /// The burst-adaptive expected prediction error for a change point: the
@@ -376,20 +444,24 @@ fn real_error(errors: &[f64], idx: usize, slack: usize) -> f64 {
 /// the burstiness of the *normal* behavior the change is judged against —
 /// a large fault inside the window would otherwise raise its own
 /// threshold and mask itself.
-fn expected_error(plan: &mut FftPlan, hist: &[f64], idx: usize, config: &FChainConfig) -> f64 {
+fn expected_error(plan: &mut FftPlan, hist: Suffix<'_>, idx: usize, config: &FChainConfig) -> f64 {
     let q = config.burst_window as usize;
-    // Change-point placement has a few ticks of jitter (smoothing blurs
-    // onsets); the guard keeps the first fault samples out of the
-    // "normal burstiness" window.
-    let guard = config.smoothing_half + 2;
+    let guard = burst_guard(config);
     let lo = idx.saturating_sub(2 * q + guard);
     let hi = idx.saturating_sub(1 + guard).max(lo);
     config.burst_scale
         * plan.burst_magnitude(
-            &hist[lo..=hi.min(hist.len() - 1)],
+            hist.range(lo, hi.min(hist.len() - 1) + 1),
             config.high_freq_fraction,
             config.burst_percentile,
         )
+}
+
+/// Change-point placement has a few ticks of jitter (smoothing blurs
+/// onsets); this guard keeps the first fault samples out of the "normal
+/// burstiness" window [`expected_error`] reads.
+fn burst_guard(config: &FChainConfig) -> usize {
+    config.smoothing_half + 2
 }
 
 #[cfg(test)]
@@ -609,8 +681,8 @@ mod proptests {
                     ..FChainConfig::default()
                 };
                 let _ = select(
-                    &hist,
-                    &errors,
+                    Suffix::whole(&hist),
+                    Suffix::whole(&errors),
                     MetricKind::Cpu,
                     violation_at,
                     lookback,

@@ -628,3 +628,65 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The same parity past the ring's capacity at W = 126, where
+    /// W + 3 is one sample past a block boundary: the value ring evicts,
+    /// the error store's shadow learner advances, and the streaming
+    /// engine screens and copies at the edge of the hot error tier.
+    #[test]
+    fn engines_bit_identical_past_capacity_at_the_hot_tier_edge(
+        extra in 1u64..200,
+        base in 10.0f64..80.0,
+        modulus in 2u64..7,
+        fault in proptest::option::of((40u64..120, 20.0f64..60.0)),
+        gap_start in 100u64..200,
+        gap_len in 0u64..40,
+        dup_every in 0u64..9,
+    ) {
+        let lookback = 126;
+        let config = |engine| FChainConfig {
+            lookback,
+            ..engine_config(engine)
+        };
+        let batch = SlaveDaemon::new(config(AnalysisEngine::Batch));
+        let streaming = SlaveDaemon::new(config(AnalysisEngine::Streaming));
+        // Past capacity even after a series-resetting outage.
+        let n = (batch.capacity() as u64) + gap_start + gap_len + extra;
+        let plans = [
+            StreamPlan {
+                base,
+                modulus,
+                fault_at: fault.map(|(back, _)| n - back),
+                fault_delta: fault.map(|(_, d)| d).unwrap_or(0.0),
+                gap_start,
+                gap_len,
+                dup_every,
+            },
+            StreamPlan {
+                base: 40.0,
+                modulus: 5,
+                fault_at: None,
+                fault_delta: 0.0,
+                gap_start: 0,
+                gap_len: 0,
+                dup_every: 0,
+            },
+        ];
+        for daemon in [&batch, &streaming] {
+            for (i, plan) in plans.iter().enumerate() {
+                plan.feed(daemon, ComponentId(i as u32), n);
+            }
+        }
+        for violation_at in [n - 1, n - 7] {
+            let request = CollectRequest::at(violation_at);
+            prop_assert_eq!(
+                batch.analyze_all(None, &request),
+                streaming.analyze_all(None, &request),
+                "engines diverge at violation tick {}", violation_at
+            );
+        }
+    }
+}
