@@ -124,7 +124,8 @@ fn main() {
     // majority the streaming screen skips is representative), and the
     // slow-manifesting disk-hog window (W=500) on Hadoop. Both daemons
     // are asserted to produce bit-identical findings before either is
-    // timed.
+    // timed, which checks the streaming engine's lane-batched CUSUM
+    // bootstrap against the batch engine's scalar loop on real windows.
     let scenarios = [
         build_engine_scenario(
             "systems_cpuhog_w100",

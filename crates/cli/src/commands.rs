@@ -50,10 +50,21 @@ fn parse_fault(name: &str) -> Result<FaultKind, String> {
         .ok_or_else(|| format!("unknown fault {name:?} (see `fchain list`)"))
 }
 
+/// Parses an application and a fault name and checks that the
+/// application defines that fault (`fchain list` names the valid pairs).
+fn parse_case(app: &str, fault: &str) -> Result<(AppKind, FaultKind), String> {
+    let (app, kind) = (parse_app(app)?, parse_fault(fault)?);
+    if !fault_defined(app, kind) {
+        return Err(format!(
+            "fault {fault:?} is not defined for {app} (see `fchain list`)"
+        ));
+    }
+    Ok((app, kind))
+}
+
 /// Builds the run described by the common flags.
 fn build_run(args: &Args) -> Result<RunRecord, Box<dyn std::error::Error>> {
-    let app = parse_app(args.require("app")?)?;
-    let fault = parse_fault(args.require("fault")?)?;
+    let (app, fault) = parse_case(args.require("app")?, args.require("fault")?)?;
     let seed = args.get_parsed("seed", 42u64)?;
     let duration = args.get_parsed("duration", 3600u64)?;
     let mut cfg = RunConfig::new(app, fault, seed).with_duration(duration);
@@ -422,8 +433,7 @@ pub fn diagnose(args: &Args) -> CliResult {
 
 /// `fchain compare` — campaign across all schemes.
 pub fn compare(args: &Args) -> CliResult {
-    let app = parse_app(args.require("app")?)?;
-    let fault = parse_fault(args.require("fault")?)?;
+    let (app, fault) = parse_case(args.require("app")?, args.require("fault")?)?;
     let runs = args.get_parsed("runs", 30usize)?;
     let base_seed = args.get_parsed("seed", 1000u64)?;
     let lookback = args.get_parsed("lookback", default_lookback(fault))?;
@@ -458,8 +468,7 @@ pub fn compare(args: &Args) -> CliResult {
 /// `fchain degraded` — slave-loss sweep: how does diagnosis accuracy
 /// degrade when a fraction of the slaves are unreachable at `t_v`?
 pub fn degraded(args: &Args) -> CliResult {
-    let app = parse_app(args.require("app")?)?;
-    let fault = parse_fault(args.require("fault")?)?;
+    let (app, fault) = parse_case(args.require("app")?, args.require("fault")?)?;
     let loss_rates: Vec<f64> = match args.get("rates") {
         None => vec![0.0, 0.25, 0.5, 0.75],
         Some(raw) => raw
@@ -708,8 +717,10 @@ fn fmt_ns(ns: u64) -> String {
 /// (slave daemons + master fan-out + online validation) and print the
 /// per-stage timings and pipeline counters it recorded.
 pub fn obs(args: &Args) -> CliResult {
-    let app = parse_app(args.get("app").unwrap_or("rubis"))?;
-    let fault = parse_fault(args.get("fault").unwrap_or("cpuhog"))?;
+    let (app, fault) = parse_case(
+        args.get("app").unwrap_or("rubis"),
+        args.get("fault").unwrap_or("cpuhog"),
+    )?;
     let seed = args.get_parsed("seed", 900u64)?;
     let duration = args.get_parsed("duration", 3600u64)?;
     let lookback = args.get_parsed("lookback", default_lookback(fault))?;
@@ -1054,6 +1065,27 @@ mod tests {
         for (name, fault) in FAULTS {
             assert_eq!(fault.name(), name);
             assert_eq!(parse_fault(name).unwrap(), fault);
+        }
+    }
+
+    #[test]
+    fn undefined_app_fault_pair_is_a_clean_error() {
+        assert_eq!(
+            parse_case("hadoop", "conc_diskhog").unwrap(),
+            (AppKind::Hadoop, FaultKind::ConcurrentDiskHog)
+        );
+        // Every subcommand that takes the pair refuses it before simulating.
+        for cmd in ["run", "diagnose", "compare", "degraded", "obs"] {
+            let args = Args::parse([cmd, "--app", "hadoop", "--fault", "diskhog"]).unwrap();
+            let result = match cmd {
+                "run" => run(&args),
+                "diagnose" => diagnose(&args),
+                "compare" => compare(&args),
+                "degraded" => degraded(&args),
+                _ => obs(&args),
+            };
+            let err = result.expect_err(cmd).to_string();
+            assert!(err.contains("is not defined for hadoop"), "{cmd}: {err}");
         }
     }
 

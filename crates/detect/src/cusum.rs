@@ -155,23 +155,26 @@ impl CusumDetector {
         self.detect_into_inner(xs, prefix, scratch, out, false);
     }
 
-    /// [`CusumDetector::detect_into`] with bootstrap pruning: each
-    /// segment's bootstrap loop stops as soon as rejection is certain —
-    /// when even counting every remaining reshuffle as a success could not
-    /// reach the confidence threshold — and fast-forwards the RNG over the
-    /// draws the skipped reshuffles would have consumed
-    /// ([`SmallRng::advance`], `O(log n)`).
+    /// [`CusumDetector::detect_into`] with a faster bootstrap: reshuffles
+    /// run four at a time, drawn in the reference order and scanned
+    /// in one pass, and each segment's bootstrap stops as soon as
+    /// rejection is certain — when even counting every remaining
+    /// reshuffle as a success could not reach the confidence threshold —
+    /// fast-forwarding the RNG over the draws the skipped reshuffles would
+    /// have consumed ([`SmallRng::advance`], `O(log n)`).
     ///
     /// The output is **bit-identical** to [`CusumDetector::detect_into`]:
-    /// a pruned segment would have been rejected anyway (the final
-    /// `below / bootstraps` is monotone in the success count, so the early
-    /// verdict is exact, and a rejected segment contributes no change
-    /// point), and because every reshuffle of an `n`-sample segment
-    /// consumes exactly `n - 1` draws, the fast-forward leaves the RNG in
-    /// precisely the state the full loop would have — so every subsequent
-    /// segment in the recursion sees identical reshuffles. Accepted
-    /// segments always run their full bootstrap. The streaming analysis
-    /// engine runs this variant; the batch reference keeps the plain loop.
+    /// every lane holds the permutation the reference loop has after the
+    /// same reshuffle and adds in the same order; a pruned segment would
+    /// have been rejected anyway (the final `below / bootstraps` is
+    /// monotone in the success count, so the early verdict is exact, and
+    /// a rejected segment contributes no change point); and because every
+    /// reshuffle of an `n`-sample segment consumes exactly `n - 1` draws,
+    /// the fast-forward leaves the RNG in precisely the state the full
+    /// loop would have — so every subsequent segment in the recursion sees
+    /// identical reshuffles. Accepted segments always run their full
+    /// bootstrap. The streaming analysis engine runs this variant; the
+    /// batch reference keeps the scalar loop.
     pub fn detect_into_pruned(
         &self,
         xs: &[f64],
@@ -204,8 +207,9 @@ impl CusumDetector {
             acc += x;
             prefix.push(acc);
         }
+        // One reshuffle buffer for the scalar loop, `LANES` for the lanes.
         scratch.clear();
-        scratch.extend_from_slice(xs);
+        scratch.resize(if prune { LANES } else { 1 } * xs.len(), 0.0);
         self.segment(xs, prefix, 0, xs.len(), out, &mut rng, scratch, 0, prune);
         out.sort_by_key(|cp| cp.index);
     }
@@ -315,11 +319,36 @@ impl CusumDetector {
         }
         // Bootstrap: how often does a random reordering show a smaller
         // CUSUM span? A real change keeps the original span extreme.
-        let shuffled = &mut scratch[..n];
-        shuffled.copy_from_slice(&xs[lo..hi]);
+        let accepted = if prune {
+            self.bootstrap_lanes(&xs[lo..hi], mean, s_diff, rng, scratch)
+        } else {
+            self.bootstrap_scalar(&xs[lo..hi], mean, s_diff, rng, scratch)
+        };
+        if !accepted {
+            return None;
+        }
+        // The change is estimated at the extreme of |S|; the new regime
+        // starts on the next sample.
+        Some((max_abs_idx + 1).min(n - 1))
+    }
+
+    /// The reference bootstrap: reshuffle the segment `bootstraps` times
+    /// in place and count the reshuffles whose CUSUM span falls below
+    /// `s_diff`. The batch engine runs this loop; it is the oracle the
+    /// lane kernel ([`CusumDetector::bootstrap_lanes`]) is checked against.
+    fn bootstrap_scalar(
+        &self,
+        seg: &[f64],
+        mean: f64,
+        s_diff: f64,
+        rng: &mut SmallRng,
+        scratch: &mut [f64],
+    ) -> bool {
+        let shuffled = &mut scratch[..seg.len()];
+        shuffled.copy_from_slice(seg);
         let bootstraps = self.config.bootstraps;
         let mut below = 0usize;
-        for done in 1..=bootstraps {
+        for _ in 0..bootstraps {
             shuffled.shuffle(rng);
             let mut acc = 0.0;
             let mut span_lo = f64::INFINITY;
@@ -332,27 +361,103 @@ impl CusumDetector {
             if span_hi - span_lo < s_diff {
                 below += 1;
             }
-            // Rejection-certain pruning: once even a perfect run of
-            // remaining successes cannot reach the confidence threshold,
-            // the verdict is fixed — fast-forward the RNG over the draws
-            // the skipped reshuffles would have made (exactly `n - 1`
-            // each) so every later segment sees an unchanged stream.
-            let remaining = bootstraps - done;
-            if prune
-                && remaining > 0
-                && ((below + remaining) as f64 / bootstraps as f64) < self.config.confidence
-            {
-                rng.advance((remaining * (n - 1)) as u64);
-                return None;
+        }
+        (below as f64 / bootstraps as f64) >= self.config.confidence
+    }
+
+    /// The streaming engine's bootstrap: the same reshuffles and the same
+    /// verdict as [`CusumDetector::bootstrap_scalar`], bit for bit, run
+    /// [`LANES`] at a time and stopped as soon as rejection is certain.
+    ///
+    /// - **Batches.** Lane `l` starts as a copy of lane `l - 1` (lane 0
+    ///   copies the previous batch's last lane; the first batch starts
+    ///   from `seg`) and is shuffled once, so every draw happens in the
+    ///   scalar loop's order and lane `l` holds its permutation after
+    ///   reshuffle `done + l + 1`. One pass then scans every lane; each
+    ///   lane's adds keep the scalar order, so its CUSUM values are
+    ///   identical. The interleaved dependency chains are the speed-up.
+    /// - **Extremes.** Compare-and-select (`if acc < lo { lo = acc }`)
+    ///   replaces `f64::min`/`max`. Both skip a NaN `acc`, and the only
+    ///   value read is `span_hi - span_lo < s_diff` with `s_diff > ε`, so
+    ///   a ±0 extreme cannot change it.
+    /// - **Pruning.** `below` and the rejection-certain check run lane by
+    ///   lane in reshuffle order. When even counting every remaining
+    ///   reshuffle as a success cannot reach the confidence threshold,
+    ///   the verdict is fixed; the RNG then fast-forwards over the draws
+    ///   the scalar loop would still make — every reshuffle of an
+    ///   `n`-sample segment consumes exactly `n - 1`, and the lanes after
+    ///   the pruning one have already drawn, so the distance is
+    ///   `B·(n - 1) - consumed` — leaving every later segment an
+    ///   unchanged stream.
+    ///
+    /// `scratch` holds `LANES` segment-sized buffers.
+    fn bootstrap_lanes(
+        &self,
+        seg: &[f64],
+        mean: f64,
+        s_diff: f64,
+        rng: &mut SmallRng,
+        scratch: &mut [f64],
+    ) -> bool {
+        let n = seg.len();
+        let lanes = &mut scratch[..LANES * n];
+        lanes[(LANES - 1) * n..].copy_from_slice(seg);
+        let bootstraps = self.config.bootstraps;
+        let mut below = 0usize;
+        let mut done = 0usize;
+        while done < bootstraps {
+            let batch = LANES.min(bootstraps - done);
+            for l in 0..batch {
+                let prev = (l + LANES - 1) % LANES;
+                lanes.copy_within(prev * n..(prev + 1) * n, l * n);
+                lanes[l * n..(l + 1) * n].shuffle(rng);
+            }
+            let drawn = done + batch;
+            // Lanes past `batch` hold stale data; their spans are unread.
+            let spans = scan_lanes(lanes, n, mean);
+            for span in &spans[..batch] {
+                done += 1;
+                if *span < s_diff {
+                    below += 1;
+                }
+                let remaining = bootstraps - done;
+                if remaining > 0
+                    && ((below + remaining) as f64 / bootstraps as f64) < self.config.confidence
+                {
+                    rng.advance(((bootstraps - drawn) * (n - 1)) as u64);
+                    return false;
+                }
             }
         }
-        if (below as f64 / bootstraps as f64) < self.config.confidence {
-            return None;
-        }
-        // The change is estimated at the extreme of |S|; the new regime
-        // starts on the next sample.
-        Some((max_abs_idx + 1).min(n - 1))
+        (below as f64 / bootstraps as f64) >= self.config.confidence
     }
+}
+
+/// Bootstrap reshuffles the streaming engine scans in one pass.
+const LANES: usize = 4;
+
+/// The CUSUM span `max S - min S` of each of the [`LANES`] `n`-sample
+/// buffers in `lanes`, all lanes advanced together one sample at a time so
+/// their dependency chains interleave (the destructuring fixes `LANES` at
+/// four).
+fn scan_lanes(lanes: &[f64], n: usize, mean: f64) -> [f64; LANES] {
+    let [a, b, c, d]: [&[f64]; LANES] = std::array::from_fn(|l| &lanes[l * n..(l + 1) * n]);
+    let mut acc = [0.0f64; LANES];
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    for (((&xa, &xb), &xc), &xd) in a.iter().zip(b).zip(c).zip(d) {
+        let xs = [xa, xb, xc, xd];
+        for l in 0..LANES {
+            acc[l] += xs[l] - mean;
+            if acc[l] < lo[l] {
+                lo[l] = acc[l];
+            }
+            if acc[l] > hi[l] {
+                hi[l] = acc[l];
+            }
+        }
+    }
+    std::array::from_fn(|l| hi[l] - lo[l])
 }
 
 impl Default for CusumDetector {
@@ -367,6 +472,29 @@ mod tests {
 
     fn step(pre: f64, post: f64, at: usize, n: usize) -> Vec<f64> {
         (0..n).map(|i| if i < at { pre } else { post }).collect()
+    }
+
+    /// A W=500-sized window shaped like a bursty slow-fault metric after
+    /// smoothing: a level that jumps every ~25 samples on average, uniform
+    /// noise, and a ±2-sample moving average.
+    fn bursty(seed: u64, n: usize) -> Vec<f64> {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut level = 50.0;
+        let raw: Vec<f64> = (0..n)
+            .map(|_| {
+                if rng.gen::<f64>() < 0.04 {
+                    level = rng.gen::<f64>() * 100.0;
+                }
+                level + rng.gen::<f64>() * 8.0
+            })
+            .collect();
+        (0..n)
+            .map(|i| {
+                let (lo, hi) = (i.saturating_sub(2), (i + 3).min(n));
+                raw[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
+            })
+            .collect()
     }
 
     #[test]
@@ -456,7 +584,7 @@ mod tests {
         // Signals mixing accepted and rejected segments, so the pruned
         // bootstrap's RNG fast-forward is exercised mid-recursion: a
         // rejected left child must leave the right child's reshuffles
-        // untouched.
+        // untouched, whichever lane of a batch it was rejected on.
         use rand::Rng;
         let mut rng = SmallRng::seed_from_u64(11);
         let mut signals: Vec<Vec<f64>> = vec![
@@ -475,14 +603,74 @@ mod tests {
                 .map(|i| (if i % 90 < 45 { 3.0 } else { 19.0 }) + rng.gen::<f64>())
                 .collect(),
         );
-        let d = CusumDetector::default();
-        let (mut prefix, mut scratch) = (Vec::new(), Vec::new());
-        let (mut plain, mut pruned) = (Vec::new(), Vec::new());
-        for (i, xs) in signals.iter().enumerate() {
-            d.detect_into(xs, &mut prefix, &mut scratch, &mut plain);
-            d.detect_into_pruned(xs, &mut prefix, &mut scratch, &mut pruned);
-            assert_eq!(plain, pruned, "signal {i}: pruning changed the result");
+        // Long bursty windows run the recursion into `max_change_points`
+        // with accepted segments at every depth.
+        for seed in 0..3 {
+            let mut xs = bursty(seed, 600);
+            for (i, x) in xs.iter_mut().enumerate() {
+                *x += if (i / 14) % 2 == 0 { 0.0 } else { 60.0 };
+            }
+            signals.push(xs);
         }
+        // Bootstrap counts from one reshuffle to the default, including
+        // counts whose last lane batch is partial.
+        for bootstraps in [1, 2, 3, 5, 7, 199, 200] {
+            let d = CusumDetector::new(CusumConfig {
+                bootstraps,
+                ..CusumConfig::default()
+            });
+            let (mut prefix, mut scratch) = (Vec::new(), Vec::new());
+            let (mut plain, mut pruned) = (Vec::new(), Vec::new());
+            let mut capped = false;
+            for (i, xs) in signals.iter().enumerate() {
+                d.detect_into(xs, &mut prefix, &mut scratch, &mut plain);
+                d.detect_into_pruned(xs, &mut prefix, &mut scratch, &mut pruned);
+                assert_eq!(
+                    plain, pruned,
+                    "B={bootstraps}, signal {i}: lanes changed the result"
+                );
+                capped |= plain.len() == d.config().max_change_points;
+            }
+            assert!(capped, "B={bootstraps}: no signal reached the cap");
+        }
+    }
+
+    /// FNV-1a over every change point's index, magnitude bits and
+    /// direction.
+    fn digest(cps: &[ChangePoint], mut h: u64) -> u64 {
+        for cp in cps {
+            let up = u64::from(cp.direction == Trend::Up);
+            for word in [cp.index as u64, cp.magnitude.to_bits(), up] {
+                for b in word.to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn detector_output_matches_golden_digest() {
+        // Pins both engines' change points to a recorded digest, so a
+        // change that moves the batch reference and the streaming kernel
+        // together still fails here. The digest was recorded with the
+        // scalar bootstrap loop on every path.
+        const GOLDEN: (usize, u64) = (158, 0x140b_9d82_94d8_56ac);
+        let d = CusumDetector::default();
+        let (mut prefix, mut scratch, mut pruned) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut count, mut plain_h, mut pruned_h) =
+            (0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
+        for seed in 0..6 {
+            let xs = bursty(seed, 501);
+            let plain = d.detect(&xs);
+            d.detect_into_pruned(&xs, &mut prefix, &mut scratch, &mut pruned);
+            count += plain.len();
+            plain_h = digest(&plain, plain_h);
+            pruned_h = digest(&pruned, pruned_h);
+        }
+        assert_eq!((count, plain_h), GOLDEN, "batch detector output moved");
+        assert_eq!((count, pruned_h), GOLDEN, "streaming detector output moved");
     }
 
     #[test]
@@ -499,6 +687,53 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use rand::Rng;
+
+    /// Bootstrap counts below, at and around `LANES` multiples, so batches
+    /// end mid-lane and pruning fires mid-batch, plus the default.
+    const BOOTSTRAPS: [usize; 7] = [1, 2, 3, 5, 7, 199, 200];
+
+    /// An `n`-sample test signal of one of four kinds, drawn from `seed`:
+    /// uniform noise; a bursty multi-step level (enough steps to reach
+    /// `max_change_points`); the same with ±0.0, ±∞ and NaN sprinkled in;
+    /// and steps between signed zeros and small levels.
+    fn signal(n: usize, kind: u64, seed: u64) -> Vec<f64> {
+        const SPECIAL: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut level = 50.0;
+        let mut xs: Vec<f64> = (0..n)
+            .map(|_| match kind {
+                0 => rng.gen_range(0.0..100.0),
+                3 => {
+                    if rng.gen_range(0u32..12) == 0 {
+                        level = [0.0, -0.0, 1.0, -1.0][rng.gen_range(0usize..4)];
+                    }
+                    level
+                }
+                _ => {
+                    if rng.gen_range(0u32..10) == 0 {
+                        level = rng.gen_range(0.0..100.0);
+                    }
+                    level + rng.gen_range(0.0..2.0)
+                }
+            })
+            .collect();
+        if kind == 2 && n > 0 {
+            for _ in 0..rng.gen_range(1usize..4) {
+                let at = rng.gen_range(0..n);
+                xs[at] = SPECIAL[rng.gen_range(0usize..SPECIAL.len())];
+            }
+        }
+        xs
+    }
+
+    /// What two detections must agree on, with the magnitude compared bit
+    /// for bit (a NaN magnitude equals itself).
+    fn bits(cps: &[ChangePoint]) -> Vec<(usize, Trend, u64)> {
+        cps.iter()
+            .map(|cp| (cp.index, cp.direction, cp.magnitude.to_bits()))
+            .collect()
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -520,23 +755,33 @@ mod proptests {
             }
         }
 
-        /// Bootstrap pruning never changes the detected change points,
-        /// and neither does reusing dirty buffers: both variants run
-        /// repeatedly on the same buffers over windows that shrink and
-        /// grow, and each answer must equal a fresh `detect`.
+        /// The streaming engine's bootstrap (lanes, pruning) never changes
+        /// the detected change points, and neither does reusing dirty
+        /// buffers: both variants run repeatedly on the same buffers over
+        /// windows that shrink and grow, and each answer must equal a
+        /// fresh `detect`, index, direction and magnitude bits alike.
+        /// Inputs cover every length mod `LANES`, bursty signals that
+        /// reach `max_change_points`, non-finite and signed-zero samples,
+        /// and bootstrap counts whose batches end mid-lane.
         #[test]
-        fn pruned_matches_plain(xs in proptest::collection::vec(0.0f64..100.0, 0..200)) {
-            let d = CusumDetector::default();
+        fn pruned_matches_plain(
+            (xs, bootstraps) in (0usize..=600, 0u64..4, 0..u64::MAX, 0usize..7)
+                .prop_map(|(n, kind, seed, b)| (signal(n, kind, seed), BOOTSTRAPS[b]))
+        ) {
+            let d = CusumDetector::new(CusumConfig {
+                bootstraps,
+                ..CusumConfig::default()
+            });
             let (mut prefix, mut scratch) = (Vec::new(), Vec::new());
             let (mut plain, mut pruned) = (Vec::new(), Vec::new());
             let n = xs.len();
             for window in [0..n, n / 2..n, n / 4..3 * n / 4, 0..n / 3, 0..n] {
                 let xs = &xs[window];
-                let fresh = d.detect(xs);
+                let fresh = bits(&d.detect(xs));
                 d.detect_into(xs, &mut prefix, &mut scratch, &mut plain);
                 d.detect_into_pruned(xs, &mut prefix, &mut scratch, &mut pruned);
-                prop_assert_eq!(&plain, &fresh);
-                prop_assert_eq!(&pruned, &fresh);
+                prop_assert_eq!(bits(&plain), fresh.clone());
+                prop_assert_eq!(bits(&pruned), fresh);
             }
         }
 
