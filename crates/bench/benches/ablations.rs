@@ -1,13 +1,9 @@
 //! Ablation studies for FChain's design choices and extensions:
 //!
-//! * **adaptive look-back** (paper §III.F, ongoing work): re-run with a
-//!   longer window when the earliest onset touches the window edge —
-//!   measured on the slow-manifesting DiskHog fault at W=100, where the
-//!   fixed window misses the onset;
-//! * **adaptive smoothing** (paper §III.C, ongoing work): per-metric
-//!   smoothing width — measured on the fast-propagating System S
-//!   concurrent CpuHog, the case the paper attributes to smoothing
-//!   side effects;
+//! * **look-back widen retry** (paper §III.F's adaptive window, ongoing
+//!   work): the master re-asks once over a 4× window when the first
+//!   answer pinpoints nothing — measured on the slow-manifesting DiskHog
+//!   fault at W=100, where the fixed window misses the onset;
 //! * **dependency refinement off**: FChain without discovered
 //!   dependencies on the two-app-server bugs, where sibling rescue is the
 //!   only way to recover the second culprit;
@@ -15,7 +11,7 @@
 //!   component when the anomaly is a client-side surge (ground truth:
 //!   blame nobody).
 use fchain_baselines::{HistogramScheme, NetMedic, Pal, TopologyScheme};
-use fchain_core::{CaseData, FChain, FChainConfig, Localizer};
+use fchain_core::{CaseData, FChain, FChainConfig, Localizer, LookbackRetry};
 #[allow(unused_imports)]
 use fchain_eval::{render, Campaign, Counts};
 use fchain_metrics::ComponentId;
@@ -40,45 +36,28 @@ impl Localizer for NoDeps {
 fn main() {
     let mut blocks = Vec::new();
 
-    // --- adaptive look-back on DiskHog at W=100 ------------------------
+    // --- look-back widen retry on DiskHog at W=100 ---------------------
     let fixed = FChain::default();
-    let adaptive = FChain::new(FChainConfig {
-        adaptive_lookback: true,
+    let widen = FChain::new(FChainConfig {
+        lookback_retry: LookbackRetry::Widen,
         ..FChainConfig::default()
     });
     let campaign =
         Campaign::new(AppKind::Hadoop, FaultKind::ConcurrentDiskHog, 9000).with_lookback(100);
-    let results = campaign.evaluate(&[&fixed, &adaptive]);
+    let results = campaign.evaluate(&[&fixed, &widen]);
     let rows: Vec<(String, Counts)> = vec![
         ("FChain (fixed W=100)".into(), results[0].counts),
-        ("FChain (adaptive W)".into(), results[1].counts),
+        ("FChain (widen retry)".into(), results[1].counts),
     ];
     print!(
         "{}",
-        render::roc_block("ablation: adaptive look-back, hadoop/conc_diskhog", &rows)
+        render::roc_block(
+            "ablation: look-back widen retry, hadoop/conc_diskhog",
+            &rows
+        )
     );
     println!();
-    blocks.push(json!({"ablation": "adaptive_lookback", "rows": rows
-        .iter().map(|(n, c)| json!({"name": n, "p": c.precision(), "r": c.recall()})).collect::<Vec<_>>()}));
-
-    // --- adaptive smoothing on System S concurrent CpuHog --------------
-    let smooth_fixed = FChain::default();
-    let smooth_adaptive = FChain::new(FChainConfig {
-        adaptive_smoothing: true,
-        ..FChainConfig::default()
-    });
-    let campaign = Campaign::new(AppKind::SystemS, FaultKind::ConcurrentCpuHog, 9100);
-    let results = campaign.evaluate(&[&smooth_fixed, &smooth_adaptive]);
-    let rows: Vec<(String, Counts)> = vec![
-        ("FChain (fixed smoothing)".into(), results[0].counts),
-        ("FChain (adaptive smoothing)".into(), results[1].counts),
-    ];
-    print!(
-        "{}",
-        render::roc_block("ablation: adaptive smoothing, systems/conc_cpuhog", &rows)
-    );
-    println!();
-    blocks.push(json!({"ablation": "adaptive_smoothing", "rows": rows
+    blocks.push(json!({"ablation": "lookback_retry", "rows": rows
         .iter().map(|(n, c)| json!({"name": n, "p": c.precision(), "r": c.recall()})).collect::<Vec<_>>()}));
 
     // --- dependency refinement on the two-app-server bugs --------------

@@ -2,7 +2,7 @@
 //! map node versus the CPU metric of a normal reduce node in a Hadoop
 //! run: raw CUSUM+bootstrap discovers many change points on both; FChain's
 //! predictability filter keeps only the faulty map's abnormal one.
-use fchain_core::{slave::analyze_component, ComponentCase, FChainConfig};
+use fchain_core::FChain;
 use fchain_detect::{CusumConfig, CusumDetector};
 use fchain_eval::case_from_run;
 use fchain_metrics::{smooth, ComponentId, MetricKind};
@@ -18,6 +18,7 @@ fn main() {
     .run();
     let case = case_from_run(&run, 500).expect("violation");
     let detector = CusumDetector::new(CusumConfig::default());
+    let report = FChain::default().diagnose(&case);
     let mut blocks = Vec::new();
 
     for (label, comp, metric) in [
@@ -35,11 +36,11 @@ fn main() {
             .iter()
             .map(|c| case.window_start() + c.index as u64)
             .collect();
-        let cc: &ComponentCase = case.component(comp);
-        let finding = analyze_component(cc, case.violation_at, 500, &FChainConfig::default());
-        let selected: Vec<u64> = finding
-            .changes
+        let selected: Vec<u64> = report
+            .findings
             .iter()
+            .filter(|f| f.id == comp)
+            .flat_map(|f| &f.changes)
             .filter(|ch| ch.metric == metric)
             .map(|ch| ch.change_at)
             .collect();

@@ -44,8 +44,8 @@ fn seeded_master() -> (Master, u64) {
     for host in hosts {
         master.register_slave(host);
     }
-    if let Some(deps) = case.discovered_deps.clone() {
-        master.set_dependencies(deps);
+    if let Some(deps) = case.dependency_evidence(FChainConfig::default().ensemble.enabled) {
+        master.set_dependencies(deps.clone());
     }
     (master, case.violation_at)
 }

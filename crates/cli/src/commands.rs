@@ -4,7 +4,9 @@ use crate::args::Args;
 use fchain_baselines::{DependencyScheme, HistogramScheme, NetMedic, Pal, TopologyScheme};
 use fchain_core::master::Master;
 use fchain_core::slave::{MetricSample, SlaveDaemon};
-use fchain_core::{AnalysisEngine, FChain, FChainConfig, Localizer, Transport, Verdict};
+use fchain_core::{
+    AnalysisEngine, FChain, FChainConfig, Localizer, Transport, Verdict, MAX_LOOKBACK, MIN_LOOKBACK,
+};
 use fchain_eval::{case_from_run, render, Campaign, DegradedCampaign, FleetCampaign, OracleProbe};
 use fchain_metrics::MetricKind;
 use fchain_obs::{self as obs, PipelineSnapshot};
@@ -115,6 +117,19 @@ fn parse_hosts(args: &Args, default: usize) -> Result<usize, Box<dyn std::error:
     }
 }
 
+/// `--lookback <W>`, `default` when absent. A window outside
+/// [`MIN_LOOKBACK`]`..=`[`MAX_LOOKBACK`] is an error on every subcommand,
+/// before anything is simulated: the same bound `fchaind` enforces at
+/// startup through [`FChainConfig::validate`].
+fn parse_lookback(args: &Args, default: u64) -> Result<u64, Box<dyn std::error::Error>> {
+    match args.get_parsed("lookback", default)? {
+        w if (MIN_LOOKBACK..=MAX_LOOKBACK).contains(&w) => Ok(w),
+        w => {
+            Err(format!("--lookback {w} is outside [{MIN_LOOKBACK}, {MAX_LOOKBACK}] ticks").into())
+        }
+    }
+}
+
 /// A spawned `fchaind` child process plus the address it bound.
 struct SpawnedDaemon {
     child: std::process::Child,
@@ -193,9 +208,10 @@ fn spawn_fchaind(
 /// then tear the daemons down. The report must match an in-process
 /// `Master` + `SlaveDaemon` deployment bit for bit (the pin in
 /// tests/determinism.rs); the sockets add latency, never meaning. The
-/// default `fchain diagnose` runs the case-based convenience pipeline
-/// instead, which pinpoints identically but can surface different
-/// propagation-chain detail on some seeds.
+/// default `fchain diagnose` runs `FChain::diagnose`, the same master
+/// and daemon in-process, but its daemon retains the whole case while
+/// `fchaind` keeps its default ring, so on long runs the error floor can
+/// read a shorter normal span here.
 fn diagnose_remote(
     args: &Args,
     case: &fchain_core::CaseData,
@@ -234,12 +250,13 @@ fn diagnose_remote(
         }
     }
 
+    let ensemble = config.ensemble.enabled;
     let mut master = Master::new(config);
     for remote in &remotes {
         master.register_slave(Arc::clone(remote) as Arc<dyn fchain_core::SlaveEndpoint>);
     }
-    if let Some(deps) = case.discovered_deps.clone() {
-        master.set_dependencies(deps);
+    if let Some(deps) = case.dependency_evidence(ensemble) {
+        master.set_dependencies(deps.clone());
     }
     let report = master.on_violation(case.violation_at);
 
@@ -333,9 +350,9 @@ pub fn diagnose(args: &Args) -> CliResult {
     let engine = parse_engine(args)?;
     let transport = parse_transport(args)?;
     let hosts = parse_hosts(args, 1)?;
+    let (_, fault) = parse_case(args.require("app")?, args.require("fault")?)?;
+    let lookback = parse_lookback(args, default_lookback(fault))?;
     let run = build_run(args)?;
-    let fault = run.fault.kind;
-    let lookback = args.get_parsed("lookback", default_lookback(fault))?;
     let Some(case) = case_from_run(&run, lookback) else {
         return Err("the SLO never fired; nothing to diagnose (try another seed)".into());
     };
@@ -436,7 +453,7 @@ pub fn compare(args: &Args) -> CliResult {
     let (app, fault) = parse_case(args.require("app")?, args.require("fault")?)?;
     let runs = args.get_parsed("runs", 30usize)?;
     let base_seed = args.get_parsed("seed", 1000u64)?;
-    let lookback = args.get_parsed("lookback", default_lookback(fault))?;
+    let lookback = parse_lookback(args, default_lookback(fault))?;
     let campaign = Campaign {
         app,
         fault,
@@ -495,7 +512,7 @@ pub fn degraded(args: &Args) -> CliResult {
         runs: args.get_parsed("runs", 10usize)?,
         base_seed: args.get_parsed("seed", 1000u64)?,
         duration: args.get_parsed("duration", 1500u64)?,
-        lookback: args.get_parsed("lookback", default_lookback(fault))?,
+        lookback: parse_lookback(args, default_lookback(fault))?,
         hosts: parse_hosts(args, 4)?,
         loss_rates,
         config,
@@ -573,7 +590,7 @@ pub fn fleet(args: &Args) -> CliResult {
     let base = FleetCampaign {
         base_seed: args.get_parsed("seed", 4100u64)?,
         duration: args.get_parsed("duration", 1500u64)?,
-        lookback: args.get_parsed("lookback", 100u64)?,
+        lookback: parse_lookback(args, 100)?,
         hosts: parse_hosts(args, 2)?,
         rpc_delay_ms: args.get_parsed("rpc-delay-ms", 100u64)?,
         stalled_tenants: args.get_parsed("stalled", 0usize)?,
@@ -723,11 +740,12 @@ pub fn obs(args: &Args) -> CliResult {
     )?;
     let seed = args.get_parsed("seed", 900u64)?;
     let duration = args.get_parsed("duration", 3600u64)?;
-    let lookback = args.get_parsed("lookback", default_lookback(fault))?;
+    let lookback = parse_lookback(args, default_lookback(fault))?;
     let n_hosts = parse_hosts(args, 2)?;
     let engine = parse_engine(args)?;
     let config = FChainConfig {
         engine,
+        lookback,
         ..FChainConfig::default()
     };
 
@@ -739,9 +757,12 @@ pub fn obs(args: &Args) -> CliResult {
     // The deployed topology: components spread round-robin over slave
     // daemons, the master fanning out to them — so the slave-side spans
     // (selection, CUSUM, FFT, rollback) and master-side spans (fan-out,
-    // merge, pinpoint, validation) all fire.
+    // merge, pinpoint, validation) all fire. The daemons retain the whole
+    // case, as `FChain::diagnose` sizes its own, so this diagnosis
+    // pinpoints what `fchain diagnose --validate` does.
+    let capacity = SlaveDaemon::capacity_for_case(&case, lookback);
     let hosts: Vec<Arc<SlaveDaemon>> = (0..n_hosts)
-        .map(|_| Arc::new(SlaveDaemon::new(config.clone())))
+        .map(|_| Arc::new(SlaveDaemon::new(config.clone()).with_capacity(capacity)))
         .collect();
     for (i, component) in case.components.iter().enumerate() {
         let host = &hosts[i % hosts.len()];
@@ -749,12 +770,13 @@ pub fn obs(args: &Args) -> CliResult {
             host.ingest(sample);
         }
     }
+    let ensemble = config.ensemble.enabled;
     let mut master = Master::new(config);
     for host in hosts {
         master.register_slave(host);
     }
-    if let Some(deps) = case.discovered_deps.clone() {
-        master.set_dependencies(deps);
+    if let Some(deps) = case.dependency_evidence(ensemble) {
+        master.set_dependencies(deps.clone());
     }
     // This diagnosis's own profile: the registry delta around it (the
     // only work in flight), labeled with the single tenant's name.

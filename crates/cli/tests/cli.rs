@@ -14,12 +14,80 @@ fn bad_app_fault_pairs_exit_1_with_an_error_line() {
         (["obs", "--app", "hadoop", "--fault", "diskhog"], undefined),
         (["diagnose", "--app", "hadoop", "--fault", "nope"], unknown),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_fchain"))
-            .args(args)
-            .output()
-            .expect("fchain runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let (code, _, stderr) = fchain(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
         assert!(stderr.starts_with(expected), "{args:?}: {stderr}");
     }
+}
+
+/// Runs `fchain` with `args` and returns (exit code, stdout, stderr).
+fn fchain(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_fchain"))
+        .args(args)
+        .output()
+        .expect("fchain runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn out_of_range_lookback_exits_1_on_every_subcommand() {
+    for command in ["diagnose", "compare", "degraded", "fleet", "obs"] {
+        for lookback in ["5", "100000000"] {
+            let (code, _, stderr) = fchain(&[
+                command,
+                "--app",
+                "rubis",
+                "--fault",
+                "cpuhog",
+                "--lookback",
+                lookback,
+            ]);
+            let expected = format!("error: --lookback {lookback} is outside [10, 86400] ticks\n");
+            assert_eq!(code, Some(1), "{command} --lookback {lookback}: {stderr}");
+            assert!(
+                stderr.starts_with(&expected),
+                "{command} --lookback {lookback}: {stderr}"
+            );
+        }
+    }
+}
+
+/// The `pinpointed` and `removed_by_validation` fields of a JSON report.
+fn answer(json: &str) -> Vec<serde_json::Value> {
+    let report: serde_json::Value = serde_json::from_str(json).expect("JSON report");
+    let fields = report.as_map().expect("a JSON object");
+    ["pinpointed", "removed_by_validation"]
+        .iter()
+        .map(|&key| {
+            let (_, value) = fields
+                .iter()
+                .find(|(k, _)| k.as_str() == Some(key))
+                .unwrap_or_else(|| panic!("no {key} in {json}"));
+            value.clone()
+        })
+        .collect()
+}
+
+/// `fchain obs` analyzes at the `--lookback` it prints, over daemons that
+/// retain the whole case, so it answers what `fchain diagnose --validate`
+/// answers. The W = 500 disk hog needs the long window: at W = 100 the
+/// same run pinpoints another component.
+#[test]
+fn obs_honors_lookback_and_matches_diagnose() {
+    let case = ["--app", "hadoop", "--fault", "conc_diskhog", "--seed", "3"];
+    let run = |command: &str, lookback: &str, extra: &[&str]| {
+        let mut args = vec![command, "--lookback", lookback, "--json"];
+        args.extend_from_slice(&case);
+        args.extend_from_slice(extra);
+        let (code, stdout, stderr) = fchain(&args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        answer(&stdout)
+    };
+    let diagnosed = run("diagnose", "500", &["--validate"]);
+    assert_eq!(run("obs", "500", &[]), diagnosed);
+    assert_ne!(run("obs", "100", &[]), diagnosed);
 }

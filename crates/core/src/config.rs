@@ -271,12 +271,10 @@ pub const MAX_LOOKBACK: u64 = 86_400;
 /// slack.
 const WIDENED_LOOKBACK_CAP: u64 = 600;
 
-/// The one widening rule shared by the adaptive look-back
-/// ([`FChainConfig::adaptive_lookback`]) and the master's
-/// [`LookbackRetry::Widen`] re-collect: four times the window, capped at
-/// 600 ticks, saturating rather than overflowing on a huge window. `None`
-/// when widening would not grow the window — the caller keeps its first
-/// answer.
+/// The master's [`LookbackRetry::Widen`] re-collect window: four times
+/// the window, capped at 600 ticks, saturating rather than overflowing on
+/// a huge window. `None` when widening would not grow the window — the
+/// caller keeps its first answer.
 pub(crate) fn widened_lookback(lookback: u64) -> Option<u64> {
     let widened = lookback.saturating_mul(4).min(WIDENED_LOOKBACK_CAP);
     (widened > lookback).then_some(widened)
@@ -337,12 +335,6 @@ pub struct FChainConfig {
     /// inferred. The paper requires all components; a slightly lower
     /// quorum tolerates one component whose change the selection missed.
     pub external_quorum: f64,
-    /// Adaptive look-back (paper §III.F, listed as ongoing work): when the
-    /// earliest abnormal onset lands at the very start of the window —
-    /// suggesting the manifestation predates it — the master re-runs the
-    /// analysis with a longer window instead of requiring the operator to
-    /// know the fault's speed in advance.
-    pub adaptive_lookback: bool,
     /// Master-side re-collect policy on an *empty* violation-time
     /// fan-out: [`LookbackRetry::Widen`] asks every slave once more
     /// with a widened window before conceding silence. Off by default;
@@ -363,11 +355,6 @@ pub struct FChainConfig {
     /// Base backoff (milliseconds) between slave retries, doubled on each
     /// further attempt.
     pub slave_backoff_ms: u64,
-    /// Adaptive smoothing (paper §III.C, listed as ongoing work): choose
-    /// the smoothing width per metric from its noise profile instead of a
-    /// fixed half-width, so clean signals keep sharp onsets while jittery
-    /// ones still get denoised.
-    pub adaptive_smoothing: bool,
     /// Which analysis implementation runs at violation time (streaming by
     /// default; batch is the always-available reference). Older serialized
     /// configs lack the field — its `Deserialize` maps absence to the
@@ -400,12 +387,10 @@ impl Default for FChainConfig {
             smoothing_half: 2,
             error_slack: 5,
             external_quorum: 0.75,
-            adaptive_lookback: false,
             lookback_retry: LookbackRetry::default(),
             slave_deadline_ms: 0,
             slave_retries: 2,
             slave_backoff_ms: 1,
-            adaptive_smoothing: false,
             engine: AnalysisEngine::default(),
             ensemble: EnsembleConfig::default(),
             learner: LearnerConfig::default(),

@@ -1,21 +1,24 @@
 //! The FChain system: slaves + master wired together.
 
 use crate::case::CaseData;
-use crate::config::{widened_lookback, FChainConfig};
+use crate::config::{FChainConfig, MAX_LOOKBACK, MIN_LOOKBACK};
 use crate::localizer::Localizer;
-use crate::master::pinpoint::pinpoint_findings;
-use crate::master::validation::{validate_pinpointing, ValidationProbe};
-use crate::report::{ComponentFinding, DiagnosisReport};
-use crate::slave::analyze_component;
+use crate::master::validation::ValidationProbe;
+use crate::master::Master;
+use crate::report::DiagnosisReport;
+use crate::slave::{MetricSample, SlaveDaemon};
 use fchain_metrics::ComponentId;
+use std::sync::Arc;
 
 /// The FChain fault localization system.
 ///
-/// [`FChain::diagnose`] runs the full pipeline — per-component abnormal
-/// change point selection, onset rollback, integrated pinpointing with
-/// dependency refinement — and returns a [`DiagnosisReport`].
-/// [`FChain::diagnose_validated`] additionally runs online pinpointing
-/// validation through a [`ValidationProbe`].
+/// [`FChain::diagnose`] runs the production pipeline on a recorded case:
+/// the case is replayed into an in-process [`SlaveDaemon`] that retains
+/// the whole history, and a [`Master`] holding the case's dependency
+/// evidence answers the violation — per-component abnormal change point
+/// selection, onset rollback, integrated pinpointing with dependency
+/// refinement. [`FChain::diagnose_validated`] additionally runs online
+/// pinpointing validation through a [`ValidationProbe`].
 ///
 /// See the crate-level documentation for an end-to-end example.
 #[derive(Debug, Clone)]
@@ -42,67 +45,11 @@ impl FChain {
         &self.config
     }
 
-    /// Full diagnosis without online validation.
-    ///
-    /// With [`FChainConfig::adaptive_lookback`] enabled, a diagnosis whose
-    /// earliest onset touches the very start of the window is re-run with
-    /// a window four times longer (capped at 600 s): an onset at the edge
-    /// means the manifestation probably started before the window — the
-    /// slow-fault situation that otherwise requires hand-picking `W`.
+    /// Full diagnosis without online validation. With
+    /// [`FChainConfig::lookback_retry`] set, an empty first answer is
+    /// re-asked over a widened window, as the master does in deployment.
     pub fn diagnose(&self, case: &CaseData) -> DiagnosisReport {
-        // The case's look-back window is authoritative (the master
-        // decides W per diagnosis — e.g. 500 s for slow-manifesting
-        // faults); the config's `lookback` is the default used when the
-        // case does not carry one.
-        let base_w = if case.lookback > 0 {
-            case.lookback
-        } else {
-            self.config.lookback
-        };
-        let report = self.diagnose_with_lookback(case, base_w);
-        if !self.config.adaptive_lookback {
-            return report;
-        }
-        let window_start = case.violation_at.saturating_sub(base_w);
-        let edge = window_start + base_w / 4;
-        let touches_edge = report
-            .propagation_chain()
-            .first()
-            .is_some_and(|&(_, onset)| onset <= edge);
-        // Nothing found despite a live SLO violation also means the
-        // manifestation is probably older than the window.
-        let empty = matches!(report.verdict, crate::Verdict::NoAnomaly);
-        if !touches_edge && !empty {
-            return report;
-        }
-        match widened_lookback(base_w) {
-            Some(extended) => self.diagnose_with_lookback(case, extended),
-            None => report,
-        }
-    }
-
-    /// Diagnosis over a look-back window of `w` ticks.
-    fn diagnose_with_lookback(&self, case: &CaseData, w: u64) -> DiagnosisReport {
-        let findings: Vec<ComponentFinding> = case
-            .components
-            .iter()
-            .map(|cc| analyze_component(cc, case.violation_at, w, &self.config))
-            .collect();
-        let dependencies = case.dependency_evidence(self.config.ensemble.enabled);
-        // The in-process API analyzes every component locally: there is
-        // no slave fan-out that could fail, so coverage is complete.
-        let (verdict, pinpointed) = pinpoint_findings(&self.config, &findings, dependencies, 1.0);
-        DiagnosisReport {
-            verdict,
-            pinpointed,
-            findings,
-            removed_by_validation: Vec::new(),
-            coverage: crate::report::DiagnosisCoverage::default(),
-            engine: self.config.engine,
-            // The in-process API serves one application: the default
-            // tenant.
-            app: fchain_metrics::AppId::default(),
-        }
+        self.master(case).on_violation(case.violation_at)
     }
 
     /// Full diagnosis followed by online pinpointing validation
@@ -113,9 +60,44 @@ impl FChain {
         case: &CaseData,
         probe: &mut dyn ValidationProbe,
     ) -> DiagnosisReport {
-        let mut report = self.diagnose(case);
-        validate_pinpointing(&mut report, probe);
-        report
+        self.master(case)
+            .on_violation_validated(case.violation_at, probe)
+    }
+
+    /// The deployment a recorded case stands for: one slave daemon fed
+    /// the case through [`MetricSample::replay`] and sized by
+    /// [`SlaveDaemon::capacity_for_case`], so the error floor learns from
+    /// the whole normal history, registered with a master that holds the
+    /// case's dependency evidence.
+    ///
+    /// The case's look-back window is authoritative (the master decides
+    /// `W` per diagnosis — e.g. 500 s for slow-manifesting faults); the
+    /// config's `lookback` applies when the case carries none, and a
+    /// window outside [`MIN_LOOKBACK`]`..=`[`MAX_LOOKBACK`] is clamped into
+    /// it. The in-process slave cannot be lost, so no deadline applies.
+    fn master(&self, case: &CaseData) -> Master {
+        let lookback = match case.lookback {
+            0 => self.config.lookback,
+            w => w.clamp(MIN_LOOKBACK, MAX_LOOKBACK),
+        };
+        let config = FChainConfig {
+            lookback,
+            slave_deadline_ms: 0,
+            ..self.config.clone()
+        };
+        let capacity = SlaveDaemon::capacity_for_case(case, lookback);
+        let slave = Arc::new(SlaveDaemon::new(config.clone()).with_capacity(capacity));
+        for component in &case.components {
+            for sample in MetricSample::replay(component.id, &component.metrics) {
+                slave.ingest(sample);
+            }
+        }
+        let mut master = Master::new(config);
+        master.register_slave(slave);
+        if let Some(deps) = case.dependency_evidence(self.config.ensemble.enabled) {
+            master.set_dependencies(deps.clone());
+        }
+        master
     }
 }
 
@@ -208,16 +190,40 @@ mod tests {
         let report = FChain::default().diagnose(&c);
         assert_eq!(report.verdict, crate::Verdict::NoAnomaly);
         assert!(report.pinpointed.is_empty());
-        // The adaptive retry's 4× widening saturates on a huge window.
-        let adaptive = FChain::new(FChainConfig {
-            adaptive_lookback: true,
+        // The master's widen retry keeps the empty answer on a window
+        // already past its cap (a huge case window is clamped, not
+        // rejected).
+        let widen = FChain::new(FChainConfig {
+            lookback_retry: crate::LookbackRetry::Widen,
             ..FChainConfig::default()
         });
         let huge = CaseData {
             lookback: u64::MAX,
             ..c
         };
-        assert_eq!(adaptive.diagnose(&huge).verdict, crate::Verdict::NoAnomaly);
+        assert_eq!(widen.diagnose(&huge).verdict, crate::Verdict::NoAnomaly);
+    }
+
+    #[test]
+    fn all_non_finite_component_is_absent_from_findings() {
+        // The daemon drops every non-finite sample at ingest, so a
+        // component whose six metrics never carry a finite value has no
+        // series to analyze: it is absent from `findings` (not present
+        // with empty changes), and the culprit is still pinpointed.
+        let mut dark = component(2, |_| 0.0);
+        for series in &mut dark.metrics {
+            *series = TimeSeries::from_samples(0, vec![f64::NAN; series.len()]);
+        }
+        let c = case(vec![
+            component(0, |_| 0.0),
+            component(1, |t| if t >= 1100 { 50.0 } else { 0.0 }),
+            dark,
+        ]);
+        let report = FChain::default().diagnose(&c);
+        let ids: Vec<ComponentId> = report.findings.iter().map(|f| f.id).collect();
+        assert_eq!(ids, vec![ComponentId(0), ComponentId(1)]);
+        assert_eq!(report.pinpointed, vec![ComponentId(1)]);
+        assert!(report.coverage.is_complete());
     }
 
     #[test]

@@ -263,10 +263,10 @@ impl TenantState {
     /// window-edge recall hole, where a slow fault's onset predates
     /// `t_v − W` and whatever changes the window does catch don't
     /// survive pinpointing — and the knob is on, every slave is asked
-    /// once more with the window widened by [`widened_lookback`] — the
-    /// same rule the per-case adaptive look-back uses, so a retry can
-    /// never scan further back than the most generous configured
-    /// analysis would. The widened diagnosis is adopted only if it
+    /// once more with the window widened by [`widened_lookback`] (four
+    /// times, capped at 600 ticks). [`crate::FChain`] diagnoses through
+    /// this master, so this is the only widening rule. The widened
+    /// diagnosis is adopted only if it
     /// pinpoints something: the retry is a recall fallback, so a
     /// correctly-silent answer (a workload surge, a healthy tenant) stays
     /// the first answer, bit for bit.

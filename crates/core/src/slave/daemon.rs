@@ -19,6 +19,7 @@
 //! hot suffix and regenerates deeper errors by replaying the stored
 //! values through a shadow learner.
 
+use crate::case::CaseData;
 use crate::config::{AnalysisEngine, FChainConfig};
 use crate::master::endpoint::CollectRequest;
 use crate::report::{AbnormalChange, ComponentFinding};
@@ -332,6 +333,22 @@ impl SlaveDaemon {
         duration as usize + 16
     }
 
+    /// Per-metric history (samples) that retains every sample of a
+    /// recorded `case` analyzed at `lookback`: the horizon of its longest
+    /// series, never below the [`SlaveDaemon::with_capacity`] floor of
+    /// twice the window. [`crate::FChain`] sizes its daemon this way, so
+    /// the error floor reads the case's whole normal history.
+    pub fn capacity_for_case(case: &CaseData, lookback: u64) -> usize {
+        let longest = case
+            .components
+            .iter()
+            .flat_map(|c| &c.metrics)
+            .map(TimeSeries::len)
+            .max()
+            .unwrap_or(0);
+        Self::capacity_for_horizon(longest as Tick).max((lookback as usize).saturating_mul(2))
+    }
+
     /// How many recent samples each metric retains.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -549,8 +566,7 @@ impl SlaveDaemon {
     /// the continuously-maintained state. Returns `None` if the component
     /// has never been monitored.
     ///
-    /// Unlike the batch path ([`crate::slave::analyze_component`]) no
-    /// model training happens here — the errors were computed as the
+    /// No model training happens here — the errors were computed as the
     /// samples arrived, which is what keeps the on-demand cost at the
     /// "abnormal change point selection" line of Table II instead of the
     /// "normal fluctuation modeling" line times the history length.

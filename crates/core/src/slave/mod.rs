@@ -11,7 +11,6 @@
 pub mod daemon;
 mod derived;
 pub mod rollback;
-pub mod selection;
+mod selection;
 
 pub use daemon::{MetricSample, SlaveDaemon};
-pub use selection::analyze_component;

@@ -1,12 +1,10 @@
 //! Predictability-based abnormal change point selection (paper §II.B).
 
 use crate::config::{AnalysisEngine, FChainConfig};
-use crate::report::{AbnormalChange, ComponentFinding};
-use crate::ComponentCase;
+use crate::report::AbnormalChange;
 use fchain_detect::{magnitude_outliers, ChangePoint, CusumDetector};
 use fchain_metrics::fft::FftPlan;
 use fchain_metrics::{smooth, stats, MetricKind, Tick};
-use fchain_model::OnlineLearner;
 use fchain_obs as obs;
 
 /// Every buffer the selection pipeline needs: the CUSUM detector with its
@@ -121,98 +119,6 @@ pub(crate) fn screen(errors: impl Iterator<Item = f64>, error_floor: f64) -> boo
     clean
 }
 
-/// Analyzes one component: for each of its six metrics, detect change
-/// points in the look-back window, filter them down to abnormal ones, and
-/// roll each back to its onset.
-///
-/// The selection pipeline per metric:
-///
-/// 1. Train the online learner causally over the full history, producing a
-///    one-step-ahead prediction-error series (this is what the slave has
-///    been doing continuously in deployment).
-/// 2. Smooth the look-back window and run CUSUM + bootstrap change point
-///    detection, then the PAL-style magnitude-outlier filter.
-/// 3. For each surviving change point, synthesize its **expected
-///    prediction error** from the burstiness of the surrounding raw
-///    samples (FFT high-pass, high percentile of the burst signal) and
-///    compare against the real prediction error near the point. Only
-///    change points whose error exceeds the expectation are abnormal —
-///    normal workload bursts predictably produce errors *commensurate
-///    with* their own burstiness and are filtered.
-/// 4. Tangent-rollback the earliest abnormal change point to its onset.
-///
-/// # Examples
-///
-/// ```
-/// use fchain_core::{slave::analyze_component, ComponentCase, FChainConfig};
-/// use fchain_metrics::{ComponentId, MetricKind, TimeSeries};
-///
-/// // CPU jumps to unseen values at t = 900.
-/// let vals: Vec<f64> = (0..1000)
-///     .map(|t| if t < 900 { 30.0 + (t % 5) as f64 } else { 92.0 })
-///     .collect();
-/// let mut metrics: Vec<TimeSeries> =
-///     (0..6).map(|_| TimeSeries::from_samples(0, vec![1.0; 1000])).collect();
-/// metrics[MetricKind::Cpu.index()] = TimeSeries::from_samples(0, vals);
-/// let case = ComponentCase { id: ComponentId(0), name: "c".into(), metrics };
-/// let finding = analyze_component(&case, 950, 100, &FChainConfig::default());
-/// let onset = finding.onset().expect("abnormal change expected");
-/// assert!((895..=905).contains(&onset), "onset {onset}");
-/// ```
-pub fn analyze_component(
-    component: &ComponentCase,
-    violation_at: Tick,
-    lookback: u64,
-    config: &FChainConfig,
-) -> ComponentFinding {
-    let mut changes = Vec::new();
-    let mut scratch = SelectionScratch::new(config);
-    for kind in MetricKind::ALL {
-        let history = component.metric(kind);
-        let hist = history.window(history.start(), violation_at);
-        if hist.len() < (lookback as usize).min(40) {
-            continue;
-        }
-        // Monitoring pipelines occasionally emit NaN/Inf samples (divide-
-        // by-zero rates, counter wraps); carry the previous value forward
-        // so one bad sample cannot poison the statistics. Seeding from the
-        // first *finite* sample keeps a non-finite head from injecting a
-        // phantom 0-to-baseline step at the start of the history.
-        let sanitized: Vec<f64> = {
-            let mut prev = hist.iter().copied().find(|v| v.is_finite()).unwrap_or(0.0);
-            hist.iter()
-                .map(|&v| {
-                    if v.is_finite() {
-                        prev = v;
-                        v
-                    } else {
-                        prev
-                    }
-                })
-                .collect()
-        };
-        // 1. Causal prediction errors over the full history (in deployment
-        // the slave daemon already holds these — see `SlaveDaemon`).
-        let errors = OnlineLearner::new(config.learner.clone()).train_errors(&sanitized);
-        if let Some(change) = select(
-            Suffix::whole(&sanitized),
-            Suffix::whole(&errors),
-            kind,
-            violation_at,
-            lookback,
-            config,
-            None,
-            &mut scratch,
-        ) {
-            changes.push(change);
-        }
-    }
-    ComponentFinding {
-        id: component.id,
-        changes,
-    }
-}
-
 /// The selection stages downstream of the online model — change point
 /// detection, outlier filtering, the predictability filter and rollback —
 /// given a causal prediction-error series aligned with `hist` (the last
@@ -273,15 +179,9 @@ pub(crate) fn select(
     };
 
     // 2. Change points on the smoothed look-back window.
-    let window_raw = hist.from(window_start);
-    let half = if config.adaptive_smoothing {
-        adaptive_half(window_raw, config.smoothing_half)
-    } else {
-        config.smoothing_half
-    };
     smooth::moving_average_into(
-        window_raw,
-        half,
+        hist.from(window_start),
+        config.smoothing_half,
         &mut scratch.smooth_prefix,
         &mut scratch.window_smooth,
     );
@@ -404,27 +304,6 @@ pub(crate) fn error_floor_sorted(sorted: &[f64], config: &FChainConfig) -> f64 {
         .max(1e-9)
 }
 
-/// Chooses a smoothing half-width from the window's noise profile: the
-/// fraction of the signal's spread that lives in tick-to-tick jitter.
-/// Clean signals (gradual trends) keep `half = 1` so onsets stay sharp;
-/// jittery ones get up to `2 * base`.
-fn adaptive_half(window: &[f64], base: usize) -> usize {
-    let diffs: Vec<f64> = window.windows(2).map(|w| (w[1] - w[0]).abs()).collect();
-    let jitter = stats::percentile(&diffs, 50.0).unwrap_or(0.0);
-    let spread = stats::std_dev(window);
-    if spread <= f64::EPSILON {
-        return 1;
-    }
-    let ratio = jitter / spread;
-    if ratio > 0.5 {
-        (2 * base).max(1)
-    } else if ratio > 0.2 {
-        base.max(1)
-    } else {
-        1
-    }
-}
-
 /// The real prediction error near a change point: the maximum causal error
 /// in `[idx − 2, idx + slack]` — the change manifests *from* the change
 /// point onward (fast faults take a few ticks to saturate), while only a
@@ -467,8 +346,34 @@ fn burst_guard(config: &FChainConfig) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ComponentCase;
+    use crate::report::ComponentFinding;
+    use crate::slave::{MetricSample, SlaveDaemon};
+    use crate::{CaseData, ComponentCase};
     use fchain_metrics::{ComponentId, TimeSeries};
+
+    /// Replays `component` into a slave daemon that retains its whole
+    /// history and analyzes it at `violation_at` over the default 100-tick
+    /// window: the path every recorded component takes to selection,
+    /// including the daemon's non-finite drop-and-bridge rule.
+    fn analyze(component: &ComponentCase, violation_at: Tick) -> ComponentFinding {
+        let config = FChainConfig::default();
+        let case = CaseData {
+            violation_at,
+            lookback: config.lookback,
+            components: vec![component.clone()],
+            known_topology: None,
+            discovered_deps: None,
+            frontend: None,
+        };
+        let capacity = SlaveDaemon::capacity_for_case(&case, config.lookback);
+        let daemon = SlaveDaemon::new(config).with_capacity(capacity);
+        for sample in MetricSample::replay(component.id, &component.metrics) {
+            daemon.ingest(sample);
+        }
+        daemon
+            .analyze(component.id, violation_at)
+            .expect("the component was fed")
+    }
 
     /// Builds a component whose CPU metric is `cpu` and whose other five
     /// metrics are benign constants with light noise.
@@ -499,7 +404,7 @@ mod tests {
     #[test]
     fn normal_component_has_no_abnormal_changes() {
         let c = component(periodic(1200));
-        let f = analyze_component(&c, 1150, 100, &FChainConfig::default());
+        let f = analyze(&c, 1150);
         assert!(f.changes.is_empty(), "false positives: {:?}", f.changes);
     }
 
@@ -512,7 +417,7 @@ mod tests {
             }
         }
         let c = component(cpu);
-        let f = analyze_component(&c, 1150, 100, &FChainConfig::default());
+        let f = analyze(&c, 1150);
         let onset = f.onset().expect("step must be selected");
         assert!((1095..=1105).contains(&onset), "onset {onset}");
         let cpu_changes: Vec<_> = f
@@ -534,7 +439,7 @@ mod tests {
             }
         }
         let c = component(cpu);
-        let f = analyze_component(&c, 1150, 100, &FChainConfig::default());
+        let f = analyze(&c, 1150);
         let onset = f.onset().expect("ramp must be selected");
         assert!(
             (1070..=1100).contains(&onset),
@@ -557,7 +462,7 @@ mod tests {
             vals.push(base + burst);
         }
         let c = component(vals);
-        let f = analyze_component(&c, 1450, 100, &FChainConfig::default());
+        let f = analyze(&c, 1450);
         let cpu_changes: Vec<_> = f
             .changes
             .iter()
@@ -580,22 +485,22 @@ mod tests {
             }
         }
         let c = component(cpu);
-        let f = analyze_component(&c, 1150, 100, &FChainConfig::default());
+        let f = analyze(&c, 1150);
         let onset = f.onset().expect("step still selected despite NaN/Inf");
         assert!((1095..=1105).contains(&onset), "onset {onset}");
     }
 
     #[test]
     fn leading_non_finite_samples_do_not_fake_a_step() {
-        // A NaN head used to be sanitized to 0.0, which made the first
-        // real sample look like a 0-to-baseline step; the carry-forward
-        // must instead seed from the first finite sample.
+        // A NaN head sanitized to 0.0 would make the first real sample
+        // look like a 0-to-baseline step; the daemon drops the head, so
+        // the series starts at the first finite sample.
         let mut cpu = periodic(1200);
         cpu[0] = f64::NAN;
         cpu[1] = f64::NEG_INFINITY;
         cpu[2] = f64::NAN;
         let c = component(cpu);
-        let f = analyze_component(&c, 1150, 100, &FChainConfig::default());
+        let f = analyze(&c, 1150);
         assert!(
             f.changes.is_empty(),
             "NaN head must not look like a change: {:?}",
@@ -606,7 +511,7 @@ mod tests {
     #[test]
     fn all_non_finite_history_is_benign() {
         let c = component(vec![f64::NAN; 1200]);
-        let f = analyze_component(&c, 1150, 100, &FChainConfig::default());
+        let f = analyze(&c, 1150);
         let cpu_changes: Vec<_> = f
             .changes
             .iter()
@@ -618,7 +523,7 @@ mod tests {
     #[test]
     fn short_history_is_skipped_gracefully() {
         let c = component(periodic(30));
-        let f = analyze_component(&c, 25, 100, &FChainConfig::default());
+        let f = analyze(&c, 25);
         assert!(f.changes.is_empty());
     }
 
@@ -646,7 +551,7 @@ mod tests {
             })
             .collect();
         c.metrics[MetricKind::Memory.index()] = TimeSeries::from_samples(0, mem);
-        let f = analyze_component(&c, 1150, 100, &FChainConfig::default());
+        let f = analyze(&c, 1150);
         let kinds: Vec<MetricKind> = f.changes.iter().map(|ch| ch.metric).collect();
         assert!(kinds.contains(&MetricKind::Cpu), "{kinds:?}");
         assert!(kinds.contains(&MetricKind::Memory), "{kinds:?}");

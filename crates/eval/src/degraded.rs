@@ -135,8 +135,8 @@ impl DegradedCampaign {
                         schedule.fault_for(s),
                     )));
                 }
-                if let Some(deps) = case.discovered_deps.clone() {
-                    master.set_dependencies(deps);
+                if let Some(deps) = case.dependency_evidence(self.config.ensemble.enabled) {
+                    master.set_dependencies(deps.clone());
                 }
                 let report = master.on_violation(case.violation_at);
                 // Set-semantics ground truth: overlapping fault windows

@@ -112,7 +112,7 @@ fn window_edge_onset_misses_stay_silent() {
     }
 }
 
-/// The adaptive look-back retry closes the pinned window-edge recall
+/// The look-back widen retry closes the pinned window-edge recall
 /// hole: with `lookback_retry = Widen` the same three scenarios that
 /// stay silent above re-collect at a 4× window, see the leak's onset,
 /// and localize it exactly — and the knob changes nothing else, so the
@@ -131,6 +131,14 @@ fn lookback_retry_turns_window_edge_misses_into_catches() {
             (1, 0, 0),
             "scenario {index} under Widen drifted from the pinned catch: {outcome:?}"
         );
+        // The solo reference diagnoses through the same master, so it
+        // widens too and catches the same component.
+        for v in &outcome.violations {
+            assert_eq!(
+                v.pinpointed, v.solo_pinpointed,
+                "scenario {index}: solo reference diverged under Widen"
+            );
+        }
     }
 }
 

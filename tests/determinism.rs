@@ -11,8 +11,8 @@
 use fchain::core::master::Master;
 use fchain::core::slave::{MetricSample, SlaveDaemon};
 use fchain::core::{
-    AnalysisEngine, CollectRequest, FChainConfig, FaultySlave, FleetMaster, FleetViolation,
-    SlaveEndpoint, SlaveFault, TenantSlave,
+    AnalysisEngine, CollectRequest, FChain, FChainConfig, FaultySlave, FleetMaster, FleetViolation,
+    LookbackRetry, SlaveEndpoint, SlaveFault, TenantSlave,
 };
 use fchain::eval::case_from_run;
 use fchain::metrics::{AppId, ComponentId, MetricKind};
@@ -161,6 +161,74 @@ fn assert_parity(app: AppKind, fault: FaultKind, seeds: &[u64]) {
     assert!(
         compared >= 3,
         "{app:?}/{fault:?}: only {compared} seeded cases produced a violation"
+    );
+}
+
+/// The offline ≡ online oracle: `FChain::diagnose` on a recorded case
+/// must equal the production deployment of the same case — a two-host
+/// `Master` over daemons that retain the whole case (components split
+/// round-robin, fed through `MetricSample::replay`) — in findings,
+/// verdict and pinpointed, on both engines, with the look-back widen
+/// retry off and on. The cases are 3600-tick runs: RUBiS CpuHog at
+/// W = 100, Hadoop ConcurrentDiskHog at W = 500, and the same disk hog
+/// at W = 100, where the first answer is empty and only the widened
+/// re-ask pinpoints.
+#[test]
+fn offline_diagnosis_equals_the_two_host_master() {
+    let cases = [
+        (AppKind::Rubis, FaultKind::CpuHog, 900, 100),
+        (AppKind::Hadoop, FaultKind::ConcurrentDiskHog, 3, 500),
+        (AppKind::Hadoop, FaultKind::ConcurrentDiskHog, 8, 100),
+    ];
+    let mut widened = 0;
+    for (app, fault, seed, lookback) in cases {
+        let run = Simulator::new(RunConfig::new(app, fault, seed)).run();
+        let case = case_from_run(&run, lookback).expect("seeded run must violate its SLO");
+        for engine in [AnalysisEngine::Batch, AnalysisEngine::Streaming] {
+            let config = FChainConfig {
+                engine,
+                lookback,
+                ..FChainConfig::default()
+            };
+            let capacity = SlaveDaemon::capacity_for_case(&case, lookback);
+            let hosts: Vec<Arc<SlaveDaemon>> = (0..2)
+                .map(|_| Arc::new(SlaveDaemon::new(config.clone()).with_capacity(capacity)))
+                .collect();
+            for (i, component) in case.components.iter().enumerate() {
+                for sample in MetricSample::replay(component.id, &component.metrics) {
+                    hosts[i % hosts.len()].ingest(sample);
+                }
+            }
+            let mut answers = Vec::new();
+            for lookback_retry in [LookbackRetry::Off, LookbackRetry::Widen] {
+                let config = FChainConfig {
+                    lookback_retry,
+                    ..config.clone()
+                };
+                let mut master = Master::new(config.clone());
+                for host in &hosts {
+                    master.register_slave(Arc::clone(host) as Arc<dyn SlaveEndpoint>);
+                }
+                if let Some(deps) = case.dependency_evidence(config.ensemble.enabled) {
+                    master.set_dependencies(deps.clone());
+                }
+                let online = master.on_violation(case.violation_at);
+                let offline = FChain::new(config).diagnose(&case);
+                let label =
+                    format!("{app:?}/{fault:?} seed {seed} W={lookback} {engine} {lookback_retry}");
+                assert_eq!(offline.findings, online.findings, "{label}: findings");
+                assert_eq!(offline.verdict, online.verdict, "{label}: verdict");
+                assert_eq!(offline.pinpointed, online.pinpointed, "{label}: pinpointed");
+                answers.push(offline.pinpointed);
+            }
+            if answers[0].is_empty() && !answers[1].is_empty() {
+                widened += 1;
+            }
+        }
+    }
+    assert_eq!(
+        widened, 2,
+        "the W=100 disk hog must exercise the widen retry on both engines"
     );
 }
 

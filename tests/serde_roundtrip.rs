@@ -2,7 +2,7 @@
 //! boundary (slave → master, run archives, result dumps) round-trips
 //! through serde_json unchanged.
 
-use fchain::core::{CaseData, DiagnosisReport, FChain, FChainConfig};
+use fchain::core::{CaseData, DiagnosisReport, FChain, FChainConfig, LookbackRetry};
 use fchain::deps::DependencyGraph;
 use fchain::eval::{case_from_run, Counts, RocCurve};
 use fchain::metrics::{ComponentId, MetricKind, TimeSeries};
@@ -58,18 +58,18 @@ fn config_roundtrips_with_every_knob() {
         lookback: 500,
         burst_window: 25,
         concurrency_threshold: 5,
-        adaptive_lookback: true,
-        adaptive_smoothing: true,
+        lookback_retry: LookbackRetry::Widen,
         ..FChainConfig::default()
     };
     let back: FChainConfig = roundtrip(&config);
     assert_eq!(back, config);
 }
 
-/// Configs archived while the transport, the fleet knobs and the
-/// ensemble tuning were settable carry a `transport` name, a `fleet` map
-/// and a five-key `ensemble` map. They still load: the retired keys are
-/// ignored and the ensemble switch is kept.
+/// Configs archived while the transport, the fleet knobs, the ensemble
+/// tuning and the adaptive look-back and smoothing switches were settable
+/// carry a `transport` name, a `fleet` map, a five-key `ensemble` map and
+/// two booleans. They still load: the retired keys are ignored and the
+/// ensemble switch is kept.
 #[test]
 fn archived_fleet_and_ensemble_keys_still_load() {
     let config = FChainConfig {
@@ -88,6 +88,8 @@ fn archived_fleet_and_ensemble_keys_still_load() {
     let archived_keys: serde_json::Value = serde_json::from_str(
         r#"{
             "transport": "uds",
+            "adaptive_lookback": true,
+            "adaptive_smoothing": true,
             "fleet": {"max_tenants": 16, "scheduler_seed": 99, "tenant_deadline_ms": 750},
             "ensemble": {"enabled": true, "confidence_floor": 1.5, "coverage_penalty": 2.0,
                          "centrality_widening": false, "silent_hole": false}
