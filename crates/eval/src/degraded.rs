@@ -31,7 +31,8 @@ pub struct DegradedCampaign {
     pub base_seed: u64,
     /// Run length in ticks.
     pub duration: Tick,
-    /// Look-back window handed to the slaves.
+    /// Look-back window `W`: the daemons and the master run at it,
+    /// overriding `config.lookback`.
     pub lookback: u64,
     /// Number of per-host slave daemons the components are spread over
     /// (round-robin).
@@ -39,7 +40,8 @@ pub struct DegradedCampaign {
     /// Slave-loss rates to sweep (each slave crashes independently with
     /// this probability at diagnosis time).
     pub loss_rates: Vec<f64>,
-    /// Master-side degraded-mode knobs (deadline, retry, backoff).
+    /// Master-side degraded-mode knobs (deadline, retry, backoff); its
+    /// `lookback` is replaced by [`DegradedCampaign::lookback`].
     pub config: FChainConfig,
 }
 
@@ -88,6 +90,10 @@ impl DegradedCampaign {
     /// the degradation curve isolates the effect of losing slaves.
     pub fn evaluate(&self) -> Vec<DegradedPoint> {
         assert!(self.hosts >= 1, "at least one host");
+        let config = FChainConfig {
+            lookback: self.lookback,
+            ..self.config.clone()
+        };
         let mut points: Vec<DegradedPoint> = self
             .loss_rates
             .iter()
@@ -112,9 +118,11 @@ impl DegradedCampaign {
 
             // Wire the case's components into per-host daemons once; the
             // daemons are read-only during analysis, so every loss rate
-            // reuses them.
+            // reuses them. They retain the whole case, as
+            // `FChain::diagnose` sizes its own.
+            let capacity = SlaveDaemon::capacity_for_case(&case, self.lookback);
             let daemons: Vec<Arc<SlaveDaemon>> = (0..self.hosts)
-                .map(|_| Arc::new(SlaveDaemon::new(self.config.clone())))
+                .map(|_| Arc::new(SlaveDaemon::new(config.clone()).with_capacity(capacity)))
                 .collect();
             for (c, component) in case.components.iter().enumerate() {
                 let host = &daemons[c % self.hosts];
@@ -128,14 +136,14 @@ impl DegradedCampaign {
                 // campaign parameters always crash the same slaves.
                 let schedule =
                     SlaveFaultSchedule::crashes(seed ^ ((rate_idx as u64) << 32), point.loss_rate);
-                let mut master = Master::new(self.config.clone());
+                let mut master = Master::new(config.clone());
                 for (s, daemon) in daemons.iter().enumerate() {
                     master.register_slave(Arc::new(FaultySlave::new(
                         Arc::clone(daemon) as Arc<dyn SlaveEndpoint>,
                         schedule.fault_for(s),
                     )));
                 }
-                if let Some(deps) = case.dependency_evidence(self.config.ensemble.enabled) {
+                if let Some(deps) = case.dependency_evidence(config.ensemble.enabled) {
                     master.set_dependencies(deps.clone());
                 }
                 let report = master.on_violation(case.violation_at);
@@ -223,6 +231,39 @@ mod tests {
         // Losing every slave silences the diagnosis; it must not invent
         // pinpointings out of nothing.
         assert_eq!(lost.counts.fp, 0);
+    }
+
+    /// With no slave lost, the sweep diagnoses exactly what the offline
+    /// `FChain` campaign does on the same runs — at W=100 and at the
+    /// W=500 a slow fault gets, where the daemons and the master must
+    /// run at the campaign's window, not the config's default.
+    #[test]
+    fn clean_sweep_equals_the_fchain_campaign() {
+        for (app, fault, base_seed, lookback) in [
+            (AppKind::Rubis, FaultKind::CpuHog, 900, 100),
+            (AppKind::Hadoop, FaultKind::ConcurrentDiskHog, 1000, 500),
+        ] {
+            let sweep = DegradedCampaign {
+                app,
+                fault,
+                base_seed,
+                lookback,
+                loss_rates: vec![0.0],
+                ..small_campaign()
+            };
+            let offline = crate::Campaign {
+                app,
+                fault,
+                runs: sweep.runs,
+                base_seed,
+                duration: sweep.duration,
+                lookback,
+            };
+            let clean = &sweep.evaluate()[0];
+            let fchain = fchain_core::FChain::default();
+            let expected = &offline.evaluate(&[&fchain])[0].counts;
+            assert_eq!(&clean.counts, expected, "{app:?}/{fault:?} at W={lookback}");
+        }
     }
 
     #[test]

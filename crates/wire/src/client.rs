@@ -4,11 +4,12 @@
 //! the master already has applies unchanged to real connections.
 
 use crate::frame::{read_frame, write_frame, Frame, ResponseStatus, WireError};
-use crate::server::{Stream, WireAddr};
+use crate::server::{Stream, WireAddr, CONN_BUFFER};
 use fchain_core::slave::MetricSample;
 use fchain_core::{CollectRequest, ComponentFinding, SlaveEndpoint, SlaveError};
 use fchain_metrics::{AppId, ComponentId};
 use parking_lot::Mutex;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -19,19 +20,20 @@ use std::time::Duration;
 ///
 /// * **Registry knowledge survives the daemon.** The component
 ///   inventory is fetched at construction, re-fetched on every
-///   [`SlaveEndpoint::monitored_components`] read (remote ingest adds
-///   components after registration), and the last good answer is
-///   cached — so the call stays infallible and a crashed daemon still
-///   has its blind spot named in the coverage accounting, exactly like
-///   the in-process endpoints.
+///   [`SlaveEndpoint::monitored_components`] read and after every
+///   ingest that names a component the cache lacks, and the last good
+///   answer is cached — so the call stays infallible and a crashed
+///   daemon still has its blind spot named in the coverage accounting,
+///   exactly like the in-process endpoints.
 /// * **Deadline-bounded I/O.** Every connect/read/write carries the
 ///   socket deadline; an expiry maps to [`SlaveError::Unreachable`]
 ///   (the host is stalled — fail fast, count the blind spot) while a
 ///   refused/reset/dropped connection maps to
 ///   [`SlaveError::Transient`] (the existing retry/backoff knobs dial
 ///   again, which is also how reconnection happens).
-/// * **One connection, lazily dialed.** Any error poisons the cached
-///   connection; the next call re-dials. There is no shared socket
+/// * **One connection, lazily dialed.** Replies are read through the
+///   connection's buffer. Any error poisons the cached connection, and
+///   its buffer with it; the next call re-dials. There is no shared socket
 ///   across endpoints, so the master's thread-per-slave fan-out keeps
 ///   its property that one stalled connection cannot serialize the
 ///   drain.
@@ -43,7 +45,7 @@ pub struct RemoteSlave {
     app: Option<AppId>,
     deadline: Option<Duration>,
     components: Mutex<Vec<ComponentId>>,
-    conn: Mutex<Option<Stream>>,
+    conn: Mutex<Option<BufReader<Stream>>>,
     next_request_id: AtomicU64,
 }
 
@@ -112,21 +114,21 @@ impl RemoteSlave {
     /// the connection so the next call starts clean.
     fn exchange(&self, request: &Frame) -> Result<Frame, WireError> {
         let mut guard = self.conn.lock();
-        let mut stream = match guard.take() {
-            Some(stream) => stream,
+        let mut conn = match guard.take() {
+            Some(conn) => conn,
             None => {
                 let stream = self.dial()?;
                 stream.set_deadline(self.deadline)?;
-                stream
+                BufReader::with_capacity(CONN_BUFFER, stream)
             }
         };
         let request_id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
-        write_frame(&mut stream, request, request_id)?;
-        let (echoed, reply) = read_frame(&mut stream)?;
+        write_frame(conn.get_mut(), request, request_id)?;
+        let (echoed, reply) = read_frame(&mut conn)?;
         if echoed != request_id && !matches!(reply, Frame::Error { .. }) {
             return Err(WireError::Corrupt("response request-id mismatch"));
         }
-        *guard = Some(stream);
+        *guard = Some(conn);
         Ok(reply)
     }
 
@@ -147,23 +149,45 @@ impl RemoteSlave {
     }
 
     /// Delivers a batch of samples to the remote daemon's shards —
-    /// the network face of `SlaveDaemon::ingest_batch_for`.
+    /// the network face of `SlaveDaemon::ingest_batch_for`. Returns
+    /// once the daemon holds the samples: one round trip, plus an
+    /// inventory refresh when the batch names a new component.
     pub fn ingest_batch(&self, app: AppId, samples: Vec<MetricSample>) -> Result<u64, SlaveError> {
         let count = samples.len();
+        let names_new = self.names_new_component(app, &samples);
         let reply = self
             .exchange(&Frame::IngestBatch { app, samples })
             .map_err(map_wire_error)?;
         match reply {
             Frame::IngestAck { accepted } if accepted == count as u64 => {
-                // The batch may have added components; re-sync the cached
+                // The batch added components; re-sync the cached
                 // inventory so a daemon that dies later still has its
                 // full blind spot named in the coverage accounting.
-                let _ = self.refresh_components();
+                if names_new {
+                    let _ = self.refresh_components();
+                }
                 Ok(accepted)
             }
             Frame::IngestAck { .. } | Frame::Error { .. } => Err(SlaveError::Transient),
             _ => Err(SlaveError::Transient),
         }
+    }
+
+    /// Whether `samples` name a component the cached inventory (in id
+    /// order) lacks — the only case in which a refresh after ingesting
+    /// them can learn anything. A tenant outside this endpoint's scope
+    /// never shows in its inventory.
+    fn names_new_component(&self, app: AppId, samples: &[MetricSample]) -> bool {
+        if self.app.is_some_and(|scope| scope != app) {
+            return false;
+        }
+        let known = self.components.lock();
+        let mut last = None;
+        samples.iter().any(|s| {
+            let seen = last == Some(s.component);
+            last = Some(s.component);
+            !seen && known.binary_search(&s.component).is_err()
+        })
     }
 
     /// Asks the daemon to exit, waiting for the acknowledgement — the
@@ -249,5 +273,99 @@ impl SlaveEndpoint for RemoteSlave {
             // answer is unusable but the daemon is alive — retryable.
             _ => Err(SlaveError::Transient),
         }
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use fchain_metrics::MetricKind;
+    use std::os::unix::net::UnixListener;
+    use std::sync::Arc;
+
+    /// Frames a stub daemon received, by type, in order.
+    type FrameLog = Arc<Mutex<Vec<&'static str>>>;
+
+    /// A stub daemon on a Unix socket: it answers inventory and ingest
+    /// frames from one connection, logs every frame it receives, and
+    /// exits when the client hangs up.
+    fn stub_daemon(path: &std::path::Path) -> (FrameLog, std::thread::JoinHandle<()>) {
+        let _ = std::fs::remove_file(path);
+        let listener = UnixListener::bind(path).expect("bind the stub socket");
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&log);
+        let handle = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept the client");
+            let mut conn = BufReader::new(Stream::Uds(stream));
+            let mut inventory: Vec<ComponentId> = Vec::new();
+            while let Ok((id, frame)) = read_frame(&mut conn) {
+                let reply = match frame {
+                    Frame::MonitoredRequest { .. } => {
+                        seen.lock().push("MonitoredRequest");
+                        Frame::MonitoredResponse {
+                            components: inventory.clone(),
+                        }
+                    }
+                    Frame::IngestBatch { samples, .. } => {
+                        seen.lock().push("IngestBatch");
+                        inventory.extend(samples.iter().map(|s| s.component));
+                        inventory.sort_unstable();
+                        inventory.dedup();
+                        Frame::IngestAck {
+                            accepted: samples.len() as u64,
+                        }
+                    }
+                    _ => break,
+                };
+                if write_frame(conn.get_mut(), &reply, id).is_err() {
+                    break;
+                }
+            }
+        });
+        (log, handle)
+    }
+
+    fn batch(components: &[u32]) -> Vec<MetricSample> {
+        components
+            .iter()
+            .flat_map(|&c| {
+                MetricKind::ALL.map(|kind| MetricSample {
+                    tick: 1,
+                    component: ComponentId(c),
+                    kind,
+                    value: 1.0,
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ingest_refreshes_the_inventory_only_for_a_new_component() {
+        let path =
+            std::env::temp_dir().join(format!("fchain-wire-client-{}.sock", std::process::id()));
+        let (log, stub) = stub_daemon(&path);
+        let remote = RemoteSlave::connect(WireAddr::Uds(path.clone()), None, None)
+            .expect("connect to the stub");
+        assert_eq!(log.lock().clone(), ["MonitoredRequest"]);
+        let sent = |components: &[u32]| {
+            let before = log.lock().len();
+            remote
+                .ingest_batch(AppId(0), batch(components))
+                .expect("ingest");
+            log.lock()[before..].to_vec()
+        };
+
+        assert_eq!(sent(&[0]), ["IngestBatch", "MonitoredRequest"]);
+        assert_eq!(sent(&[0]), ["IngestBatch"]);
+        assert_eq!(sent(&[]), ["IngestBatch"]);
+        assert_eq!(sent(&[0, 4]), ["IngestBatch", "MonitoredRequest"]);
+        assert_eq!(sent(&[4, 0, 4]), ["IngestBatch"]);
+        assert_eq!(
+            remote.components.lock().clone(),
+            [ComponentId(0), ComponentId(4)]
+        );
+        drop(remote);
+        stub.join().expect("the stub daemon exits cleanly");
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -7,12 +7,27 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic        0x46_43_48_57 ("FCHW" big-endian bytes)
-//!      4     1  version      PROTOCOL_VERSION (2)
+//!      4     1  version      PROTOCOL_VERSION (3)
 //!      5     1  frame type   see FrameType
 //!      6     2  reserved     must be zero
 //!      8     8  request id   echoed verbatim in the response
 //!     16     4  payload len  bytes following the header, <= MAX_PAYLOAD
 //! ```
+//!
+//! An `IngestBatch` payload (version 3) packs its samples into *runs*:
+//!
+//! ```text
+//! u32 app, u32 sample count, then runs until the count is met:
+//!   varint   tick delta   zigzag, from the previous run's tick (first: from 0)
+//!   varint   component    ComponentId
+//!   u8       kinds        bit i set = MetricKind::ALL[i] present (bits 6-7 zero)
+//!   f64 x n  values       one bit pattern per set bit, ascending kind order
+//! ```
+//!
+//! The encoder opens a new run whenever the tick or the component
+//! changes, or the next kind's index is not above the previous one in
+//! the run, so any sample sequence — out-of-order ticks, duplicate
+//! kinds, NaN payloads — decodes back to itself sample for sample.
 //!
 //! Floats travel as IEEE-754 bit patterns ([`f64::to_bits`]), never as
 //! text — the whole determinism story rests on reports over sockets being
@@ -33,7 +48,9 @@ pub const MAGIC: u32 = 0x4643_4857;
 
 /// The protocol revision this build speaks. A daemon receiving a frame
 /// with any other version rejects it explicitly instead of guessing.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// Version 3 replaced the fixed 21-byte `IngestBatch` sample with
+/// tick/component runs.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Hard ceiling on a payload (64 MiB). A length prefix above this is
 /// corrupt or hostile; honoring it would let one bad frame exhaust the
@@ -42,6 +59,11 @@ pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 20;
+
+/// What [`read_frame`] reserves for a payload before its bytes arrive;
+/// a larger payload grows the buffer as it is received, so a header's
+/// length field alone can never drive a large allocation.
+const PAYLOAD_RESERVE: usize = 4096;
 
 /// Why a frame could not be read or decoded.
 #[derive(Debug)]
@@ -237,6 +259,14 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
+fn put_varint(buf: &mut Vec<u8>, mut v: u128) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -287,6 +317,23 @@ impl<'a> Cursor<'a> {
 
     fn get_f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.get_u64()?))
+    }
+
+    /// A LEB128 varint of at most `max_len` bytes. Longer encodings,
+    /// and ones padded with a redundant zero final byte, are corrupt.
+    fn get_varint(&mut self, max_len: usize) -> Result<u128, WireError> {
+        let mut value = 0u128;
+        for i in 0..max_len {
+            let byte = self.get_u8()?;
+            value |= u128::from(byte & 0x7f) << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    break;
+                }
+                return Ok(value);
+            }
+        }
+        Err(WireError::Corrupt("overlong varint"))
     }
 
     /// Checks that a collection of `count` items, each at least
@@ -350,9 +397,89 @@ const CHANGE_LEN: usize = 1 + 8 + 8 + 8 + 8 + 1;
 /// count u32.
 const FINDING_MIN_LEN: usize = 4 + 4;
 
-/// Encoded size of one [`MetricSample`]: tick u64 + component u32 +
-/// kind u8 + value bits u64.
-const SAMPLE_LEN: usize = 8 + 4 + 1 + 8;
+/// Least encoded size of one [`MetricSample`]: its value's bit pattern
+/// (the run fields are shared).
+const SAMPLE_MIN_LEN: usize = 8;
+
+/// Most encoded size of one [`MetricSample`]: a run of its own — a
+/// 10-byte tick delta, a 5-byte component, the kinds byte and the value.
+const SAMPLE_MAX_LEN: usize = TICK_DELTA_MAX_LEN + COMPONENT_MAX_LEN + 1 + 8;
+
+/// Varint bytes of a zigzagged tick delta: 65 bits need 10.
+const TICK_DELTA_MAX_LEN: usize = 10;
+
+/// Varint bytes of a component id: 32 bits need 5.
+const COMPONENT_MAX_LEN: usize = 5;
+
+/// Zigzag: small deltas of either sign become small unsigned numbers.
+/// A delta between two `u64` ticks spans 65 bits, hence `i128`.
+fn zigzag(delta: i128) -> u128 {
+    ((delta << 1) ^ (delta >> 127)) as u128
+}
+
+fn unzigzag(v: u128) -> i128 {
+    (v >> 1) as i128 ^ -((v & 1) as i128)
+}
+
+/// Writes `samples` as runs (see the module docs). Each run's kinds
+/// byte is written when the run opens and gains a bit per later sample;
+/// values go out in arrival order, which within a run is ascending kind
+/// order.
+fn put_sample_runs(buf: &mut Vec<u8>, samples: &[MetricSample]) {
+    // The open run: its tick, component, last kind index and the
+    // position of its kinds byte.
+    let mut open: Option<(u64, ComponentId, usize, usize)> = None;
+    for s in samples {
+        let kind = s.kind.index();
+        match &mut open {
+            Some((tick, component, last, at))
+                if *tick == s.tick && *component == s.component && kind > *last =>
+            {
+                *last = kind;
+                buf[*at] |= 1 << kind;
+            }
+            _ => {
+                let prev_tick = open.map_or(0, |(tick, ..)| tick);
+                put_varint(buf, zigzag(i128::from(s.tick) - i128::from(prev_tick)));
+                put_varint(buf, u128::from(s.component.0));
+                open = Some((s.tick, s.component, kind, buf.len()));
+                put_u8(buf, 1 << kind);
+            }
+        }
+        put_f64(buf, s.value);
+    }
+}
+
+/// Reads runs until `count` samples are decoded.
+fn get_sample_runs(c: &mut Cursor<'_>, count: usize) -> Result<Vec<MetricSample>, WireError> {
+    let mut samples = Vec::with_capacity(count);
+    let mut tick = 0u64;
+    while samples.len() < count {
+        let delta = unzigzag(c.get_varint(TICK_DELTA_MAX_LEN)?);
+        tick = u64::try_from(i128::from(tick) + delta)
+            .map_err(|_| WireError::Corrupt("tick delta leaves the u64 range"))?;
+        let component = u32::try_from(c.get_varint(COMPONENT_MAX_LEN)?)
+            .map_err(|_| WireError::Corrupt("component id above u32"))?;
+        let kinds = c.get_u8()?;
+        if kinds == 0 || kinds >> MetricKind::ALL.len() != 0 {
+            return Err(WireError::Corrupt("kinds byte empty or outside 0..6"));
+        }
+        if samples.len() + kinds.count_ones() as usize > count {
+            return Err(WireError::Corrupt("runs hold more samples than counted"));
+        }
+        for kind in MetricKind::ALL {
+            if kinds & (1 << kind.index()) != 0 {
+                samples.push(MetricSample {
+                    tick,
+                    component: ComponentId(component),
+                    kind,
+                    value: c.get_f64()?,
+                });
+            }
+        }
+    }
+    Ok(samples)
+}
 
 fn put_findings(buf: &mut Vec<u8>, findings: &[ComponentFinding]) {
     put_u32(buf, findings.len() as u32);
@@ -398,68 +525,84 @@ fn get_findings(c: &mut Cursor<'_>) -> Result<Vec<ComponentFinding>, WireError> 
     Ok(findings)
 }
 
+/// An upper bound on `frame`'s encoded payload, so [`encode_frame`]
+/// allocates once.
+fn payload_capacity(frame: &Frame) -> usize {
+    match frame {
+        Frame::CollectRequest { .. } => 22,
+        Frame::CollectResponse { findings, .. } => {
+            5 + findings
+                .iter()
+                .map(|f| FINDING_MIN_LEN + f.changes.len() * CHANGE_LEN)
+                .sum::<usize>()
+        }
+        Frame::MonitoredRequest { .. } => 5,
+        Frame::MonitoredResponse { components } => 4 + 4 * components.len(),
+        Frame::IngestBatch { samples, .. } => 8 + SAMPLE_MAX_LEN * samples.len(),
+        Frame::IngestAck { .. } => 8,
+        Frame::Error { message, .. } => 3 + message.len(),
+        Frame::Shutdown | Frame::ShutdownAck => 0,
+    }
+}
+
 /// Serializes `frame` with `request_id` into a self-contained byte
-/// buffer (header + payload), ready to write to a socket.
+/// buffer (header + payload), ready to write to a socket. The header
+/// goes first with a zero length, patched once the payload is written.
 pub fn encode_frame(frame: &Frame, request_id: u64) -> Vec<u8> {
-    let mut payload = Vec::new();
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload_capacity(frame));
+    put_u32(&mut buf, MAGIC);
+    put_u8(&mut buf, PROTOCOL_VERSION);
+    put_u8(&mut buf, frame.frame_type() as u8);
+    put_u16(&mut buf, 0); // reserved
+    put_u64(&mut buf, request_id);
+    put_u32(&mut buf, 0); // payload length, patched below
+    let payload = &mut buf;
     match frame {
         Frame::CollectRequest { app, request } => {
-            put_opt_app(&mut payload, *app);
-            put_u64(&mut payload, request.violation_at);
-            put_bool(&mut payload, request.lookback.is_some());
-            put_u64(&mut payload, request.lookback.unwrap_or(0));
+            put_opt_app(payload, *app);
+            put_u64(payload, request.violation_at);
+            put_bool(payload, request.lookback.is_some());
+            put_u64(payload, request.lookback.unwrap_or(0));
         }
         Frame::CollectResponse { status, findings } => {
             put_u8(
-                &mut payload,
+                payload,
                 match status {
                     ResponseStatus::Ok => 0,
                     ResponseStatus::Transient => 1,
                     ResponseStatus::Unreachable => 2,
                 },
             );
-            put_findings(&mut payload, findings);
+            put_findings(payload, findings);
         }
         Frame::MonitoredRequest { app } => {
-            put_opt_app(&mut payload, *app);
+            put_opt_app(payload, *app);
         }
         Frame::MonitoredResponse { components } => {
-            put_u32(&mut payload, components.len() as u32);
+            put_u32(payload, components.len() as u32);
             for c in components {
-                put_u32(&mut payload, c.0);
+                put_u32(payload, c.0);
             }
         }
         Frame::IngestBatch { app, samples } => {
-            put_u32(&mut payload, app.0);
-            put_u32(&mut payload, samples.len() as u32);
-            for s in samples {
-                put_u64(&mut payload, s.tick);
-                put_u32(&mut payload, s.component.0);
-                put_u8(&mut payload, s.kind.index() as u8);
-                put_f64(&mut payload, s.value);
-            }
+            put_u32(payload, app.0);
+            put_u32(payload, samples.len() as u32);
+            put_sample_runs(payload, samples);
         }
         Frame::IngestAck { accepted } => {
-            put_u64(&mut payload, *accepted);
+            put_u64(payload, *accepted);
         }
         Frame::Error { code, message } => {
             let bytes = message.as_bytes();
             let len = bytes.len().min(u16::MAX as usize);
-            put_u8(&mut payload, *code);
-            put_u16(&mut payload, len as u16);
+            put_u8(payload, *code);
+            put_u16(payload, len as u16);
             payload.extend_from_slice(&bytes[..len]);
         }
         Frame::Shutdown | Frame::ShutdownAck => {}
     }
-
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    put_u32(&mut buf, MAGIC);
-    put_u8(&mut buf, PROTOCOL_VERSION);
-    put_u8(&mut buf, frame.frame_type() as u8);
-    put_u16(&mut buf, 0); // reserved
-    put_u64(&mut buf, request_id);
-    put_u32(&mut buf, payload.len() as u32);
-    buf.extend_from_slice(&payload);
+    let payload_len = (buf.len() - HEADER_LEN) as u32;
+    buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     buf
 }
 
@@ -551,16 +694,8 @@ fn decode_payload(frame_type: FrameType, c: &mut Cursor<'_>) -> Result<Frame, Wi
         FrameType::IngestBatch => {
             let app = AppId(c.get_u32()?);
             let raw_count = c.get_u32()?;
-            let count = c.check_count(raw_count, SAMPLE_LEN)?;
-            let mut samples = Vec::with_capacity(count);
-            for _ in 0..count {
-                samples.push(MetricSample {
-                    tick: c.get_u64()?,
-                    component: ComponentId(c.get_u32()?),
-                    kind: metric_from_index(c.get_u8()?)?,
-                    value: c.get_f64()?,
-                });
-            }
+            let count = c.check_count(raw_count, SAMPLE_MIN_LEN)?;
+            let samples = get_sample_runs(c, count)?;
             Frame::IngestBatch { app, samples }
         }
         FrameType::IngestAck => Frame::IngestAck {
@@ -589,14 +724,25 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame, request_id: u64) -> Resul
 }
 
 /// Reads one frame from `r`: the fixed header first, then exactly the
-/// payload it promises. A peer that stalls mid-frame is caught by the
-/// socket read deadline, surfacing as [`WireError::Io`].
+/// payload it promises. The payload buffer starts at a small reserve
+/// and grows only as bytes arrive, so a header claiming a huge payload
+/// and then going quiet costs no more than what was received. A peer
+/// that stalls mid-frame is caught by the socket read deadline,
+/// surfacing as [`WireError::Io`]; one that hangs up mid-frame as
+/// [`std::io::ErrorKind::UnexpectedEof`].
+///
+/// Over a socket, pass a [`std::io::BufReader`]: a frame that arrived
+/// whole is then taken, header and payload, from one `recv`.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<(u64, Frame), WireError> {
     let mut header_bytes = [0u8; HEADER_LEN];
     r.read_exact(&mut header_bytes)?;
     let header = decode_header(&header_bytes)?;
-    let mut payload = vec![0u8; header.payload_len as usize];
-    r.read_exact(&mut payload)?;
+    let len = header.payload_len as usize;
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
     let mut c = Cursor::new(&payload);
     let frame = decode_payload(header.frame_type, &mut c)?;
     c.finish()?;
@@ -678,7 +824,7 @@ mod tests {
         #[rustfmt::skip]
         let golden: [u8; HEADER_LEN + 22] = [
             0x57, 0x48, 0x43, 0x46,                         // magic
-            2, 1, 0, 0,                                     // version 2, CollectRequest, reserved
+            3, 1, 0, 0,                                     // version 3, CollectRequest, reserved
             0, 0, 0, 0, 0, 0, 0, 0,                         // request id 0
             22, 0, 0, 0,                                    // payload length
             1, 4, 0, 0, 0,                                  // app: Some(AppId(4))
@@ -686,6 +832,151 @@ mod tests {
             1, 0xF4, 0x01, 0, 0, 0, 0, 0, 0,                // lookback: Some(500)
         ];
         assert_eq!(encode_frame(&frames[0], 0), golden);
+    }
+
+    fn sample(tick: u64, component: u32, kind: MetricKind, value: f64) -> MetricSample {
+        MetricSample {
+            tick,
+            component: ComponentId(component),
+            kind,
+            value,
+        }
+    }
+
+    #[test]
+    fn ingest_batch_golden_bytes() {
+        // Two ticks, two components, three runs: (10, C0) carries two
+        // kinds, (10, C300) one, (11, C0) one.
+        let frame = Frame::IngestBatch {
+            app: AppId(1),
+            samples: vec![
+                sample(10, 0, MetricKind::Cpu, 1.0),
+                sample(10, 0, MetricKind::NetIn, 2.0),
+                sample(10, 300, MetricKind::Cpu, 0.5),
+                sample(11, 0, MetricKind::Cpu, -0.0),
+            ],
+        };
+        #[rustfmt::skip]
+        let golden: [u8; HEADER_LEN + 50] = [
+            0x57, 0x48, 0x43, 0x46,                         // magic
+            3, 5, 0, 0,                                     // version 3, IngestBatch, reserved
+            7, 0, 0, 0, 0, 0, 0, 0,                         // request id 7
+            50, 0, 0, 0,                                    // payload length
+            1, 0, 0, 0,                                     // app 1
+            4, 0, 0, 0,                                     // 4 samples
+            20, 0, 0b101,                                   // tick +10, C0, {Cpu, NetIn}
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F,                   // 1.0
+            0, 0, 0, 0, 0, 0, 0, 0x40,                      // 2.0
+            0, 0xAC, 0x02, 0b1,                             // tick +0, C300, {Cpu}
+            0, 0, 0, 0, 0, 0, 0xE0, 0x3F,                   // 0.5
+            2, 0, 0b1,                                      // tick +1, C0, {Cpu}
+            0, 0, 0, 0, 0, 0, 0, 0x80,                      // -0.0
+        ];
+        assert_eq!(encode_frame(&frame, 7), golden);
+        let (id, back) = decode_frame(&golden).expect("golden frame decodes");
+        assert_eq!((id, back), (7, frame));
+    }
+
+    #[test]
+    fn runs_split_on_every_order_break() {
+        // A descending tick, a repeated kind and a kind below the run's
+        // last each open a run; the decoder hands back the same order.
+        let samples = vec![
+            sample(5, 1, MetricKind::Memory, 1.0),
+            sample(5, 1, MetricKind::Memory, 2.0),
+            sample(5, 1, MetricKind::Cpu, 3.0),
+            sample(2, 1, MetricKind::Cpu, f64::from_bits(0x7ff8_0000_dead_beef)),
+            sample(u64::MAX, 1, MetricKind::Cpu, 4.0),
+            sample(0, u32::MAX, MetricKind::Cpu, 5.0),
+        ];
+        let frame = Frame::IngestBatch {
+            app: AppId(0),
+            samples: samples.clone(),
+        };
+        let buf = encode_frame(&frame, 0);
+        assert_eq!(
+            buf.len(),
+            HEADER_LEN + 8 + (1 + 1 + 1) * 4 + (10 + 1 + 1) + (10 + 5 + 1) + 8 * 6
+        );
+        let Ok((_, Frame::IngestBatch { samples: back, .. })) = decode_frame(&buf) else {
+            panic!("ingest batch must decode");
+        };
+        let bits = |s: &[MetricSample]| {
+            s.iter()
+                .map(|s| (s.tick, s.component, s.kind, s.value.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&back), bits(&samples));
+    }
+
+    /// A current-version frame of `frame_type` around a hand-built
+    /// `payload`.
+    fn raw_frame(frame_type: FrameType, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, MAGIC);
+        put_u8(&mut buf, PROTOCOL_VERSION);
+        put_u8(&mut buf, frame_type as u8);
+        put_u16(&mut buf, 0);
+        put_u64(&mut buf, 1);
+        put_u32(&mut buf, payload.len() as u32);
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    /// An `IngestBatch` frame: app 0, `count`, then `runs` verbatim.
+    fn ingest_frame(count: u32, runs: &[u8]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_u32(&mut payload, 0);
+        put_u32(&mut payload, count);
+        payload.extend_from_slice(runs);
+        raw_frame(FrameType::IngestBatch, &payload)
+    }
+
+    #[test]
+    fn malformed_runs_are_corrupt() {
+        let value = [0u8; 8];
+        let run = |head: &[u8]| [head, &value[..]].concat();
+        let cases: Vec<(&str, Vec<u8>, u32)> = vec![
+            ("zero kinds byte", run(&[0, 0, 0]), 1),
+            ("kinds bit 6", run(&[0, 0, 1 << 6]), 1),
+            ("kinds bit 7", run(&[0, 0, 1 << 7]), 1),
+            ("padded varint", run(&[0x80, 0x00, 0, 1]), 1),
+            ("11-byte varint", run(&[0xFF; 11]), 1),
+            (
+                "component above u32",
+                run(&[0, 0xFF, 0xFF, 0xFF, 0xFF, 0x1F, 1]),
+                1,
+            ),
+            // zigzag 1 = -1 from tick 0.
+            ("tick below zero", run(&[1, 0, 1]), 1),
+            (
+                "more samples than counted",
+                [run(&[0, 0, 0b11]), value.to_vec()].concat(),
+                1,
+            ),
+        ];
+        for (what, runs, count) in cases {
+            assert!(
+                matches!(
+                    decode_frame(&ingest_frame(count, &runs)),
+                    Err(WireError::Corrupt(_))
+                ),
+                "{what}"
+            );
+        }
+        // Fewer samples than counted leaves the count unbacked.
+        assert!(matches!(
+            decode_frame(&ingest_frame(2, &run(&[0, 0, 1]))),
+            Err(WireError::Truncated)
+        ));
+        // A tick past u64::MAX: zigzag(2^64) from tick 0.
+        let mut overflow = Vec::new();
+        put_varint(&mut overflow, zigzag(1 << 64));
+        overflow.extend_from_slice(&[0, 1]);
+        assert!(matches!(
+            decode_frame(&ingest_frame(1, &run(&overflow))),
+            Err(WireError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -749,6 +1040,81 @@ mod tests {
     }
 
     #[test]
+    fn version_two_frames_are_rejected() {
+        // The version-2 CollectRequest differs from version 3's only in
+        // the version byte.
+        let mut collect = encode_frame(
+            &Frame::CollectRequest {
+                app: Some(AppId(4)),
+                request: CollectRequest::at(1234),
+            },
+            0,
+        );
+        collect[4] = 2;
+        // A version-2 IngestBatch: one fixed 21-byte sample.
+        #[rustfmt::skip]
+        let ingest: [u8; HEADER_LEN + 29] = [
+            0x57, 0x48, 0x43, 0x46,                         // magic
+            2, 5, 0, 0,                                     // version 2, IngestBatch, reserved
+            0, 0, 0, 0, 0, 0, 0, 0,                         // request id 0
+            29, 0, 0, 0,                                    // payload length
+            0, 0, 0, 0,                                     // app 0
+            1, 0, 0, 0,                                     // 1 sample
+            10, 0, 0, 0, 0, 0, 0, 0,                        // tick 10
+            0, 0, 0, 0,                                     // component 0
+            0,                                              // Cpu
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F,                   // 1.0
+        ];
+        for buf in [&collect[..], &ingest[..]] {
+            assert!(matches!(
+                decode_frame(buf),
+                Err(WireError::UnsupportedVersion(2))
+            ));
+            assert!(matches!(
+                read_frame(&mut &buf[..]),
+                Err(WireError::UnsupportedVersion(2))
+            ));
+        }
+    }
+
+    /// A reader that serves `bytes`, then EOF, and records the largest
+    /// buffer it was asked to fill.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        largest_request: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_request = self.largest_request.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_header_alone_cannot_drive_a_payload_allocation() {
+        // A header promising MAX_PAYLOAD bytes, then EOF: an error, and
+        // the payload buffer never outgrows the small reserve.
+        let mut header = encode_frame(&Frame::Shutdown, 1);
+        header[16..20].copy_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        let mut reader = Recording {
+            bytes: &header,
+            largest_request: 0,
+        };
+        let err = read_frame(&mut reader).expect_err("no payload arrived");
+        assert!(
+            matches!(&err, WireError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+            "{err:?}"
+        );
+        assert!(
+            reader.largest_request <= PAYLOAD_RESERVE,
+            "asked for a {}-byte buffer after a {}-byte header",
+            reader.largest_request,
+            HEADER_LEN
+        );
+    }
+
+    #[test]
     fn oversized_length_is_rejected_without_allocating() {
         let mut buf = encode_frame(&Frame::Shutdown, 1);
         buf[16..20].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
@@ -777,14 +1143,7 @@ mod tests {
         let mut payload = Vec::new();
         put_u8(&mut payload, 0); // status Ok
         put_u32(&mut payload, u32::MAX);
-        let mut buf = Vec::new();
-        put_u32(&mut buf, MAGIC);
-        put_u8(&mut buf, PROTOCOL_VERSION);
-        put_u8(&mut buf, FrameType::CollectResponse as u8);
-        put_u16(&mut buf, 0);
-        put_u64(&mut buf, 1);
-        put_u32(&mut buf, payload.len() as u32);
-        buf.extend_from_slice(&payload);
+        let buf = raw_frame(FrameType::CollectResponse, &payload);
         assert!(matches!(decode_frame(&buf), Err(WireError::Truncated)));
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::frame::{read_frame, write_frame, Frame, ResponseStatus, WireError};
 use fchain_core::slave::SlaveDaemon;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -57,6 +57,11 @@ enum Listener {
     #[cfg(unix)]
     Uds(UnixListener),
 }
+
+/// Read buffer of one connection, at either end. A frame that arrived
+/// whole — every request and ack short of a large batch or response —
+/// is read, header and payload, with one `recv`.
+pub(crate) const CONN_BUFFER: usize = 64 * 1024;
 
 /// One accepted connection; both flavors are plain blocking streams
 /// with kernel read/write deadlines.
@@ -263,9 +268,10 @@ fn accept_loop(
 }
 
 /// Serves one connection until the peer disconnects, errors past
-/// recovery, stalls past the deadline, or requests shutdown.
+/// recovery, stalls past the deadline, or requests shutdown. Reads go
+/// through the connection's buffer, writes straight to the socket.
 fn handle_connection(
-    mut stream: Stream,
+    stream: Stream,
     daemon: Arc<SlaveDaemon>,
     deadline: Option<Duration>,
     shutdown: Arc<AtomicBool>,
@@ -273,8 +279,9 @@ fn handle_connection(
     if stream.set_deadline(deadline).is_err() {
         return;
     }
+    let mut conn = BufReader::with_capacity(CONN_BUFFER, stream);
     loop {
-        let (request_id, frame) = match read_frame(&mut stream) {
+        let (request_id, frame) = match read_frame(&mut conn) {
             Ok(pair) => pair,
             Err(WireError::Io(_)) => return, // disconnect or deadline
             Err(e) => {
@@ -284,7 +291,7 @@ fn handle_connection(
                     code: error_code(&e),
                     message: e.to_string(),
                 };
-                let _ = write_frame(&mut stream, &reply, 0);
+                let _ = write_frame(conn.get_mut(), &reply, 0);
                 return;
             }
         };
@@ -306,7 +313,7 @@ fn handle_connection(
                 }
             }
             Frame::Shutdown => {
-                let _ = write_frame(&mut stream, &Frame::ShutdownAck, request_id);
+                let _ = write_frame(conn.get_mut(), &Frame::ShutdownAck, request_id);
                 shutdown.store(true, Ordering::SeqCst);
                 return;
             }
@@ -315,7 +322,7 @@ fn handle_connection(
                 message: format!("unexpected frame {other:?} on the request side"),
             },
         };
-        if write_frame(&mut stream, &reply, request_id).is_err() {
+        if write_frame(conn.get_mut(), &reply, request_id).is_err() {
             return;
         }
     }

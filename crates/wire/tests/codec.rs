@@ -67,6 +67,33 @@ fn sample() -> impl Strategy<Value = MetricSample> {
     )
 }
 
+/// A sample stream the way a host sends it, scrambled: ticks a few
+/// apart around any base (wrapping past `u64::MAX` included), few
+/// components, kinds in any order with repeats — so runs form, break
+/// on every rule, and carry arbitrary value bits.
+fn sample_stream() -> impl Strategy<Value = Vec<MetricSample>> {
+    (
+        0u64..=u64::MAX,
+        proptest::collection::vec((0u64..4, 0u32..3, metric(), f64_bits()), 0..96),
+    )
+        .prop_map(|(base, draws)| {
+            draws
+                .into_iter()
+                .map(|(dt, component, kind, value)| MetricSample {
+                    tick: base.wrapping_add(dt),
+                    component: ComponentId(component),
+                    kind,
+                    value,
+                })
+                .collect()
+        })
+}
+
+/// A sample down to its value's bit pattern.
+fn sample_bits(s: &MetricSample) -> (u64, ComponentId, MetricKind, u64) {
+    (s.tick, s.component, s.kind, s.value.to_bits())
+}
+
 fn opt_app() -> impl Strategy<Value = Option<AppId>> {
     proptest::option::of((0u32..=u32::MAX).prop_map(AppId))
 }
@@ -143,6 +170,32 @@ proptest! {
         let (id, back) = decode_frame(&buf).expect("well-formed frame must decode");
         prop_assert_eq!(id, request_id);
         assert_bit_identical(&frame, &back);
+    }
+
+    /// An `IngestBatch` hands back its samples in order, bit for bit,
+    /// whatever their order: the daemon's drop rules for late,
+    /// duplicate and non-finite samples see the sequence the feeder
+    /// sent.
+    #[test]
+    fn ingest_samples_roundtrip_bit_for_bit(
+        app in 0u32..=u32::MAX,
+        samples in sample_stream(),
+    ) {
+        let frame = Frame::IngestBatch { app: AppId(app), samples: samples.clone() };
+        let buf = encode_frame(&frame, 5);
+        // Every run costs at least one value; none costs more than 24 B.
+        prop_assert!(buf.len() >= HEADER_LEN + 8 + 8 * samples.len());
+        prop_assert!(buf.len() <= HEADER_LEN + 8 + 24 * samples.len());
+        match decode_frame(&buf) {
+            Ok((5, Frame::IngestBatch { app: back_app, samples: back })) => {
+                prop_assert_eq!(back_app, AppId(app));
+                prop_assert_eq!(
+                    back.iter().map(sample_bits).collect::<Vec<_>>(),
+                    samples.iter().map(sample_bits).collect::<Vec<_>>()
+                );
+            }
+            other => prop_assert!(false, "decoded {:?}", other),
+        }
     }
 
     /// Every strict prefix of a valid frame is an error — never a

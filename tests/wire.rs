@@ -197,6 +197,44 @@ fn killed_daemon_becomes_a_blind_spot_without_hanging() {
     assert!(!report.coverage.is_complete());
 }
 
+/// A daemon killed right after a batch that added a component: the
+/// ingest itself re-synced the endpoint's inventory, so with no
+/// inventory read in between the new component is still named as the
+/// blind spot.
+#[test]
+fn component_added_by_ingest_is_a_blind_spot_after_a_kill() {
+    let d0 = Daemon::spawn_uds();
+    let mut d1 = Daemon::spawn_uds();
+    let (master, remotes) = remote_master(&[&d0, &d1]);
+    assert!(master.on_violation(990).coverage.is_complete());
+
+    // Component 7 is new to daemon 1; component 1 is not.
+    let batch = |c: u32| {
+        MetricKind::ALL
+            .map(|kind| MetricSample {
+                tick: 1000,
+                component: ComponentId(c),
+                kind,
+                value: 40.0,
+            })
+            .to_vec()
+    };
+    remotes[1]
+        .ingest_batch(AppId::default(), [batch(1), batch(7)].concat())
+        .expect("ingest over the socket");
+
+    d1.child.kill().expect("kill the daemon");
+    d1.child.wait().expect("reap the daemon");
+
+    let report = master.on_violation(990);
+    assert_eq!(report.coverage.slaves[1], SlaveStatus::Unreachable);
+    assert_eq!(
+        report.coverage.unreachable_components,
+        vec![ComponentId(1), ComponentId(7)],
+        "the component the last batch added must be named as the blind spot"
+    );
+}
+
 /// A daemon stalled mid-collect (SIGSTOP with the connection already
 /// established): the cached connection stops answering, the socket
 /// deadline expires, and the master fails fast to a named blind spot
