@@ -14,40 +14,22 @@
 
 use criterion::{black_box, Criterion};
 use fchain_core::master::Master;
-use fchain_core::slave::{MetricSample, SlaveDaemon};
-use fchain_core::FChainConfig;
+use fchain_core::FChain;
 use fchain_eval::case_from_run;
 use fchain_obs as obs;
 use fchain_sim::{AppKind, FaultKind, RunConfig, Simulator};
 use serde_json::json;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The allowed instrumented/uninstrumented median latency ratio.
 const MAX_OVERHEAD_RATIO: f64 = 1.05;
 
-/// Wires the standard two-host master from the seeded RUBiS CpuHog run
-/// (the same construction as tests/determinism.rs).
+/// The standard two-host deployment of the seeded RUBiS CpuHog run, as
+/// `FChain::diagnose` stages it: every sample replayed and retained.
 fn seeded_master() -> (Master, u64) {
     let run = Simulator::new(RunConfig::new(AppKind::Rubis, FaultKind::CpuHog, 900)).run();
     let case = case_from_run(&run, 100).expect("seeded RUBiS run must produce a violation");
-    let hosts: Vec<Arc<SlaveDaemon>> = (0..2)
-        .map(|_| Arc::new(SlaveDaemon::new(FChainConfig::default())))
-        .collect();
-    for (i, component) in case.components.iter().enumerate() {
-        let host = &hosts[i % hosts.len()];
-        for sample in MetricSample::replay(component.id, &component.metrics) {
-            host.ingest(sample);
-        }
-    }
-    let mut master = Master::new(FChainConfig::default());
-    for host in hosts {
-        master.register_slave(host);
-    }
-    if let Some(deps) = case.dependency_evidence(FChainConfig::default().ensemble.enabled) {
-        master.set_dependencies(deps.clone());
-    }
-    (master, case.violation_at)
+    (FChain::default().master(&case, 2), case.violation_at)
 }
 
 fn main() {

@@ -1,7 +1,7 @@
 //! The campaign driver: execute plans, score families, emit readiness.
 
 use crate::scenario::{plan_scenario, Family, PartitionMode, ScenarioPlan};
-use fchain_core::slave::{MetricSample, SlaveDaemon};
+use fchain_core::slave::{Recording, SlaveDaemon};
 use fchain_core::{
     FChain, FChainConfig, FaultySlave, FleetMaster, FleetViolation, SlaveEndpoint, SlaveFault,
     TenantSlave,
@@ -303,15 +303,6 @@ pub fn execute_plan(plan: &ScenarioPlan, config: &FChainConfig) -> ScenarioOutco
     obs::count(obs::Counter::ChaosScenarios, 1);
     obs::count(obs::Counter::ChaosFaultsInjected, plan.fault_count() as u64);
 
-    // The series must retain the run's entire history: the detector
-    // calibrates its normal-behavior model on everything retained before
-    // the evidence window, so a store shorter than the run would give the
-    // fleet a different (worse-calibrated) model than the solo reference
-    // and turn borderline detections into spurious divergences.
-    let capacity = SlaveDaemon::capacity_for_horizon(plan.duration);
-    let pool: Vec<Arc<SlaveDaemon>> = (0..plan.hosts)
-        .map(|_| Arc::new(SlaveDaemon::new(config.clone()).with_capacity(capacity)))
-        .collect();
     let mut fleet = FleetMaster::new(config.clone());
     let solo = FChain::new(config.clone());
 
@@ -334,24 +325,51 @@ pub fn execute_plan(plan: &ScenarioPlan, config: &FChainConfig) -> ScenarioOutco
         if tenant.lookback != config.lookback {
             fleet.set_tenant_lookback(app, tenant.lookback);
         }
-
-        // The full series is ingested (as a live collector would keep
-        // streaming); the analysis anchors each diagnosis at its
-        // violation tick by trimming the ring tail, so flap re-asks at
-        // `t_v + delta` see exactly the evidence available then.
-        let replicas = plan.replicas.clamp(1, plan.hosts);
-        for c in 0..run.component_count() {
-            // With `replicas > 1` each component's evidence lands on
-            // several consecutive hosts — a partitioned host then loses
-            // no component outright and the master must fail over to a
-            // surviving copy.
-            for r in 0..replicas {
-                let host = &pool[(i + c + r) % plan.hosts];
-                for sample in MetricSample::replay(ComponentId(c as u32), &run.series[c]) {
-                    host.ingest_for(app, sample);
-                }
-            }
+        // Same dependency evidence the solo pipeline uses (and, under the
+        // ensemble, the declared topology as a weaker fallback).
+        if let Some(deps) = case.dependency_evidence(config.ensemble.enabled) {
+            fleet.set_dependencies(app, deps.clone());
         }
+
+        violations.push(FleetViolation {
+            app,
+            violation_at: t_v,
+        });
+        for (_, delta) in plan.flaps.iter().filter(|(t, _)| *t == i) {
+            violations.push(FleetViolation {
+                app,
+                violation_at: t_v + delta,
+            });
+        }
+        solo_reports.push(solo.diagnose(&case).pinpointed);
+        engaged.push((i, name, app, run));
+    }
+
+    // The full run series is staged (as a live collector would keep
+    // streaming) and retained whole, so the detector calibrates on the
+    // same normal history as the solo reference; the analysis anchors
+    // each diagnosis at its violation tick by trimming the ring tail, so
+    // flap re-asks at `t_v + delta` see exactly the evidence available
+    // then. With `replicas > 1` each component's evidence lands on
+    // several consecutive hosts — a partitioned host then loses no
+    // component outright and the master must fail over to a surviving
+    // copy.
+    let recordings: Vec<Recording<'_>> = engaged
+        .iter()
+        .map(|(i, _, app, run)| Recording {
+            app: *app,
+            offset: *i,
+            replicas: plan.replicas,
+            components: run
+                .series
+                .iter()
+                .enumerate()
+                .map(|(c, series)| (ComponentId(c as u32), series.as_slice()))
+                .collect(),
+        })
+        .collect();
+    let pool = SlaveDaemon::replay_pool(config, plan.hosts, &recordings);
+    for &(_, _, app, _) in &engaged {
         for (h, daemon) in pool.iter().enumerate() {
             let view: Arc<dyn SlaveEndpoint> = Arc::new(TenantSlave::new(Arc::clone(daemon), app));
             let slave: Arc<dyn SlaveEndpoint> = if plan.crashed_hosts.contains(&h) {
@@ -371,24 +389,6 @@ pub fn execute_plan(plan: &ScenarioPlan, config: &FChainConfig) -> ScenarioOutco
             };
             fleet.register_slave(app, slave);
         }
-        // Same dependency evidence the solo pipeline uses (and, under the
-        // ensemble, the declared topology as a weaker fallback).
-        if let Some(deps) = case.dependency_evidence(config.ensemble.enabled) {
-            fleet.set_dependencies(app, deps.clone());
-        }
-
-        violations.push(FleetViolation {
-            app,
-            violation_at: t_v,
-        });
-        for (_, delta) in plan.flaps.iter().filter(|(t, _)| *t == i) {
-            violations.push(FleetViolation {
-                app,
-                violation_at: t_v + delta,
-            });
-        }
-        solo_reports.push(solo.diagnose(&case).pinpointed);
-        engaged.push((i, name, app, run));
     }
 
     let reports = fleet.on_violations(&violations);

@@ -3,7 +3,7 @@
 use crate::args::Args;
 use fchain_baselines::{DependencyScheme, HistogramScheme, NetMedic, Pal, TopologyScheme};
 use fchain_core::master::Master;
-use fchain_core::slave::{MetricSample, SlaveDaemon};
+use fchain_core::slave::MetricSample;
 use fchain_core::{
     AnalysisEngine, FChain, FChainConfig, Localizer, Transport, Verdict, MAX_LOOKBACK, MIN_LOOKBACK,
 };
@@ -757,27 +757,10 @@ pub fn obs(args: &Args) -> CliResult {
     // The deployed topology: components spread round-robin over slave
     // daemons, the master fanning out to them — so the slave-side spans
     // (selection, CUSUM, FFT, rollback) and master-side spans (fan-out,
-    // merge, pinpoint, validation) all fire. The daemons retain the whole
-    // case, as `FChain::diagnose` sizes its own, so this diagnosis
-    // pinpoints what `fchain diagnose --validate` does.
-    let capacity = SlaveDaemon::capacity_for_case(&case, lookback);
-    let hosts: Vec<Arc<SlaveDaemon>> = (0..n_hosts)
-        .map(|_| Arc::new(SlaveDaemon::new(config.clone()).with_capacity(capacity)))
-        .collect();
-    for (i, component) in case.components.iter().enumerate() {
-        let host = &hosts[i % hosts.len()];
-        for sample in MetricSample::replay(component.id, &component.metrics) {
-            host.ingest(sample);
-        }
-    }
-    let ensemble = config.ensemble.enabled;
-    let mut master = Master::new(config);
-    for host in hosts {
-        master.register_slave(host);
-    }
-    if let Some(deps) = case.dependency_evidence(ensemble) {
-        master.set_dependencies(deps.clone());
-    }
+    // merge, pinpoint, validation) all fire. It is `FChain::diagnose`'s
+    // own deployment on `--hosts` daemons, so this diagnosis pinpoints
+    // what `fchain diagnose --validate` does.
+    let master = FChain::new(config).master(&case, n_hosts);
     // This diagnosis's own profile: the registry delta around it (the
     // only work in flight), labeled with the single tenant's name.
     let mut probe = OracleProbe::new(&run.oracle);

@@ -267,6 +267,13 @@ pub const MIN_LOOKBACK: u64 = 10;
 /// allocation instead of failing validation.
 pub const MAX_LOOKBACK: u64 = 86_400;
 
+/// A requested look-back window clamped into
+/// [`MIN_LOOKBACK`]`..=`[`MAX_LOOKBACK`]: the window a recorded case or
+/// a tenant override actually runs at.
+pub(crate) fn clamp_lookback(lookback: u64) -> u64 {
+    lookback.clamp(MIN_LOOKBACK, MAX_LOOKBACK)
+}
+
 /// Ceiling on a widened look-back window: the paper's longest profile plus
 /// slack.
 const WIDENED_LOOKBACK_CAP: u64 = 600;

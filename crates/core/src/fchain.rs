@@ -1,14 +1,13 @@
 //! The FChain system: slaves + master wired together.
 
 use crate::case::CaseData;
-use crate::config::{FChainConfig, MAX_LOOKBACK, MIN_LOOKBACK};
+use crate::config::{clamp_lookback, FChainConfig};
 use crate::localizer::Localizer;
 use crate::master::validation::ValidationProbe;
 use crate::master::Master;
 use crate::report::DiagnosisReport;
-use crate::slave::{MetricSample, SlaveDaemon};
-use fchain_metrics::ComponentId;
-use std::sync::Arc;
+use crate::slave::{Recording, SlaveDaemon};
+use fchain_metrics::{AppId, ComponentId};
 
 /// The FChain fault localization system.
 ///
@@ -49,7 +48,7 @@ impl FChain {
     /// [`FChainConfig::lookback_retry`] set, an empty first answer is
     /// re-asked over a widened window, as the master does in deployment.
     pub fn diagnose(&self, case: &CaseData) -> DiagnosisReport {
-        self.master(case).on_violation(case.violation_at)
+        self.master(case, 1).on_violation(case.violation_at)
     }
 
     /// Full diagnosis followed by online pinpointing validation
@@ -60,40 +59,43 @@ impl FChain {
         case: &CaseData,
         probe: &mut dyn ValidationProbe,
     ) -> DiagnosisReport {
-        self.master(case)
+        self.master(case, 1)
             .on_violation_validated(case.violation_at, probe)
     }
 
-    /// The deployment a recorded case stands for: one slave daemon fed
-    /// the case through [`MetricSample::replay`] and sized by
-    /// [`SlaveDaemon::capacity_for_case`], so the error floor learns from
-    /// the whole normal history, registered with a master that holds the
-    /// case's dependency evidence.
+    /// The deployment a recorded case stands for: the case staged on
+    /// `hosts` slave daemons by [`SlaveDaemon::replay_pool`] (components
+    /// round-robin, every sample retained, so the error floor learns from
+    /// the whole normal history), registered with a master that holds
+    /// the case's dependency evidence. The diagnosis does not depend on
+    /// `hosts`.
     ///
     /// The case's look-back window is authoritative (the master decides
     /// `W` per diagnosis — e.g. 500 s for slow-manifesting faults); the
     /// config's `lookback` applies when the case carries none, and a
-    /// window outside [`MIN_LOOKBACK`]`..=`[`MAX_LOOKBACK`] is clamped into
-    /// it. The in-process slave cannot be lost, so no deadline applies.
-    fn master(&self, case: &CaseData) -> Master {
+    /// window outside [`MIN_LOOKBACK`](crate::MIN_LOOKBACK)`..=`
+    /// [`MAX_LOOKBACK`](crate::MAX_LOOKBACK) is clamped into it. The
+    /// in-process slaves cannot be lost, so no deadline applies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hosts` is zero.
+    pub fn master(&self, case: &CaseData, hosts: usize) -> Master {
         let lookback = match case.lookback {
             0 => self.config.lookback,
-            w => w.clamp(MIN_LOOKBACK, MAX_LOOKBACK),
+            w => clamp_lookback(w),
         };
         let config = FChainConfig {
             lookback,
             slave_deadline_ms: 0,
             ..self.config.clone()
         };
-        let capacity = SlaveDaemon::capacity_for_case(case, lookback);
-        let slave = Arc::new(SlaveDaemon::new(config.clone()).with_capacity(capacity));
-        for component in &case.components {
-            for sample in MetricSample::replay(component.id, &component.metrics) {
-                slave.ingest(sample);
-            }
-        }
+        let recording = Recording::case(AppId::default(), 0, case);
+        let pool = SlaveDaemon::replay_pool(&config, hosts, &[recording]);
         let mut master = Master::new(config);
-        master.register_slave(slave);
+        for slave in pool {
+            master.register_slave(slave);
+        }
         if let Some(deps) = case.dependency_evidence(self.config.ensemble.enabled) {
             master.set_dependencies(deps.clone());
         }

@@ -14,7 +14,7 @@
 //! over a fleet of one; its reports are bit-identical to the per-tenant
 //! reports this layer produces.
 
-use crate::config::{widened_lookback, FChainConfig, MIN_LOOKBACK};
+use crate::config::{clamp_lookback, widened_lookback, FChainConfig};
 use crate::master::endpoint::{CollectRequest, SlaveEndpoint, SlaveError};
 use crate::master::pinpoint::pinpoint_findings;
 use crate::master::validation::{validate_pinpointing, ValidationProbe};
@@ -466,12 +466,14 @@ impl FleetMaster {
     /// slaves to analyze a `lookback`-tick window instead of the fleet's
     /// configured one (the paper runs `W = 500` for the slow-manifesting
     /// disk hog while everything else stays at `W = 100`). Returns the
-    /// window actually installed: a request below [`MIN_LOOKBACK`], the
-    /// floor `FChainConfig::validate` enforces for the configured window,
-    /// is clamped up, counted on
+    /// window actually installed: a request outside
+    /// [`MIN_LOOKBACK`](crate::MIN_LOOKBACK)`..=`
+    /// [`MAX_LOOKBACK`](crate::MAX_LOOKBACK), the bounds
+    /// `FChainConfig::validate` enforces for the configured window, is
+    /// clamped into them, counted on
     /// [`fchain_obs::Counter::FleetLookbackClamped`] — an operator typo
     /// must degrade loudly, never shrink a tenant's evidence window into
-    /// uselessness.
+    /// uselessness or size it past what a slave can hold.
     ///
     /// # Panics
     ///
@@ -481,12 +483,10 @@ impl FleetMaster {
             .tenants
             .get_mut(&app)
             .unwrap_or_else(|| panic!("unknown tenant {app}"));
-        let effective = if lookback < MIN_LOOKBACK {
+        let effective = clamp_lookback(lookback);
+        if effective != lookback {
             obs::count(obs::Counter::FleetLookbackClamped, 1);
-            MIN_LOOKBACK
-        } else {
-            lookback
-        };
+        }
         tenant.lookback_override = Some(effective);
         effective
     }
@@ -627,6 +627,7 @@ pub(crate) fn merge_findings(mut findings: Vec<ComponentFinding>) -> Vec<Compone
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_LOOKBACK;
     use crate::master::endpoint::{FaultySlave, SlaveFault, TenantSlave};
     use crate::master::Master;
     use crate::report::AbnormalChange;
@@ -780,7 +781,7 @@ mod tests {
         let app = fleet.add_tenant("shop");
         feed_tenant(&pool, app, 0, 1000, None);
         fleet.register_slave(app, Arc::new(TenantSlave::new(pool, app)));
-        assert_eq!(fleet.set_tenant_lookback(app, u64::MAX), u64::MAX);
+        assert_eq!(fleet.set_tenant_lookback(app, u64::MAX), MAX_LOOKBACK);
         assert_eq!(fleet.diagnose(app, 990).verdict, crate::Verdict::NoAnomaly);
     }
 

@@ -94,6 +94,39 @@ impl MetricSample {
     }
 }
 
+/// One tenant's recorded histories, staged by
+/// [`SlaveDaemon::replay_pool`].
+#[derive(Debug, Clone)]
+pub struct Recording<'a> {
+    /// The tenant shard the samples are ingested for.
+    pub app: AppId,
+    /// Host of the first component; component `c` lands on host
+    /// `offset + c` (modulo the pool size).
+    pub offset: usize,
+    /// Copies of each component's history, on consecutive hosts.
+    pub replicas: usize,
+    /// Each component's id and recorded series (indexed by
+    /// [`MetricKind::index`]), in placement order.
+    pub components: Vec<(ComponentId, &'a [TimeSeries])>,
+}
+
+impl<'a> Recording<'a> {
+    /// A recorded case for tenant `app`, one copy per component, its
+    /// first component on host `offset`.
+    pub fn case(app: AppId, offset: usize, case: &'a CaseData) -> Self {
+        Recording {
+            app,
+            offset,
+            replicas: 1,
+            components: case
+                .components
+                .iter()
+                .map(|c| (c.id, c.metrics.as_slice()))
+                .collect(),
+        }
+    }
+}
+
 /// Per-metric online state: the learner plus bounded recent history, and
 /// — under the streaming engine — an exact percentile sketch of the
 /// normal-behaviour error span, advanced on every push so the error floor
@@ -308,45 +341,64 @@ impl SlaveDaemon {
         }
     }
 
-    /// Per-metric history (samples) needed to analyze a look-back window
-    /// of `lookback`: the window itself plus enough pre-window history
-    /// for the adaptive error floor, capped to keep the footprint
-    /// bounded but never below the [`SlaveDaemon::with_capacity`] floor
-    /// of twice the window.
-    ///
-    /// Every caller that sizes a shared pool for a mix of effective
-    /// windows must derive the capacity from the **largest** one via
-    /// this helper — hand-computed capacities truncated W=500 evidence
-    /// twice before it was centralized (PR 6's fleet pools, then the
-    /// chaos lab's staged pools).
-    pub fn capacity_for_lookback(lookback: u64) -> usize {
+    /// The live default ring: per-metric history (samples) for a
+    /// look-back window of `lookback` — the window itself plus enough
+    /// pre-window history for the adaptive error floor, capped to keep
+    /// the footprint bounded but never below the
+    /// [`SlaveDaemon::with_capacity`] floor of twice the window.
+    fn capacity_for_lookback(lookback: u64) -> usize {
         (lookback as usize * 8)
             .clamp(600, 4000)
             .max(2 * lookback as usize)
     }
 
-    /// Per-metric history (samples) that retains a whole run of
-    /// `duration` ticks — the chaos lab's sizing, where detectors
-    /// calibrate over the full horizon and any truncation skews them.
-    /// The slack covers gap-bridged carries at the horizon edge.
-    pub fn capacity_for_horizon(duration: Tick) -> usize {
-        duration as usize + 16
-    }
-
-    /// Per-metric history (samples) that retains every sample of a
-    /// recorded `case` analyzed at `lookback`: the horizon of its longest
-    /// series, never below the [`SlaveDaemon::with_capacity`] floor of
-    /// twice the window. [`crate::FChain`] sizes its daemon this way, so
-    /// the error floor reads the case's whole normal history.
-    pub fn capacity_for_case(case: &CaseData, lookback: u64) -> usize {
-        let longest = case
-            .components
+    /// Stages recorded histories on `hosts` fresh daemons running
+    /// `config` — the one replay rule every in-process harness shares,
+    /// so a staged case diagnoses exactly as [`crate::FChain::diagnose`]
+    /// does:
+    ///
+    /// * every daemon retains every sample replayed into it: its ring
+    ///   holds the longest replayed series plus 16 samples of slack for
+    ///   gap-bridged carries, and at least twice `config.lookback`, so the
+    ///   error floor learns from the whole recorded normal history;
+    /// * component `c` (in recording order) of a recording with offset
+    ///   `k` lands on host `(k + c + r) % hosts` for each replica `r` in
+    ///   `0..replicas` (replicas clamped into `1..=hosts`);
+    /// * every sample is fed through [`MetricSample::replay`] into the
+    ///   recording's tenant shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hosts` is zero or `config` is invalid (see
+    /// [`FChainConfig::validate`]).
+    pub fn replay_pool(
+        config: &FChainConfig,
+        hosts: usize,
+        recordings: &[Recording<'_>],
+    ) -> Vec<Arc<SlaveDaemon>> {
+        assert!(hosts >= 1, "a replay pool needs at least one host");
+        let longest = recordings
             .iter()
-            .flat_map(|c| &c.metrics)
+            .flat_map(|r| &r.components)
+            .flat_map(|&(_, metrics)| metrics)
             .map(TimeSeries::len)
             .max()
             .unwrap_or(0);
-        Self::capacity_for_horizon(longest as Tick).max((lookback as usize).saturating_mul(2))
+        let capacity = (longest + 16).max((config.lookback as usize).saturating_mul(2));
+        let pool: Vec<Arc<SlaveDaemon>> = (0..hosts)
+            .map(|_| Arc::new(SlaveDaemon::new(config.clone()).with_capacity(capacity)))
+            .collect();
+        for recording in recordings {
+            for (c, &(component, metrics)) in recording.components.iter().enumerate() {
+                for r in 0..recording.replicas.clamp(1, hosts) {
+                    let host = &pool[(recording.offset + c + r) % hosts];
+                    for sample in MetricSample::replay(component, metrics) {
+                        host.ingest_for(recording.app, sample);
+                    }
+                }
+            }
+        }
+        pool
     }
 
     /// How many recent samples each metric retains.
@@ -384,7 +436,7 @@ impl SlaveDaemon {
     ///
     /// Panics if smaller than twice the look-back window (the analysis
     /// needs pre-window context).
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
+    fn with_capacity(mut self, capacity: usize) -> Self {
         assert!(
             capacity >= 2 * self.config.lookback as usize,
             "capacity must cover at least twice the look-back window"
@@ -1094,8 +1146,125 @@ mod tests {
             };
             let _ = SlaveDaemon::new(config).with_capacity(capacity); // must not panic
         }
-        // Horizon sizing keeps the whole run plus gap-bridging slack.
-        assert!(SlaveDaemon::capacity_for_horizon(3600) > 3600);
+    }
+
+    /// Six `len`-sample series starting at tick 0 with a learnable
+    /// per-kind pattern.
+    fn recorded(len: usize) -> Vec<TimeSeries> {
+        MetricKind::ALL
+            .iter()
+            .map(|kind| {
+                TimeSeries::from_samples(
+                    0,
+                    (0..len)
+                        .map(|t| 40.0 + ((t * (kind.index() + 2)) % 5) as f64)
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// How many samples one metric of `(app, component)` retains.
+    fn retained(daemon: &SlaveDaemon, app: AppId, c: ComponentId, kind: MetricKind) -> usize {
+        daemon.shard(app, c).lock().metrics[kind.index()]
+            .as_ref()
+            .map_or(0, |state| state.values.len())
+    }
+
+    #[test]
+    fn replay_pool_places_components_by_offset_and_replica() {
+        let series = recorded(50);
+        let (shop, wiki) = (AppId(1), AppId(2));
+        let components: Vec<(ComponentId, &[TimeSeries])> = (0..3)
+            .map(|c| (ComponentId(c), series.as_slice()))
+            .collect();
+        let recordings = [
+            Recording {
+                app: shop,
+                offset: 3,
+                replicas: 2,
+                components: components.clone(),
+            },
+            Recording {
+                app: wiki,
+                offset: 1,
+                replicas: 1,
+                components: components[..2].to_vec(),
+            },
+        ];
+        let pool = SlaveDaemon::replay_pool(&FChainConfig::default(), 4, &recordings);
+        assert_eq!(pool.len(), 4);
+        // Component c of `shop` lands on hosts (3 + c + r) % 4, r in 0..2;
+        // component c of `wiki` on host 1 + c only.
+        let ids = |cs: &[u32]| cs.iter().map(|&c| ComponentId(c)).collect::<Vec<_>>();
+        let placed = |app| {
+            pool.iter()
+                .map(|h| h.monitored_components_for(app))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            placed(shop),
+            vec![ids(&[0, 1]), ids(&[1, 2]), ids(&[2]), ids(&[0])]
+        );
+        assert_eq!(placed(wiki), vec![ids(&[]), ids(&[0]), ids(&[1]), ids(&[])]);
+
+        // More replicas than hosts leave one full copy on every host.
+        let everywhere = Recording {
+            app: shop,
+            offset: 0,
+            replicas: 9,
+            components: components[..1].to_vec(),
+        };
+        for host in SlaveDaemon::replay_pool(&FChainConfig::default(), 2, &[everywhere]) {
+            assert_eq!(retained(&host, shop, ComponentId(0), MetricKind::Cpu), 50);
+        }
+    }
+
+    #[test]
+    fn replay_pool_retains_every_replayed_sample() {
+        // A paper-length run is far past the live default ring (800 at
+        // W = 100): the pool holds all of it, on every metric.
+        let (long, short) = (recorded(3600), recorded(1200));
+        let app = AppId::default();
+        let recording = Recording {
+            app,
+            offset: 0,
+            replicas: 1,
+            components: vec![(ComponentId(0), &long[..]), (ComponentId(1), &short[..])],
+        };
+        let config = FChainConfig::default();
+        assert!(SlaveDaemon::new(config.clone()).capacity() < 3600);
+        let pool = SlaveDaemon::replay_pool(&config, 1, &[recording]);
+        assert_eq!(pool[0].capacity(), 3600 + 16);
+        for kind in MetricKind::ALL {
+            assert_eq!(retained(&pool[0], app, ComponentId(0), kind), 3600);
+            assert_eq!(retained(&pool[0], app, ComponentId(1), kind), 1200);
+        }
+    }
+
+    #[test]
+    fn replay_pool_keeps_twice_the_window_on_a_short_recording() {
+        let series = recorded(100);
+        let recording = Recording {
+            app: AppId::default(),
+            offset: 0,
+            replicas: 1,
+            components: vec![(ComponentId(0), &series[..])],
+        };
+        let config = FChainConfig::with_lookback(500);
+        let pool = SlaveDaemon::replay_pool(&config, 2, &[recording]);
+        for host in &pool {
+            assert_eq!(host.capacity(), 1000);
+        }
+        assert_eq!(
+            retained(&pool[0], AppId::default(), ComponentId(0), MetricKind::Cpu),
+            100
+        );
+        // No recording at all still sizes for the window.
+        assert_eq!(
+            SlaveDaemon::replay_pool(&config, 1, &[])[0].capacity(),
+            1000
+        );
     }
 
     #[test]

@@ -13,4 +13,4 @@ mod derived;
 pub mod rollback;
 mod selection;
 
-pub use daemon::{MetricSample, SlaveDaemon};
+pub use daemon::{MetricSample, Recording, SlaveDaemon};

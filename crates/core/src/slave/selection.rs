@@ -347,30 +347,22 @@ fn burst_guard(config: &FChainConfig) -> usize {
 mod tests {
     use super::*;
     use crate::report::ComponentFinding;
-    use crate::slave::{MetricSample, SlaveDaemon};
-    use crate::{CaseData, ComponentCase};
-    use fchain_metrics::{ComponentId, TimeSeries};
+    use crate::slave::{Recording, SlaveDaemon};
+    use crate::ComponentCase;
+    use fchain_metrics::{AppId, ComponentId, TimeSeries};
 
     /// Replays `component` into a slave daemon that retains its whole
     /// history and analyzes it at `violation_at` over the default 100-tick
     /// window: the path every recorded component takes to selection,
     /// including the daemon's non-finite drop-and-bridge rule.
     fn analyze(component: &ComponentCase, violation_at: Tick) -> ComponentFinding {
-        let config = FChainConfig::default();
-        let case = CaseData {
-            violation_at,
-            lookback: config.lookback,
-            components: vec![component.clone()],
-            known_topology: None,
-            discovered_deps: None,
-            frontend: None,
+        let recording = Recording {
+            app: AppId::default(),
+            offset: 0,
+            replicas: 1,
+            components: vec![(component.id, &component.metrics[..])],
         };
-        let capacity = SlaveDaemon::capacity_for_case(&case, config.lookback);
-        let daemon = SlaveDaemon::new(config).with_capacity(capacity);
-        for sample in MetricSample::replay(component.id, &component.metrics) {
-            daemon.ingest(sample);
-        }
-        daemon
+        SlaveDaemon::replay_pool(&FChainConfig::default(), 1, &[recording])[0]
             .analyze(component.id, violation_at)
             .expect("the component was fed")
     }

@@ -3,12 +3,12 @@
 //!
 //! When the fleet drain's accuracy falls below the single-application
 //! campaign's, the first question is *which mechanism* of the fleet path
-//! is responsible. This harness answers it per tenant: it re-runs every
-//! tenant's exact [`fchain_sim::tenant_mix`] case **solo** — the same
-//! seed, the same engine, the same effective evidence window, but on a
-//! dedicated uncontended daemon pool with a generous deadline budget —
-//! diffs the solo report against the fleet report, and classifies each
-//! divergence:
+//! is responsible. This harness answers it per tenant: it diffs the
+//! fleet report against the tenant's solo reference — the
+//! [`fchain_core::FChain::diagnose`] answer [`FleetCampaign`] staging
+//! computes on the exact same case (same seed, engine and effective
+//! evidence window, every sample retained as the shared pool retains it,
+//! no deadline) — and classifies each divergence:
 //!
 //! * [`Divergence::Clean`] — fleet equals solo equals ground truth; the
 //!   fleet path added nothing and lost nothing.
@@ -24,8 +24,7 @@
 //!   difference came from drain scheduling, not stored evidence.
 //! * [`Divergence::PoolInterference`] — fleet differs on complete
 //!   coverage and the re-diagnosis still disagrees with solo: the shared
-//!   pool's stored evidence itself differs from a dedicated pool's
-//!   (e.g. ring-buffer eviction bounding the window).
+//!   pool's stored evidence itself differs from the solo daemon's.
 //!
 //! Running this over the seeded mix is what localized the original
 //! regression to a missing per-tenant evidence window (slow-manifesting
@@ -33,18 +32,11 @@
 //! not pool interference — and the classes exist as regression tripwires
 //! for the mechanisms that were ruled out.
 
-use crate::fleet::{FleetCampaign, StagedTenant};
+use crate::fleet::FleetCampaign;
 use crate::score::Counts;
-use fchain_core::slave::{MetricSample, SlaveDaemon};
-use fchain_core::{FleetMaster, FleetReport, FleetViolation, SlaveEndpoint, TenantSlave};
+use fchain_core::FleetViolation;
 use fchain_metrics::ComponentId;
 use serde_json::json;
-use std::sync::Arc;
-
-/// Deadline budget for the solo reference drains: generous enough that
-/// no slave is ever abandoned, so the solo report reflects complete
-/// evidence.
-const SOLO_DEADLINE_MS: u64 = 600_000;
 
 /// Why one tenant's fleet report differs (or not) from its solo report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +95,7 @@ pub struct TenantAttribution {
     pub truth: Vec<ComponentId>,
     /// What the contended fleet drain pinpointed.
     pub fleet_pinpointed: Vec<ComponentId>,
-    /// What the dedicated solo drain pinpointed.
+    /// What the solo pipeline ([`fchain_core::FChain::diagnose`]) pinpointed.
     pub solo_pinpointed: Vec<ComponentId>,
     /// The fleet diagnosis' slave coverage (1.0 = every slave answered).
     pub coverage: f64,
@@ -210,52 +202,9 @@ fn same_set(a: &[ComponentId], b: &[ComponentId]) -> bool {
     a == b
 }
 
-/// Re-runs one staged tenant on a dedicated pool: same case, same shard
-/// layout (the tenant keeps its round-robin offset), same engine and
-/// config — but uncontended, with no injected RPC faults and a deadline
-/// budget no slave can miss.
-fn solo_report(campaign: &FleetCampaign, tenant: &StagedTenant) -> FleetReport {
-    let mut config = campaign.config.clone();
-    config.slave_deadline_ms = SOLO_DEADLINE_MS;
-    // History depth must match the staged fleet's pool (sized for the
-    // largest look-back in the mix via the shared helper), or
-    // solo-vs-fleet diffs would attribute history truncation to the
-    // fleet path itself.
-    let capacity = SlaveDaemon::capacity_for_lookback(campaign.max_effective_lookback());
-    let pool: Vec<Arc<SlaveDaemon>> = (0..campaign.hosts)
-        .map(|_| Arc::new(SlaveDaemon::new(config.clone()).with_capacity(capacity)))
-        .collect();
-    let mut fleet = FleetMaster::new(config);
-    let app = fleet.add_tenant(&tenant.outcome.name);
-    for (c, component) in tenant.case.components.iter().enumerate() {
-        let host = &pool[(tenant.outcome.tenant + c) % campaign.hosts];
-        for sample in MetricSample::replay(component.id, &component.metrics) {
-            host.ingest_for(app, sample);
-        }
-    }
-    for daemon in &pool {
-        let view: Arc<dyn SlaveEndpoint> = Arc::new(TenantSlave::new(Arc::clone(daemon), app));
-        fleet.register_slave(app, view);
-    }
-    if tenant.outcome.lookback != campaign.config.lookback {
-        fleet.set_tenant_lookback(app, tenant.outcome.lookback);
-    }
-    if let Some(deps) = tenant.deps.clone() {
-        fleet.set_dependencies(app, deps);
-    }
-    fleet
-        .on_violations(&[FleetViolation {
-            app,
-            violation_at: tenant.case.violation_at,
-        }])
-        .into_iter()
-        .next()
-        .expect("the solo drain answers its one violation")
-}
-
-/// Runs the attribution sweep: stages the campaign's fleet, fires the
-/// contended drain, re-runs every tenant solo, and classifies each
-/// divergence. This is `fchain fleet --attribute`.
+/// Runs the attribution sweep: stages the campaign's fleet (with every
+/// tenant's solo reference), fires the contended drain, and classifies
+/// each divergence. This is `fchain fleet --attribute`.
 pub fn attribute(campaign: &FleetCampaign) -> AttributionReport {
     let staged = campaign.stage();
     let reports = staged.fleet.on_violations(&staged.violations);
@@ -266,9 +215,8 @@ pub fn attribute(campaign: &FleetCampaign) -> AttributionReport {
             .iter()
             .find(|r| r.app == tenant.outcome.app)
             .expect("every staged tenant gets a report");
-        let solo = solo_report(campaign, tenant);
         let fleet_pinpointed = report.report.pinpointed.clone();
-        let solo_pinpointed = solo.report.pinpointed.clone();
+        let solo_pinpointed = tenant.outcome.solo_pinpointed.clone();
         let coverage = report.report.coverage.coverage;
 
         let class = if fleet_pinpointed == solo_pinpointed {

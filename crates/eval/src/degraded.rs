@@ -11,9 +11,9 @@
 use crate::casegen::case_from_run;
 use crate::score::Counts;
 use fchain_core::master::Master;
-use fchain_core::slave::{MetricSample, SlaveDaemon};
+use fchain_core::slave::{Recording, SlaveDaemon};
 use fchain_core::{FChainConfig, FaultySlave, SlaveEndpoint, SlaveFaultSchedule};
-use fchain_metrics::Tick;
+use fchain_metrics::{AppId, Tick};
 use fchain_sim::{AppKind, FaultKind, RunConfig, Simulator};
 use serde_json::json;
 use std::sync::Arc;
@@ -116,20 +116,11 @@ impl DegradedCampaign {
                 continue; // the SLO never fired; no diagnosis to degrade
             };
 
-            // Wire the case's components into per-host daemons once; the
-            // daemons are read-only during analysis, so every loss rate
-            // reuses them. They retain the whole case, as
-            // `FChain::diagnose` sizes its own.
-            let capacity = SlaveDaemon::capacity_for_case(&case, self.lookback);
-            let daemons: Vec<Arc<SlaveDaemon>> = (0..self.hosts)
-                .map(|_| Arc::new(SlaveDaemon::new(config.clone()).with_capacity(capacity)))
-                .collect();
-            for (c, component) in case.components.iter().enumerate() {
-                let host = &daemons[c % self.hosts];
-                for sample in MetricSample::replay(component.id, &component.metrics) {
-                    host.ingest(sample);
-                }
-            }
+            // Stage the case on per-host daemons once, as
+            // `FChain::diagnose` stages its own; the daemons are read-only
+            // during analysis, so every loss rate reuses them.
+            let recording = Recording::case(AppId::default(), 0, &case);
+            let daemons = SlaveDaemon::replay_pool(&config, self.hosts, &[recording]);
 
             for (rate_idx, point) in points.iter_mut().enumerate() {
                 // One deterministic schedule per (run, rate): the same

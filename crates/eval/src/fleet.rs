@@ -9,6 +9,14 @@
 //! diagnoses/sec plus the p50/p99 violation-to-report latency of the
 //! drain — the `fleet_throughput` bench sweeps the tenant count with it.
 //!
+//! The pool is staged by [`SlaveDaemon::replay_pool`], the replay rule
+//! every in-process harness shares: each daemon retains every sample of
+//! every tenant, exactly as the single-application [`FChain::diagnose`]
+//! daemon does. Each tenant's solo reference is that `FChain::diagnose`
+//! answer on the same case, so a fleet report that differs from it can
+//! only come from the fleet path itself (deadline budgets, scheduling),
+//! never from a shallower history.
+//!
 //! Slave RPCs carry a simulated network latency
 //! ([`FleetCampaign::rpc_delay_ms`], a [`SlaveFault::Stall`] wrap): fleet
 //! throughput comes from overlapping that latency across per-tenant
@@ -20,7 +28,7 @@
 
 use crate::casegen::case_from_run;
 use crate::score::Counts;
-use fchain_core::slave::{MetricSample, SlaveDaemon};
+use fchain_core::slave::{Recording, SlaveDaemon};
 use fchain_core::{
     FChain, FChainConfig, FaultySlave, FleetMaster, FleetViolation, SlaveEndpoint, SlaveFault,
     TenantSlave, Transport,
@@ -77,9 +85,10 @@ pub struct FleetCampaign {
 ///
 /// The solo reference is the paper's single-application pipeline
 /// ([`FChain::diagnose`]) run on the *exact same* seeded case with the
-/// same config and effective evidence window — so a divergence isolates
-/// what the fleet path itself changed (shared-pool evidence bounds,
-/// deadline budgets, scheduling), never the case draw.
+/// same config and effective evidence window, and the shared pool keeps
+/// the same history its daemon does — so a divergence isolates what the
+/// fleet path itself changed (deadline budgets, scheduling), never the
+/// case draw.
 #[derive(Debug, Clone)]
 pub struct TenantOutcome {
     /// Tenant index within the drain (`tenant_mix(tenant)`).
@@ -159,14 +168,12 @@ impl FleetResult {
     }
 }
 
-/// One tenant staged into a drain: its outcome template plus the
-/// evidence ([`CaseData`], installed dependency graph) needed to re-run
-/// the same tenant on a dedicated pool.
+/// One tenant staged into a drain: its outcome template, whether it
+/// gets a stalled straggler, and the recorded case its slaves hold.
 pub(crate) struct StagedTenant {
     pub(crate) outcome: TenantOutcome,
     pub(crate) stalled: bool,
     pub(crate) case: fchain_core::CaseData,
-    pub(crate) deps: Option<fchain_deps::DependencyGraph>,
 }
 
 /// A fully-staged fleet drain, ready to fire: the master with every
@@ -292,20 +299,17 @@ impl FleetCampaign {
     }
 
     /// Builds the drain without firing it: simulates every tenant,
-    /// ingests the shared pool, registers slaves, and computes the solo
-    /// (in-process single-app) reference report per tenant. Shared
-    /// between [`FleetCampaign::evaluate`] and the attribution harness
+    /// computes its solo reference ([`FChain::diagnose`] on the same
+    /// case), stages every tenant's case once on the shared pool with
+    /// [`SlaveDaemon::replay_pool`] (tenant `i`'s component `c` on host
+    /// `(i + c) % hosts`, every sample retained, as the solo daemon
+    /// retains it) and registers the slaves. Shared between
+    /// [`FleetCampaign::evaluate`] and the attribution harness
     /// ([`crate::attribution::attribute`]) so both diagnose the *exact
     /// same* staged fleet.
     pub(crate) fn stage(&self) -> StagedDrain {
         assert!(self.hosts >= 1, "at least one host");
-        let capacity = SlaveDaemon::capacity_for_lookback(self.max_effective_lookback());
-        let pool: Vec<Arc<SlaveDaemon>> = (0..self.hosts)
-            .map(|_| Arc::new(SlaveDaemon::new(self.config.clone()).with_capacity(capacity)))
-            .collect();
-        let servers = self.serve_pool(&pool);
         let mut fleet = FleetMaster::new(self.config.clone());
-
         let solo = FChain::new(self.config.clone());
         let mut violations: Vec<FleetViolation> = Vec::new();
         let mut preps: Vec<StagedTenant> = Vec::new();
@@ -333,47 +337,12 @@ impl FleetCampaign {
             if lookback != self.config.lookback {
                 fleet.set_tenant_lookback(app, lookback);
             }
-            for (c, component) in case.components.iter().enumerate() {
-                let host = &pool[(i + c) % self.hosts];
-                for sample in MetricSample::replay(component.id, &component.metrics) {
-                    host.ingest_for(app, sample);
-                }
-            }
-            for host in 0..pool.len() {
-                let view = self.tenant_view(&pool, &servers, host, app);
-                let slave: Arc<dyn SlaveEndpoint> = if self.rpc_delay_ms > 0 {
-                    Arc::new(FaultySlave::new(
-                        view,
-                        SlaveFault::Stall {
-                            delay: Duration::from_millis(self.rpc_delay_ms),
-                        },
-                    ))
-                } else {
-                    view
-                };
-                fleet.register_slave(app, slave);
-            }
-            let stalled = i < self.stalled_tenants && self.stall_ms > 0;
-            if stalled {
-                fleet.register_slave(
-                    app,
-                    Arc::new(FaultySlave::new(
-                        self.tenant_view(&pool, &servers, 0, app),
-                        SlaveFault::Stall {
-                            delay: Duration::from_millis(self.stall_ms),
-                        },
-                    )),
-                );
-            }
             // The fleet master sees the same dependency evidence the solo
             // pipeline would use: observed request traces, and — only
             // under the ensemble, which knows how to weigh weaker
             // evidence — the declared dataflow topology as a fallback.
-            let installed_deps = case
-                .dependency_evidence(self.config.ensemble.enabled)
-                .cloned();
-            if let Some(deps) = installed_deps.clone() {
-                fleet.set_dependencies(app, deps);
+            if let Some(deps) = case.dependency_evidence(self.config.ensemble.enabled) {
+                fleet.set_dependencies(app, deps.clone());
             }
             violations.push(FleetViolation {
                 app,
@@ -397,10 +366,44 @@ impl FleetCampaign {
                     solo_pinpointed,
                     divergent: false,
                 },
-                stalled,
+                stalled: i < self.stalled_tenants && self.stall_ms > 0,
                 case,
-                deps: installed_deps,
             });
+        }
+
+        let recordings: Vec<Recording<'_>> = preps
+            .iter()
+            .map(|p| Recording::case(p.outcome.app, p.outcome.tenant, &p.case))
+            .collect();
+        let pool = SlaveDaemon::replay_pool(&self.config, self.hosts, &recordings);
+        let servers = self.serve_pool(&pool);
+        for prep in &preps {
+            let app = prep.outcome.app;
+            for host in 0..pool.len() {
+                let view = self.tenant_view(&pool, &servers, host, app);
+                let slave: Arc<dyn SlaveEndpoint> = if self.rpc_delay_ms > 0 {
+                    Arc::new(FaultySlave::new(
+                        view,
+                        SlaveFault::Stall {
+                            delay: Duration::from_millis(self.rpc_delay_ms),
+                        },
+                    ))
+                } else {
+                    view
+                };
+                fleet.register_slave(app, slave);
+            }
+            if prep.stalled {
+                fleet.register_slave(
+                    app,
+                    Arc::new(FaultySlave::new(
+                        self.tenant_view(&pool, &servers, 0, app),
+                        SlaveFault::Stall {
+                            delay: Duration::from_millis(self.stall_ms),
+                        },
+                    )),
+                );
+            }
         }
         StagedDrain {
             fleet,
@@ -409,28 +412,6 @@ impl FleetCampaign {
             violations,
             tenants: preps,
         }
-    }
-
-    /// The largest effective look-back window across the staged tenant
-    /// mix (slow-manifesting faults run at [`SLOW_FAULT_LOOKBACK`]).
-    /// The shared pool's per-metric history must be sized from this —
-    /// otherwise a W = 500 tenant's analysis reads history sized for the
-    /// default window and its fleet report silently diverges from solo
-    /// (the PR 6 truncation bug). [`SlaveDaemon::capacity_for_lookback`]
-    /// is the one sizing rule; every pool builder goes through it.
-    pub fn max_effective_lookback(&self) -> u64 {
-        (0..self.tenants)
-            .map(|i| {
-                let (_, fault) = tenant_mix(i);
-                if fault.is_slow_manifesting() {
-                    SLOW_FAULT_LOOKBACK
-                } else {
-                    self.lookback
-                }
-            })
-            .max()
-            .unwrap_or(self.lookback)
-            .max(self.config.lookback)
     }
 
     /// Runs the drain: simulate every tenant, ingest into the shared

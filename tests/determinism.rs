@@ -9,7 +9,7 @@
 //! outages that reset the series, injected step faults).
 
 use fchain::core::master::Master;
-use fchain::core::slave::{MetricSample, SlaveDaemon};
+use fchain::core::slave::{MetricSample, Recording, SlaveDaemon};
 use fchain::core::{
     AnalysisEngine, CollectRequest, FChain, FChainConfig, FaultySlave, FleetMaster, FleetViolation,
     LookbackRetry, SlaveEndpoint, SlaveFault, TenantSlave,
@@ -166,8 +166,8 @@ fn assert_parity(app: AppKind, fault: FaultKind, seeds: &[u64]) {
 
 /// The offline ≡ online oracle: `FChain::diagnose` on a recorded case
 /// must equal the production deployment of the same case — a two-host
-/// `Master` over daemons that retain the whole case (components split
-/// round-robin, fed through `MetricSample::replay`) — in findings,
+/// `Master` over the daemons `SlaveDaemon::replay_pool` stages
+/// (components split round-robin, the whole case retained) — in findings,
 /// verdict and pinpointed, on both engines, with the look-back widen
 /// retry off and on. The cases are 3600-tick runs: RUBiS CpuHog at
 /// W = 100, Hadoop ConcurrentDiskHog at W = 500, and the same disk hog
@@ -190,15 +190,8 @@ fn offline_diagnosis_equals_the_two_host_master() {
                 lookback,
                 ..FChainConfig::default()
             };
-            let capacity = SlaveDaemon::capacity_for_case(&case, lookback);
-            let hosts: Vec<Arc<SlaveDaemon>> = (0..2)
-                .map(|_| Arc::new(SlaveDaemon::new(config.clone()).with_capacity(capacity)))
-                .collect();
-            for (i, component) in case.components.iter().enumerate() {
-                for sample in MetricSample::replay(component.id, &component.metrics) {
-                    hosts[i % hosts.len()].ingest(sample);
-                }
-            }
+            let recording = Recording::case(AppId::default(), 0, &case);
+            let hosts = SlaveDaemon::replay_pool(&config, 2, &[recording]);
             let mut answers = Vec::new();
             for lookback_retry in [LookbackRetry::Off, LookbackRetry::Widen] {
                 let config = FChainConfig {

@@ -12,7 +12,8 @@
 use fchain::core::master::Master;
 use fchain::core::slave::{MetricSample, SlaveDaemon};
 use fchain::core::{
-    FChainConfig, FleetMaster, FleetViolation, SlaveEndpoint, TenantSlave, Verdict, MIN_LOOKBACK,
+    FChainConfig, FleetMaster, FleetViolation, SlaveEndpoint, TenantSlave, Verdict, MAX_LOOKBACK,
+    MIN_LOOKBACK,
 };
 use fchain::eval::{case_from_run, FleetCampaign};
 use fchain::obs::{self, Counter};
@@ -80,46 +81,50 @@ fn heterogeneous_fleet_drains_on_both_paths_identically() {
     }
 }
 
-/// Satellite regression guard for the fleet-accuracy collapse: with an
+/// Regression guard for the fleet-accuracy collapse: with an
 /// uncontended pool (zero injected RPC latency) and a deadline budget no
 /// slave can miss, every tenant's fleet report must equal the report the
 /// same engine produces for that tenant solo — same seeds, same
-/// configuration. Six tenants cover every (application, fault) family in
-/// the tenant mix.
+/// configuration. Six 1500-tick tenants cover every (application, fault)
+/// family in the tenant mix; two paper-length (3600-tick) tenants at
+/// `W = 100` only check that the shared pool keeps each tenant's whole
+/// normal history, as the solo daemon does.
 #[test]
 fn uncontended_fleet_reports_match_solo_per_tenant() {
     let _guard = drain_lock().lock().unwrap();
-    for ensemble in [false, true] {
-        let mut config = FChainConfig {
-            slave_deadline_ms: 600_000,
-            ..FChainConfig::default()
-        };
-        config.ensemble.enabled = ensemble;
-        let campaign = FleetCampaign {
-            duration: 1500,
-            rpc_delay_ms: 0,
-            config,
-            ..FleetCampaign::new(6, 4100)
-        };
-        let result = campaign.evaluate();
-        assert_eq!(result.diagnoses, 6, "every tenant reports");
-        for t in &result.per_tenant {
-            assert!(
-                !t.divergent,
-                "tenant {} ({}) diverged from solo with ensemble={ensemble}: \
-                 fleet {:?} vs solo {:?}",
-                t.tenant, t.family, t.pinpointed, t.solo_pinpointed
-            );
+    for (tenants, duration, base_seed) in [(6, 1500, 4100), (2, 3600, 4102)] {
+        for ensemble in [false, true] {
+            let mut config = FChainConfig {
+                slave_deadline_ms: 600_000,
+                ..FChainConfig::default()
+            };
+            config.ensemble.enabled = ensemble;
+            let campaign = FleetCampaign {
+                duration,
+                rpc_delay_ms: 0,
+                config,
+                ..FleetCampaign::new(tenants, base_seed)
+            };
+            let result = campaign.evaluate();
+            assert_eq!(result.diagnoses, tenants, "every tenant reports");
+            for t in &result.per_tenant {
+                assert!(
+                    !t.divergent,
+                    "tenant {} ({}, seed {}, {duration} ticks) diverged from solo with \
+                     ensemble={ensemble}: fleet {:?} vs solo {:?}",
+                    t.tenant, t.family, t.seed, t.pinpointed, t.solo_pinpointed
+                );
+            }
+            assert!(result.divergent_tenants().is_empty());
+            assert!(result.divergent_families().is_empty());
         }
-        assert!(result.divergent_tenants().is_empty());
-        assert!(result.divergent_families().is_empty());
     }
 }
 
 /// A tight fan-out deadline bounds only how long the master waits for
 /// slaves — it must never shrink the evidence window a responding slave
-/// analyzes. Per-tenant look-back overrides are floored at the same
-/// minimum `FChainConfig::validate` enforces, with a warning counter on
+/// analyzes. Per-tenant look-back overrides are clamped into the same
+/// bounds `FChainConfig::validate` enforces, with a warning counter on
 /// each clamp.
 #[test]
 fn tenant_deadline_never_shrinks_the_evidence_window() {
@@ -141,14 +146,17 @@ fn tenant_deadline_never_shrinks_the_evidence_window() {
     assert_eq!(fleet.set_tenant_lookback(app, 500), 500);
     assert_eq!(fleet.tenant_lookback(app), 500);
 
-    // ...while a window below the validated floor is clamped up, never
-    // honored, and counted.
+    // ...while a window outside the validated bounds is clamped into
+    // them, never honored, and counted in either direction.
     let before = obs::snapshot();
     let effective = fleet.set_tenant_lookback(app, 1);
     assert_eq!(effective, MIN_LOOKBACK, "sub-floor look-back was honored");
     assert_eq!(fleet.tenant_lookback(app), effective);
+    let effective = fleet.set_tenant_lookback(app, MAX_LOOKBACK + 1);
+    assert_eq!(effective, MAX_LOOKBACK, "over-cap look-back was honored");
+    assert_eq!(fleet.tenant_lookback(app), effective);
     let delta = obs::snapshot().delta_since(&before);
-    assert_eq!(delta.counter(Counter::FleetLookbackClamped), 1);
+    assert_eq!(delta.counter(Counter::FleetLookbackClamped), 2);
 }
 
 #[test]
