@@ -245,7 +245,7 @@ fn diagnose_remote(
             MetricSample::replay(component.id, &component.metrics).collect();
         for chunk in samples.chunks(16_384) {
             remote
-                .ingest_batch(app, chunk.to_vec())
+                .ingest_batch(app, chunk)
                 .map_err(|e| format!("ingest to {}: {e:?}", daemons[i % daemons.len()].addr))?;
         }
     }

@@ -3,7 +3,7 @@
 //! The paper deploys one FChain master per application (§II, Fig. 1). A
 //! cloud operator runs FChain for a *fleet*: many applications share the
 //! per-host slave daemons, each with its own dependency graph, SLO and
-//! deadline budget. [`FleetMaster`] hosts one [`TenantState`] per
+//! deadline budget. [`FleetMaster`] hosts one `TenantState` per
 //! application (keyed by an interned [`AppId`]) and drains concurrent
 //! SLO violations from different tenants through a deterministic
 //! round-robin schedule with one concurrent lane per tenant — so

@@ -15,7 +15,7 @@
 //! the configured look-back window and Gorilla-compressed cold blocks for
 //! the older calibration span, read back bit-identically — and a
 //! recompute-over-store error history
-//! ([`crate::slave::derived::DerivedSeries`]) that materializes only its
+//! (the private `DerivedSeries`) that materializes only its
 //! hot suffix and regenerates deeper errors by replaying the stored
 //! values through a shadow learner.
 

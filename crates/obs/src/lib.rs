@@ -6,7 +6,7 @@
 //!
 //! 1. **Hot-path cost ~zero.** Recording is a few relaxed atomic RMWs on
 //!    `static` storage — no allocation, no locks, no syscalls.
-//! 2. **Fixed shape.** [`snapshot`] returns every stage and counter,
+//! 2. **Fixed shape.** [`snapshot()`] returns every stage and counter,
 //!    recorded or not, so report schemas never change.
 //! 3. **Determinism-safe.** Instrumentation observes the pipeline, never
 //!    steers it: snapshots live beside reports, never inside them, and a

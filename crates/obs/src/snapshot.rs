@@ -146,7 +146,7 @@ impl Default for PipelineSnapshot {
 }
 
 impl PipelineSnapshot {
-    /// The all-zero snapshot (what [`crate::snapshot`] returns before
+    /// The all-zero snapshot (what [`crate::snapshot()`] returns before
     /// anything is recorded).
     pub fn empty() -> Self {
         PipelineSnapshot {

@@ -289,7 +289,7 @@ impl RunRecord {
     /// The full ground-truth faulty set: the union of every injected
     /// fault's targets, sorted and deduplicated. **Set semantics** — a
     /// component targeted by two overlapping faults counts once, matching
-    /// how [`fchain_eval`] scores pinpointing (a localizer can only name a
+    /// how `fchain_eval` scores pinpointing (a localizer can only name a
     /// component once).
     pub fn ground_truth(&self) -> Vec<ComponentId> {
         self.faults_active_at(Tick::MAX)

@@ -525,8 +525,8 @@ fn get_findings(c: &mut Cursor<'_>) -> Result<Vec<ComponentFinding>, WireError> 
     Ok(findings)
 }
 
-/// An upper bound on `frame`'s encoded payload, so [`encode_frame`]
-/// allocates once.
+/// An upper bound on `frame`'s encoded payload, so an encode allocates
+/// at most once.
 fn payload_capacity(frame: &Frame) -> usize {
     match frame {
         Frame::CollectRequest { .. } => 22,
@@ -538,25 +538,43 @@ fn payload_capacity(frame: &Frame) -> usize {
         }
         Frame::MonitoredRequest { .. } => 5,
         Frame::MonitoredResponse { components } => 4 + 4 * components.len(),
-        Frame::IngestBatch { samples, .. } => 8 + SAMPLE_MAX_LEN * samples.len(),
+        Frame::IngestBatch { samples, .. } => ingest_batch_capacity(samples),
         Frame::IngestAck { .. } => 8,
         Frame::Error { message, .. } => 3 + message.len(),
         Frame::Shutdown | Frame::ShutdownAck => 0,
     }
 }
 
+fn ingest_batch_capacity(samples: &[MetricSample]) -> usize {
+    8 + SAMPLE_MAX_LEN * samples.len()
+}
+
+/// The `IngestBatch` payload (see the module docs).
+fn put_ingest_batch(payload: &mut Vec<u8>, app: AppId, samples: &[MetricSample]) {
+    put_u32(payload, app.0);
+    put_u32(payload, samples.len() as u32);
+    put_sample_runs(payload, samples);
+}
+
 /// Serializes `frame` with `request_id` into a self-contained byte
-/// buffer (header + payload), ready to write to a socket. The header
-/// goes first with a zero length, patched once the payload is written.
+/// buffer (header + payload), ready to write to a socket.
 pub fn encode_frame(frame: &Frame, request_id: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload_capacity(frame));
-    put_u32(&mut buf, MAGIC);
-    put_u8(&mut buf, PROTOCOL_VERSION);
-    put_u8(&mut buf, frame.frame_type() as u8);
-    put_u16(&mut buf, 0); // reserved
-    put_u64(&mut buf, request_id);
-    put_u32(&mut buf, 0); // payload length, patched below
-    let payload = &mut buf;
+    let mut buf = Vec::new();
+    encode_frame_into(&mut buf, frame, request_id);
+    buf
+}
+
+/// [`encode_frame`] into `buf`, which is cleared first. A connection
+/// that keeps one buffer across frames allocates only when a frame
+/// outgrows every earlier one.
+fn encode_frame_into(buf: &mut Vec<u8>, frame: &Frame, request_id: u64) {
+    let capacity = payload_capacity(frame);
+    encode(buf, frame.frame_type(), request_id, capacity, |payload| {
+        put_payload(payload, frame)
+    });
+}
+
+fn put_payload(payload: &mut Vec<u8>, frame: &Frame) {
     match frame {
         Frame::CollectRequest { app, request } => {
             put_opt_app(payload, *app);
@@ -584,11 +602,7 @@ pub fn encode_frame(frame: &Frame, request_id: u64) -> Vec<u8> {
                 put_u32(payload, c.0);
             }
         }
-        Frame::IngestBatch { app, samples } => {
-            put_u32(payload, app.0);
-            put_u32(payload, samples.len() as u32);
-            put_sample_runs(payload, samples);
-        }
+        Frame::IngestBatch { app, samples } => put_ingest_batch(payload, *app, samples),
         Frame::IngestAck { accepted } => {
             put_u64(payload, *accepted);
         }
@@ -601,9 +615,49 @@ pub fn encode_frame(frame: &Frame, request_id: u64) -> Vec<u8> {
         }
         Frame::Shutdown | Frame::ShutdownAck => {}
     }
+}
+
+/// An `IngestBatch` frame of borrowed samples into `buf`, cleared
+/// first: the bytes [`encode_frame`] gives for
+/// `Frame::IngestBatch { app, samples: samples.to_vec() }`, without the
+/// copy.
+pub fn encode_ingest_batch_into(
+    buf: &mut Vec<u8>,
+    app: AppId,
+    samples: &[MetricSample],
+    request_id: u64,
+) {
+    let capacity = ingest_batch_capacity(samples);
+    encode(
+        buf,
+        FrameType::IngestBatch,
+        request_id,
+        capacity,
+        |payload| put_ingest_batch(payload, app, samples),
+    );
+}
+
+/// The one frame encoder: the header goes first with a zero length,
+/// then `put_payload` writes at most `capacity` bytes, then the length
+/// is patched.
+fn encode(
+    buf: &mut Vec<u8>,
+    frame_type: FrameType,
+    request_id: u64,
+    capacity: usize,
+    put_payload: impl FnOnce(&mut Vec<u8>),
+) {
+    buf.clear();
+    buf.reserve(HEADER_LEN + capacity);
+    put_u32(buf, MAGIC);
+    put_u8(buf, PROTOCOL_VERSION);
+    put_u8(buf, frame_type as u8);
+    put_u16(buf, 0); // reserved
+    put_u64(buf, request_id);
+    put_u32(buf, 0); // payload length, patched below
+    put_payload(buf);
     let payload_len = (buf.len() - HEADER_LEN) as u32;
     buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
-    buf
 }
 
 /// Decodes one complete frame (header + payload) from `buf`.
@@ -715,10 +769,16 @@ fn decode_payload(frame_type: FrameType, c: &mut Cursor<'_>) -> Result<Frame, Wi
     })
 }
 
-/// Writes one frame to `w` (header + payload, single `write_all`).
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame, request_id: u64) -> Result<(), WireError> {
-    let buf = encode_frame(frame, request_id);
-    w.write_all(&buf)?;
+/// Writes one frame to `w` (header + payload, single `write_all`),
+/// encoding it into `buf`, which the caller keeps across frames.
+pub fn write_frame<W: Write>(
+    w: &mut W,
+    buf: &mut Vec<u8>,
+    frame: &Frame,
+    request_id: u64,
+) -> Result<(), WireError> {
+    encode_frame_into(buf, frame, request_id);
+    w.write_all(buf)?;
     w.flush()?;
     Ok(())
 }
@@ -875,6 +935,37 @@ mod tests {
         assert_eq!(encode_frame(&frame, 7), golden);
         let (id, back) = decode_frame(&golden).expect("golden frame decodes");
         assert_eq!((id, back), (7, frame));
+    }
+
+    #[test]
+    fn a_reused_buffer_encodes_every_frame_exactly() {
+        // The borrowed batch encoder gives the owned frame's bytes, and
+        // a buffer that held a longer frame leaves nothing behind.
+        let samples = [
+            sample(10, 0, MetricKind::Cpu, 1.0),
+            sample(10, 0, MetricKind::NetIn, 2.0),
+            sample(11, 300, MetricKind::Cpu, 0.5),
+        ];
+        let owned = Frame::IngestBatch {
+            app: AppId(1),
+            samples: samples.to_vec(),
+        };
+        let mut buf = Vec::new();
+        encode_ingest_batch_into(&mut buf, AppId(1), &samples, 7);
+        assert_eq!(buf, encode_frame(&owned, 7));
+        encode_frame_into(&mut buf, &Frame::IngestAck { accepted: 3 }, 8);
+        assert_eq!(buf, encode_frame(&Frame::IngestAck { accepted: 3 }, 8));
+        encode_ingest_batch_into(&mut buf, AppId(1), &samples[..1], 9);
+        assert_eq!(
+            decode_frame(&buf).expect("decodes"),
+            (
+                9,
+                Frame::IngestBatch {
+                    app: AppId(1),
+                    samples: samples[..1].to_vec(),
+                }
+            )
+        );
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   frame.
 //! * [`RemoteSlave`] — the master's client endpoint: lazy
 //!   connect/reconnect, deadline-bounded I/O mapped onto the existing
-//!   retry/backoff/coverage machinery.
+//!   retry/backoff/coverage machinery, and ingest pipelined up to
+//!   [`INGEST_WINDOW`] unacknowledged batches.
 //!
 //! The deterministic in-process path stays available as the loopback
 //! transport ([`fchain_core::Transport::InProcess`]); sockets are opt-in
@@ -63,6 +64,6 @@ pub mod frame;
 mod client;
 mod server;
 
-pub use client::{RefreshError, RemoteSlave};
+pub use client::{RefreshError, RemoteSlave, INGEST_WINDOW};
 pub use frame::{Frame, ResponseStatus, WireError, MAX_PAYLOAD, PROTOCOL_VERSION};
 pub use server::{WireAddr, WireServer};

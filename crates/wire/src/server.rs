@@ -269,7 +269,8 @@ fn accept_loop(
 
 /// Serves one connection until the peer disconnects, errors past
 /// recovery, stalls past the deadline, or requests shutdown. Reads go
-/// through the connection's buffer, writes straight to the socket.
+/// through the connection's buffer; every reply is encoded into one
+/// buffer the connection reuses and written straight to the socket.
 fn handle_connection(
     stream: Stream,
     daemon: Arc<SlaveDaemon>,
@@ -280,6 +281,7 @@ fn handle_connection(
         return;
     }
     let mut conn = BufReader::with_capacity(CONN_BUFFER, stream);
+    let mut out = Vec::new();
     loop {
         let (request_id, frame) = match read_frame(&mut conn) {
             Ok(pair) => pair,
@@ -291,7 +293,7 @@ fn handle_connection(
                     code: error_code(&e),
                     message: e.to_string(),
                 };
-                let _ = write_frame(conn.get_mut(), &reply, 0);
+                let _ = write_frame(conn.get_mut(), &mut out, &reply, 0);
                 return;
             }
         };
@@ -313,7 +315,7 @@ fn handle_connection(
                 }
             }
             Frame::Shutdown => {
-                let _ = write_frame(conn.get_mut(), &Frame::ShutdownAck, request_id);
+                let _ = write_frame(conn.get_mut(), &mut out, &Frame::ShutdownAck, request_id);
                 shutdown.store(true, Ordering::SeqCst);
                 return;
             }
@@ -322,7 +324,7 @@ fn handle_connection(
                 message: format!("unexpected frame {other:?} on the request side"),
             },
         };
-        if write_frame(conn.get_mut(), &reply, request_id).is_err() {
+        if write_frame(conn.get_mut(), &mut out, &reply, request_id).is_err() {
             return;
         }
     }

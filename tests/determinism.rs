@@ -545,7 +545,7 @@ fn socket_transports_match_in_process_reports() {
                     MetricSample::replay(component.id, &component.metrics).collect();
                 for chunk in batch.chunks(16384) {
                     remote
-                        .ingest_batch(AppId::default(), chunk.to_vec())
+                        .ingest_batch(AppId::default(), chunk)
                         .expect("ingest over the socket");
                 }
             }

@@ -7,9 +7,9 @@
 
 use fchain::core::master::Master;
 use fchain::core::slave::MetricSample;
-use fchain::core::{FChainConfig, SlaveEndpoint, SlaveStatus};
+use fchain::core::{CollectRequest, FChainConfig, SlaveEndpoint, SlaveError, SlaveStatus};
 use fchain::metrics::{AppId, ComponentId, MetricKind};
-use fchain::wire::{RemoteSlave, WireAddr};
+use fchain::wire::{RemoteSlave, WireAddr, INGEST_WINDOW};
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,6 +79,10 @@ fn signal(pid: u32, sig: &str) {
 
 impl Drop for Daemon {
     fn drop(&mut self) {
+        // A child the test already reaped has no process left to signal.
+        if matches!(self.child.try_wait(), Ok(Some(_))) {
+            return;
+        }
         let _ = Command::new("kill")
             .args(["-CONT", &self.child.id().to_string()])
             .status();
@@ -119,7 +123,7 @@ fn feed_remote(remote: &RemoteSlave, c: u32, n: u64, fault_at: Option<u64>) {
     }
     for chunk in batch.chunks(16384) {
         remote
-            .ingest_batch(AppId::default(), chunk.to_vec())
+            .ingest_batch(AppId::default(), chunk)
             .expect("ingest over the socket");
     }
 }
@@ -264,6 +268,95 @@ fn stalled_daemon_is_abandoned_at_the_deadline() {
     assert_eq!(report.coverage.slaves[1], SlaveStatus::TimedOut);
     assert_eq!(report.coverage.unreachable_components, vec![ComponentId(1)]);
     assert!(!report.coverage.is_complete());
+}
+
+/// One tick of every metric of component `c`.
+fn tick_batch(c: u32, tick: u64) -> Vec<MetricSample> {
+    MetricKind::ALL
+        .map(|kind| MetricSample {
+            tick,
+            component: ComponentId(c),
+            kind,
+            value: 40.0,
+        })
+        .to_vec()
+}
+
+/// Pipelined ingest into a stalled daemon (SIGSTOP with the connection
+/// established): the window's batches are written without waiting for
+/// acks, and the first batch past it fails `Unreachable` once the
+/// socket deadline expires on its ack, instead of hanging.
+#[test]
+fn pipelined_ingest_to_a_stalled_daemon_fails_at_the_deadline() {
+    let daemon = Daemon::spawn_uds();
+    let deadline = Duration::from_millis(300);
+    let remote = RemoteSlave::connect(daemon.addr.clone(), None, Some(deadline)).expect("connect");
+    // The first batch names a new component, so its refresh settles it.
+    remote
+        .ingest_batch(AppId::default(), tick_batch(0, 0))
+        .expect("ingest before the stall");
+    daemon.stall();
+
+    let started = Instant::now();
+    for tick in 1..=INGEST_WINDOW as u64 {
+        remote
+            .ingest_batch(AppId::default(), tick_batch(0, tick))
+            .expect("a batch inside the window waits for no ack");
+    }
+    let filled = started.elapsed();
+    assert!(filled < deadline, "filling the window took {filled:?}");
+    let started = Instant::now();
+    let past = remote.ingest_batch(AppId::default(), tick_batch(0, INGEST_WINDOW as u64 + 1));
+    let waited = started.elapsed();
+    assert_eq!(past, Err(SlaveError::Unreachable));
+    assert!(
+        waited < deadline + Duration::from_secs(1),
+        "the batch past the window waited {waited:?} on a {deadline:?} deadline"
+    );
+}
+
+/// A daemon killed with batches written but not yet acknowledged: the
+/// next call on each endpoint fails — an ingest, a collect, and, after
+/// an inventory read that can only fall back to its cache, an ingest.
+#[test]
+fn a_daemon_killed_with_batches_outstanding_fails_the_next_call() {
+    let mut daemon = Daemon::spawn_uds();
+    let deadline = Some(Duration::from_millis(500));
+    let remotes: Vec<RemoteSlave> = (0..3)
+        .map(|c| {
+            let remote =
+                RemoteSlave::connect(daemon.addr.clone(), None, deadline).expect("connect");
+            remote
+                .ingest_batch(AppId::default(), tick_batch(c, 0))
+                .expect("ingest before the stall");
+            remote
+        })
+        .collect();
+    // Stalled first, so the batches below stay unread until the kill.
+    daemon.stall();
+    for (c, remote) in (0..).zip(&remotes) {
+        for tick in 1..=3 {
+            remote
+                .ingest_batch(AppId::default(), tick_batch(c, tick))
+                .expect("written inside the window");
+        }
+    }
+    daemon.child.kill().expect("kill the daemon");
+    daemon.child.wait().expect("reap the daemon");
+
+    assert!(remotes[0]
+        .ingest_batch(AppId::default(), tick_batch(0, 4))
+        .is_err());
+    assert!(remotes[1].collect(&CollectRequest::at(3)).is_err());
+    assert_eq!(
+        remotes[2].monitored_components(),
+        [ComponentId(0), ComponentId(1), ComponentId(2)],
+        "the last-known inventory"
+    );
+    assert_eq!(
+        remotes[2].ingest_batch(AppId::default(), tick_batch(2, 4)),
+        Err(SlaveError::Transient)
+    );
 }
 
 /// The teardown half of spawn/teardown: a shutdown frame is
