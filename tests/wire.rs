@@ -66,6 +66,33 @@ impl Daemon {
     /// stalled-host failure mode, as a real OS process.
     fn stall(&self) {
         signal(self.child.id(), "-STOP");
+        wait_stopped(self.child.id());
+    }
+}
+
+/// Waits until every thread of `pid` is stopped. `kill` returns once the
+/// signal is sent, and a busy daemon thread can still answer a request or
+/// two before it stops; a test that writes right after the stall must not
+/// be served. Without procfs there is nothing to wait on.
+fn wait_stopped(pid: u32) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let Ok(tasks) = std::fs::read_dir(format!("/proc/{pid}/task")) else {
+            return;
+        };
+        // `stat` reads `pid (comm) state …`; the state follows the last ')'.
+        let stopped = tasks.flatten().all(|task| {
+            std::fs::read_to_string(task.path().join("stat")).is_ok_and(|stat| {
+                stat.rsplit(')')
+                    .next()
+                    .is_some_and(|rest| matches!(rest.trim_start().chars().next(), Some('T' | 't')))
+            })
+        });
+        if stopped {
+            return;
+        }
+        assert!(Instant::now() < deadline, "daemon {pid} did not stop");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
