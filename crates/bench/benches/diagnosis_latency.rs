@@ -10,16 +10,19 @@
 //!   one per analysis engine, on the on-violation path.
 //!
 //! Before timing, the per-component loop and `analyze_all`, and the two
-//! engines, are asserted to produce identical findings. Results (plus the
-//! host's available parallelism, so single-core CI numbers are
-//! interpretable) are written to `BENCH_diagnosis.json` at the repository
-//! root.
+//! engines, are asserted to produce identical findings, and the streaming
+//! engine's CUSUM permutation memo must serve at least one segment test in
+//! each engine scenario. Results (plus the host's available parallelism,
+//! so single-core CI numbers are interpretable, and the memo's hits,
+//! admits and misses over each timed streaming run) are written to
+//! `BENCH_diagnosis.json` at the repository root.
 
 use criterion::{black_box, Criterion};
 use fchain_core::slave::{MetricSample, SlaveDaemon};
 use fchain_core::{AnalysisEngine, CollectRequest, ComponentFinding, FChainConfig};
 use fchain_eval::case_from_run;
 use fchain_metrics::Tick;
+use fchain_obs::{self as obs, Counter};
 use fchain_sim::{AppKind, FaultKind, RunConfig, Simulator};
 use serde_json::json;
 use std::time::Duration;
@@ -158,6 +161,24 @@ fn main() {
         );
     }
 
+    // The permutation memo is warm after the parity pass: another
+    // on-violation pass must gather at least one segment test's
+    // reshuffles (the root test recurs across every metric of a window
+    // length).
+    for s in &scenarios {
+        let request = CollectRequest::at(s.violation_at);
+        let before = obs::snapshot();
+        black_box(s.streaming.analyze_all(None, &request));
+        let hits = obs::snapshot()
+            .delta_since(&before)
+            .counter(Counter::CusumMemoHits);
+        assert!(
+            hits > 0,
+            "{}: the permutation memo served no segment test",
+            s.label
+        );
+    }
+
     let mut criterion = Criterion::default()
         .sample_size(30)
         .warm_up_time(Duration::from_secs(2))
@@ -174,16 +195,21 @@ fn main() {
     criterion.bench_function("diagnosis_latency/rubis_4c/parallel", |b| {
         b.iter(|| black_box(rubis.streaming.analyze_all(None, black_box(&parallel))))
     });
+    // The memo's counters over each timed streaming run (warm-up
+    // included).
+    let mut memo = Vec::new();
     for s in &scenarios {
         let request = CollectRequest::at(s.violation_at);
         criterion.bench_function(
             &format!("diagnosis_latency/engines/{}/batch", s.label),
             |b| b.iter(|| black_box(s.batch.analyze_all(None, black_box(&request)))),
         );
+        let before = obs::snapshot();
         criterion.bench_function(
             &format!("diagnosis_latency/engines/{}/streaming", s.label),
             |b| b.iter(|| black_box(s.streaming.analyze_all(None, black_box(&request)))),
         );
+        memo.push(obs::snapshot().delta_since(&before));
     }
     criterion.final_summary();
 
@@ -203,7 +229,8 @@ fn main() {
 
     let engines: Vec<_> = scenarios
         .iter()
-        .map(|s| {
+        .zip(&memo)
+        .map(|(s, memo)| {
             let batch_ns = median(&format!("{}/batch", s.label));
             let streaming_ns = median(&format!("{}/streaming", s.label));
             json!({
@@ -217,6 +244,11 @@ fn main() {
                 "batch_median_ns": batch_ns,
                 "streaming_median_ns": streaming_ns,
                 "streaming_speedup": batch_ns / streaming_ns,
+                "memo": {
+                    "hits": memo.counter(Counter::CusumMemoHits),
+                    "admits": memo.counter(Counter::CusumMemoAdmits),
+                    "misses": memo.counter(Counter::CusumMemoMisses),
+                },
             })
         })
         .collect();

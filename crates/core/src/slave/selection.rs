@@ -188,15 +188,19 @@ pub(crate) fn select(
     {
         let _span = obs::time(obs::Stage::SlaveCusum);
         // The streaming engine prunes rejection-certain bootstrap
-        // segments (bit-identical, see `detect_into_pruned`); the batch
-        // reference runs every reshuffle.
+        // segments and gathers recurring ones from the permutation memo
+        // (bit-identical, see `detect_into_pruned`); the batch reference
+        // runs every reshuffle.
         if shortcuts {
-            scratch.cusum.detect_into_pruned(
+            let memo = scratch.cusum.detect_into_pruned(
                 &scratch.window_smooth,
                 &mut scratch.cusum_prefix,
                 &mut scratch.bootstrap,
                 &mut scratch.change_points,
             );
+            obs::count(obs::Counter::CusumMemoHits, memo.hits);
+            obs::count(obs::Counter::CusumMemoAdmits, memo.admits);
+            obs::count(obs::Counter::CusumMemoMisses, memo.misses);
         } else {
             scratch.cusum.detect_into(
                 &scratch.window_smooth,

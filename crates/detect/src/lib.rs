@@ -22,7 +22,7 @@
 mod cusum;
 mod outlier;
 
-pub use cusum::{ChangePoint, CusumConfig, CusumDetector, Trend};
+pub use cusum::{ChangePoint, CusumConfig, CusumDetector, MemoTally, Trend};
 pub use outlier::{magnitude_outliers, OutlierConfig};
 
 /// The streaming analysis engine holds one set of detection buffers per

@@ -148,11 +148,20 @@ pub enum Counter {
     /// Empty violation-time fan-outs the master re-collected with a
     /// widened look-back window (the `lookback_retry` knob).
     LookbackRetryWidened,
+    /// Streaming CUSUM segment tests that gathered cached bootstrap
+    /// permutations instead of reshuffling. The memo is process-wide, so
+    /// this and the two below depend on what the process ran before.
+    CusumMemoHits,
+    /// Streaming CUSUM segment tests that generated their bootstrap
+    /// permutations into the memo.
+    CusumMemoAdmits,
+    /// Streaming CUSUM segment tests that reshuffled without the memo.
+    CusumMemoMisses,
 }
 
 impl Counter {
     /// Every counter, in registry order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 28] = [
         Counter::MetricsAnalyzed,
         Counter::ComponentsAnalyzed,
         Counter::ChangePointCandidates,
@@ -178,6 +187,9 @@ impl Counter {
         Counter::ChaosFaultsInjected,
         Counter::ChaosFailures,
         Counter::LookbackRetryWidened,
+        Counter::CusumMemoHits,
+        Counter::CusumMemoAdmits,
+        Counter::CusumMemoMisses,
     ];
 
     /// The counter's slot in the static registry.
@@ -215,6 +227,9 @@ impl Counter {
             Counter::ChaosFaultsInjected => "chaos_faults_injected",
             Counter::ChaosFailures => "chaos_failures",
             Counter::LookbackRetryWidened => "lookback_retry_widened",
+            Counter::CusumMemoHits => "cusum_memo_hits",
+            Counter::CusumMemoAdmits => "cusum_memo_admits",
+            Counter::CusumMemoMisses => "cusum_memo_misses",
         }
     }
 }

@@ -225,6 +225,59 @@ fn offline_diagnosis_equals_the_two_host_master() {
     );
 }
 
+/// The streaming engine's CUSUM permutation memo is process-wide, so a
+/// report must not depend on what the process diagnosed before. A W=100
+/// RUBiS CpuHog case and W=500 and W=300 Hadoop ConcurrentDiskHog cases
+/// take turns in one process. Their root tests (40, 200 and 120 KB)
+/// cannot all be resident in the 256 KiB memo, so the cases compete for
+/// it and evict one another's entries. Every streaming report must equal
+/// the batch engine's (no memo) and its own first run.
+#[test]
+fn streaming_reports_survive_memo_eviction_across_window_sizes() {
+    let cases: Vec<_> = [
+        (AppKind::Rubis, FaultKind::CpuHog, 900, 100),
+        (AppKind::Hadoop, FaultKind::ConcurrentDiskHog, 3, 500),
+        (AppKind::Hadoop, FaultKind::ConcurrentDiskHog, 3, 300),
+    ]
+    .into_iter()
+    .map(|(app, fault, seed, lookback)| {
+        let run = Simulator::new(RunConfig::new(app, fault, seed)).run();
+        let case = case_from_run(&run, lookback).expect("seeded run must violate its SLO");
+        let config = |engine| FChainConfig {
+            engine,
+            lookback,
+            ..FChainConfig::default()
+        };
+        let streaming = FChain::new(config(AnalysisEngine::Streaming));
+        let cold = streaming.diagnose(&case);
+        let batch = FChain::new(config(AnalysisEngine::Batch)).diagnose(&case);
+        assert_eq!(
+            cold, batch,
+            "{app:?}/{fault:?} W={lookback}: engines diverge"
+        );
+        assert!(
+            cold.findings.iter().any(|f| f.onset().is_some()),
+            "{app:?}/{fault:?} W={lookback}: the case must reach CUSUM"
+        );
+        (
+            format!("{app:?}/{fault:?} W={lookback}"),
+            case,
+            streaming,
+            cold,
+        )
+    })
+    .collect();
+    for round in 0..3 {
+        for (label, case, streaming, cold) in &cases {
+            assert_eq!(
+                &streaming.diagnose(case),
+                cold,
+                "{label}, round {round}: the warm memo changed the report"
+            );
+        }
+    }
+}
+
 #[test]
 fn rubis_reports_are_identical_across_paths() {
     assert_parity(AppKind::Rubis, FaultKind::CpuHog, &[900, 901, 902, 903]);
