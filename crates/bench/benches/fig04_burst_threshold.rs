@@ -3,7 +3,8 @@
 //! series yields high thresholds in bursty segments and low ones when the
 //! series is stable.
 use fchain_eval::render;
-use fchain_metrics::{fft, ComponentId, MetricKind};
+use fchain_metrics::fft::FftPlan;
+use fchain_metrics::{ComponentId, MetricKind};
 use fchain_sim::{AppKind, FaultKind, RunConfig, Simulator};
 use serde_json::json;
 
@@ -20,10 +21,11 @@ fn main() {
     let q = 20usize;
     let mut ticks = Vec::new();
     let mut expected = Vec::new();
+    let mut plan = FftPlan::new();
     for center in (q..values.len() - q).step_by(10) {
         let window = &values[center - q..=center + q];
         ticks.push(200.0 + center as f64);
-        expected.push(fft::burst_magnitude(window, 0.9, 90.0));
+        expected.push(plan.burst_magnitude(window, 0.9, 90.0));
     }
     println!("expected prediction error along a map node CPU series:");
     println!("{}", render::series_line("t", &ticks));

@@ -199,11 +199,11 @@ impl Deserialize for LookbackRetry {
     }
 }
 
-/// Ensemble pinpointing switch (see [`crate::master::ensemble`]): fuses
-/// the onset chain with dependency-graph centrality and per-evidence
-/// confidence weights. The stage's tuning (confidence floor, coverage
-/// penalty, centrality widening, silent-hole reading) is fixed in
-/// [`crate::master::ensemble`]; only whether the stage runs is a choice.
+/// Ensemble pinpointing switch (see [`crate::master::ensemble`]): the
+/// onset chain over per-evidence confidence weights, with dependency-graph
+/// structure corrections. The stage's tuning (confidence floor, coverage
+/// penalty, silent-hole reading) is fixed in [`crate::master::ensemble`];
+/// only whether the stage runs is a choice.
 ///
 /// Disabled by default — with `enabled == false` every diagnosis is
 /// bit-identical to the base §II.C pipeline, which is what the
@@ -367,10 +367,10 @@ pub struct FChainConfig {
     /// configs lack the field — its `Deserialize` maps absence to the
     /// default.
     pub engine: AnalysisEngine,
-    /// Ensemble pinpointing stage (centrality + confidence fusion over
-    /// the onset chain). Off by default; configs serialized before the
-    /// stage existed lack the field and deserialize to the disabled
-    /// default, keeping old reports bit-identical.
+    /// Ensemble pinpointing stage (confidence weighting and dependency
+    /// structure over the onset chain). Off by default; configs serialized
+    /// before the stage existed lack the field and deserialize to the
+    /// disabled default, keeping old reports bit-identical.
     pub ensemble: EnsembleConfig,
     /// Online learner configuration (quantization, decay).
     pub learner: LearnerConfig,

@@ -84,7 +84,7 @@ pub use master::endpoint::{
     CollectRequest, FaultySlave, SlaveEndpoint, SlaveError, SlaveFault, SlaveFaultSchedule,
     TenantSlave,
 };
-pub use master::ensemble::{ensemble_pinpoint, EnsembleInput, EnsembleScorer, ScoredComponent};
+pub use master::ensemble::{ensemble_pinpoint, EnsembleInput};
 pub use master::fleet::{FleetMaster, FleetReport, FleetViolation};
 pub use master::pinpoint::{pinpoint, PinpointInput};
 pub use master::validation::{validate_pinpointing, ValidationProbe};

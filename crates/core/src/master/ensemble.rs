@@ -1,5 +1,5 @@
-//! Ensemble pinpointing stage: onset-time ranking fused with
-//! dependency-graph centrality and per-evidence confidence weights.
+//! Ensemble pinpointing stage: the onset chain over confidence-weighted
+//! evidence, with structural corrections from the dependency graph.
 //!
 //! The base pinpointer (§II.C, [`crate::pinpoint`]) trusts every abnormal
 //! change equally and ranks purely by onset time. That is exactly right on
@@ -16,27 +16,26 @@
 //!   an external factor and pinpoints nothing.
 //!
 //! The ensemble stage keeps the onset chain as the primary signal and
-//! layers two corrections over it, following the centrality-measure
-//! localization and Flock-style evidence-weighting lines of work:
+//! layers two kinds of correction over it, following the Flock-style
+//! evidence-weighting line of work:
 //!
 //! 1. every abnormal change gets a *confidence* — its prediction-error
 //!    excess ratio, down-weighted when the diagnosis ran on partial
 //!    evidence (deadline-clipped or unreachable slaves, per the existing
 //!    [`crate::DiagnosisCoverage`] accounting) — and only confident
 //!    changes vote for the onset chain;
-//! 2. the dependency graph contributes *centrality*: a confident abnormal
-//!    component with no confident abnormal upstream of it is a source of
-//!    the anomaly flow, and sources inside the concurrent-onset window are
-//!    pinpointed even when detection jitter pushed them a few ticks past
-//!    the strict concurrency threshold; symmetrically, a single silent
-//!    interior component surrounded by a uniform near-simultaneous wave is
-//!    re-read as the wave's origin instead of an external factor.
+//! 2. the dependency graph settles the shapes onset order cannot: a
+//!    single silent interior component surrounded by a uniform
+//!    near-simultaneous wave is re-read as the wave's origin instead of
+//!    an external factor; mutually independent flow sources that explain
+//!    every other abnormal component are blamed together whatever their
+//!    onset order; and a sub-floor change aligned with the culprits and
+//!    path-independent of them marks a concurrent sibling fault.
 //!
 //! The stage is gated behind [`crate::EnsembleConfig::enabled`] (default
 //! *off*), and with the switch off every report stays bit-identical to the
 //! base pipeline. Its tuning is fixed: [`CONFIDENCE_FLOOR`] and
-//! [`COVERAGE_PENALTY`], with centrality widening and the silent-hole
-//! reading always on.
+//! [`COVERAGE_PENALTY`], with the silent-hole reading always on.
 
 use crate::config::FChainConfig;
 use crate::master::pinpoint::{pinpoint, PinpointInput};
@@ -60,27 +59,6 @@ pub struct EnsembleInput<'a> {
     pub coverage: f64,
 }
 
-/// One component's fused ensemble score: the evidence the ranking is made
-/// of, exposed so harnesses (and tests) can audit the fusion.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScoredComponent {
-    /// The component.
-    pub id: ComponentId,
-    /// Its earliest *confident* abnormal onset.
-    pub onset: Tick,
-    /// Strongest per-evidence confidence among its changes: the
-    /// prediction-error excess ratio, down-weighted by missing coverage.
-    pub confidence: f64,
-    /// Dependency-graph source-ness: `(1 + fan_out) / (1 + fan_in)` where
-    /// fan-out counts the components this one sends requests to and
-    /// fan-in the components sending to it; `1.0` when no graph is known.
-    /// Flow sources score high, sinks low.
-    pub centrality: f64,
-    /// The fused ranking key: `confidence * centrality / (1 + onset_lag)`
-    /// where `onset_lag` is ticks behind the chain source. Always finite.
-    pub score: f64,
-}
-
 /// Minimum per-evidence confidence (prediction-error excess ratio, after
 /// the coverage penalty) for a change to vote in the onset chain. Genuine
 /// faults land well above 1.35 on the calibration campaigns; borderline
@@ -93,8 +71,8 @@ pub const COVERAGE_PENALTY: f64 = 1.0;
 
 /// The ensemble pinpointing stage. Stateless; its only inputs besides the
 /// fixed tuning above are the base pinpointer's thresholds.
-#[derive(Debug, Clone)]
-pub struct EnsembleScorer {
+#[derive(Debug)]
+struct EnsembleScorer {
     concurrency_threshold: u64,
     external_quorum: f64,
 }
@@ -104,7 +82,7 @@ const ERROR_EPSILON: f64 = 1e-9;
 
 impl EnsembleScorer {
     /// Builds a scorer from the full system configuration.
-    pub fn new(config: &FChainConfig) -> Self {
+    fn new(config: &FChainConfig) -> Self {
         EnsembleScorer {
             concurrency_threshold: config.concurrency_threshold,
             external_quorum: config.external_quorum,
@@ -128,7 +106,7 @@ impl EnsembleScorer {
     /// coverage keeps its raw ratio; one observed while half the slaves
     /// were clipped needs proportionally more excess to count. Always
     /// finite and non-negative.
-    pub fn confidence(&self, change: &AbnormalChange, coverage: f64) -> f64 {
+    fn confidence(&self, change: &AbnormalChange, coverage: f64) -> f64 {
         let ratio = change.prediction_error / change.expected_error.max(ERROR_EPSILON);
         if !ratio.is_finite() || ratio < 0.0 {
             return 0.0;
@@ -137,57 +115,19 @@ impl EnsembleScorer {
         ratio / (1.0 + COVERAGE_PENALTY * missing)
     }
 
-    /// Dependency-graph source-ness of a component. With no (or an empty)
-    /// graph every component is a neutral `1.0`.
-    fn centrality(deps: Option<&DependencyGraph>, id: ComponentId) -> f64 {
-        match deps {
-            Some(g) if !g.is_empty() => {
-                // `dependencies_of` is the downstream fan-out (requests
-                // sent), `dependents_of` the upstream fan-in.
-                let fan_out = g.dependencies_of(id).len() as f64;
-                let fan_in = g.dependents_of(id).len() as f64;
-                (1.0 + fan_out) / (1.0 + fan_in)
-            }
-            _ => 1.0,
-        }
-    }
-
-    /// The fused ranking over all components with at least one confident
-    /// change, best first. Deterministic under any permutation of the
-    /// input findings (ties break on the component id) and NaN-free even
-    /// when every change is junk and the coverage is zero.
-    pub fn rank(&self, input: &EnsembleInput<'_>) -> Vec<ScoredComponent> {
-        let confident = self.confident_findings(input);
-        let mut scored: Vec<(ComponentId, Tick, f64)> = confident
-            .iter()
-            .filter_map(|f| {
-                let onset = f.onset()?;
-                let confidence = f
-                    .changes
-                    .iter()
-                    .map(|c| self.confidence(c, input.coverage))
-                    .fold(0.0f64, f64::max);
-                Some((f.id, onset, confidence))
-            })
-            .collect();
-        let t0 = scored.iter().map(|&(_, o, _)| o).min().unwrap_or(0);
-        let mut ranked: Vec<ScoredComponent> = scored
-            .drain(..)
-            .map(|(id, onset, confidence)| {
-                let centrality = Self::centrality(input.dependencies, id);
-                let lag = (onset - t0) as f64;
-                let score = confidence * centrality / (1.0 + lag);
-                ScoredComponent {
-                    id,
-                    onset,
-                    confidence,
-                    centrality,
-                    score: if score.is_finite() { score } else { 0.0 },
-                }
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
-        ranked
+    /// The base §II.C pinpointer over `findings` with this stage's
+    /// thresholds.
+    fn base(
+        &self,
+        findings: &[ComponentFinding],
+        dependencies: Option<&DependencyGraph>,
+    ) -> (Verdict, Vec<ComponentId>) {
+        pinpoint(&PinpointInput {
+            findings,
+            dependencies,
+            concurrency_threshold: self.concurrency_threshold,
+            external_quorum: self.external_quorum,
+        })
     }
 
     /// The findings with only their confident changes kept. Components
@@ -398,9 +338,9 @@ impl EnsembleScorer {
         }
     }
 
-    /// The sub-floor wave: a quorum of components abnormal with one
-    /// uniform trend while *no* change anywhere in the app clears the
-    /// confidence floor. An internal fault propagates outward from a
+    /// The sub-floor wave, checked only when *no* change anywhere in the
+    /// app clears the confidence floor: a quorum of components abnormal
+    /// with one uniform trend. An internal fault propagates outward from a
     /// source whose own deviation is strong — at least the culprit's
     /// change rises well above its model. A wave with no confident member
     /// at all is load-shaped: a drifting workload lifts every component a
@@ -422,23 +362,18 @@ impl EnsembleScorer {
             return None;
         }
         let first = abnormal.first().and_then(|f| f.trend())?;
-        if !abnormal.iter().all(|f| f.trend() == Some(first)) {
-            return None;
-        }
-        let confident = input
-            .findings
+        abnormal
             .iter()
-            .flat_map(|f| f.changes.iter())
-            .any(|c| self.confidence(c, input.coverage) >= CONFIDENCE_FLOOR);
-        (!confident).then_some(first)
+            .all(|f| f.trend() == Some(first))
+            .then_some(first)
     }
 
     /// Runs the full ensemble stage: confidence filtering, stale-loner
     /// dropping, the silent-hole and source-quorum structural
-    /// corrections, the base onset-chain pinpointer over the confident
-    /// evidence, then centrality widening of the concurrent window plus
-    /// weak-sibling promotion.
-    pub fn pinpoint(&self, input: &EnsembleInput<'_>) -> (Verdict, Vec<ComponentId>) {
+    /// corrections, the external-factor checks, then the base onset-chain
+    /// pinpointer over the confident evidence plus weak-sibling
+    /// promotion.
+    fn pinpoint(&self, input: &EnsembleInput<'_>) -> (Verdict, Vec<ComponentId>) {
         let mut confident = self.confident_findings(input);
         self.drop_stale_loners(&mut confident);
 
@@ -459,70 +394,30 @@ impl EnsembleScorer {
         // corrections above: a silent interior hole or a confident
         // multi-source quorum is positive evidence of an internal fault
         // that the surge signature cannot override.
-        let (raw_verdict, _) = pinpoint(&PinpointInput {
-            findings: input.findings,
-            dependencies: input.dependencies,
-            concurrency_threshold: self.concurrency_threshold,
-            external_quorum: self.external_quorum,
-        });
-        if let Verdict::ExternalFactor(trend) = raw_verdict {
-            return (Verdict::ExternalFactor(trend), Vec::new());
-        }
-        if let Some(trend) = self.sub_floor_wave(input) {
-            return (Verdict::ExternalFactor(trend), Vec::new());
+        let raw = self.base(input.findings, input.dependencies);
+        if matches!(raw.0, Verdict::ExternalFactor(_)) {
+            return raw;
         }
 
-        // If the confidence floor filtered *everything* out, the floor is
-        // wrong for this workload, not the evidence — fall back to the
-        // base pipeline on the raw findings instead of reporting health.
-        if confident.iter().all(|f| f.onset().is_none())
-            && input.findings.iter().any(|f| f.onset().is_some())
-        {
-            return pinpoint(&PinpointInput {
-                findings: input.findings,
-                dependencies: input.dependencies,
-                concurrency_threshold: self.concurrency_threshold,
-                external_quorum: self.external_quorum,
-            });
+        // No change anywhere clears the confidence floor (stale-loner
+        // dropping cannot empty the set: it needs four confident
+        // components and leaves three). A uniform sub-floor wave is load;
+        // anything else means the floor is wrong for this workload, not
+        // the evidence, so the base answer on the raw findings stands
+        // instead of reporting health.
+        if confident.iter().all(|f| f.onset().is_none()) {
+            return match self.sub_floor_wave(input) {
+                Some(trend) => (Verdict::ExternalFactor(trend), Vec::new()),
+                None => raw,
+            };
         }
 
-        let (verdict, mut picked) = pinpoint(&PinpointInput {
-            findings: &confident,
-            dependencies: input.dependencies,
-            concurrency_threshold: self.concurrency_threshold,
-            external_quorum: self.external_quorum,
-        });
+        // The base pinpointer's dependency refinement (rule 4) already
+        // pinpoints every confident component with no directed path, in
+        // either direction, to an earlier confident one.
+        let (verdict, mut picked) = self.base(&confident, input.dependencies);
         if verdict != Verdict::Faulty {
             return (verdict, picked);
-        }
-
-        // Centrality widening: among confident abnormal components inside
-        // the near-concurrent window, any component dependency-independent
-        // of every earlier confident abnormal — no directed path in either
-        // direction, so neither propagation nor back-pressure can explain
-        // it — carries its own fault. Detection jitter of a few ticks must
-        // not demote a concurrent culprit to "propagation".
-        let mut chain: Vec<(ComponentId, Tick)> = confident
-            .iter()
-            .filter_map(|f| f.onset().map(|o| (f.id, o)))
-            .collect();
-        chain.sort_by_key(|&(c, o)| (o, c));
-        if let (Some(deps), Some(&(_, t0))) =
-            (input.dependencies.filter(|g| !g.is_empty()), chain.first())
-        {
-            for &(c, onset) in &chain {
-                if onset - t0 > 4 * self.concurrency_threshold || picked.contains(&c) {
-                    continue;
-                }
-                let explained = chain.iter().any(|&(u, u_onset)| {
-                    u != c
-                        && u_onset < onset
-                        && (deps.has_directed_path(u, c) || deps.has_directed_path(c, u))
-                });
-                if !explained {
-                    picked.push(c);
-                }
-            }
         }
         self.promote_weak_siblings(input, &confident, &mut picked);
         picked.sort();
@@ -531,9 +426,9 @@ impl EnsembleScorer {
     }
 }
 
-/// Convenience entry point: builds the scorer from `config` and runs the
-/// stage. Callers gate on [`crate::EnsembleConfig::enabled`] themselves so the
-/// disabled path never constructs anything.
+/// Runs the ensemble stage with the thresholds of `config`. Callers gate
+/// on [`crate::EnsembleConfig::enabled`] themselves so the disabled path
+/// never constructs anything.
 pub fn ensemble_pinpoint(
     config: &FChainConfig,
     input: &EnsembleInput<'_>,
@@ -702,7 +597,8 @@ mod tests {
         // ticks and sink 2 manifests *between* the two sources, so the
         // base either-direction rule explains source 1 away through its
         // own downstream (path 1 -> 2) even though nothing upstream of it
-        // is abnormal.
+        // is abnormal. The source quorum recovers it: both sources are
+        // confidently abnormal and explain the abnormal sink.
         let mut deps = DependencyGraph::new();
         for src in [0u32, 1] {
             for dst in [2u32, 3, 4] {
@@ -737,8 +633,9 @@ mod tests {
 
     #[test]
     fn widening_never_promotes_a_downstream_component() {
-        // 0 -> 1: component 1's onset trails inside the widening window
-        // but it has a confident abnormal upstream — still propagation.
+        // 0 -> 1: component 1's onset trails inside the near-concurrent
+        // window but it has a confident abnormal upstream — still
+        // propagation.
         let mut deps = DependencyGraph::new();
         deps.add_edge(ComponentId(0), ComponentId(1));
         let findings = vec![
@@ -755,28 +652,6 @@ mod tests {
             },
         );
         assert_eq!(p, vec![ComponentId(0)]);
-    }
-
-    #[test]
-    fn rank_exposes_the_fusion_and_orders_best_first() {
-        let mut deps = DependencyGraph::new();
-        deps.add_edge(ComponentId(0), ComponentId(1));
-        let findings = vec![
-            finding(0, vec![change(200, 3.0, Trend::Up)]),
-            finding(1, vec![change(200, 3.0, Trend::Up)]),
-        ];
-        let scorer = EnsembleScorer::new(&enabled_config());
-        let ranked = scorer.rank(&EnsembleInput {
-            findings: &findings,
-            dependencies: Some(&deps),
-            coverage: 1.0,
-        });
-        assert_eq!(ranked.len(), 2);
-        // Same onset, same confidence: the source's centrality (2.0 vs
-        // 0.5) must decide the order.
-        assert_eq!(ranked[0].id, ComponentId(0));
-        assert!(ranked[0].centrality > ranked[1].centrality);
-        assert!(ranked.iter().all(|s| s.score.is_finite()));
     }
 
     #[test]
@@ -798,17 +673,13 @@ mod tests {
         ];
         let scorer = EnsembleScorer::new(&enabled_config());
         for coverage in [0.0, f64::NAN, f64::NEG_INFINITY, f64::INFINITY] {
-            let ranked = scorer.rank(&EnsembleInput {
-                findings: &findings,
-                dependencies: None,
-                coverage,
-            });
-            assert!(
-                ranked
-                    .iter()
-                    .all(|s| s.score.is_finite() && s.confidence.is_finite()),
-                "NaN leaked at coverage {coverage}: {ranked:?}"
-            );
+            for c in findings.iter().flat_map(|f| &f.changes) {
+                let confidence = scorer.confidence(c, coverage);
+                assert!(
+                    confidence.is_finite(),
+                    "NaN leaked at coverage {coverage}: {c:?} -> {confidence}"
+                );
+            }
             let (v, p) = scorer.pinpoint(&EnsembleInput {
                 findings: &findings,
                 dependencies: None,
@@ -869,8 +740,8 @@ mod proptests {
     }
 
     proptest! {
-        /// The ensemble ranking and pinpointing are pure functions of the
-        /// finding *set*: shuffling the input order changes nothing.
+        /// Ensemble pinpointing is a pure function of the finding *set*:
+        /// shuffling the input order changes nothing.
         #[test]
         fn ensemble_is_deterministic_under_permutation(
             findings in findings_strategy(),
@@ -904,16 +775,9 @@ mod proptests {
                 findings: &shuffled, dependencies: Some(&deps), coverage: 1.0,
             });
             prop_assert_eq!(a, b, "pinpoint depends on finding order");
-            let ra = scorer.rank(&EnsembleInput {
-                findings: &findings, dependencies: Some(&deps), coverage: 1.0,
-            });
-            let rb = scorer.rank(&EnsembleInput {
-                findings: &shuffled, dependencies: Some(&deps), coverage: 1.0,
-            });
-            prop_assert_eq!(ra, rb, "ranking depends on finding order");
         }
 
-        /// Zero (or garbage) coverage never produces NaN scores, and the
+        /// Zero (or garbage) coverage never produces NaN confidences, and the
         /// pinpointed set only ever contains abnormal components — except
         /// the silent-hole correction, which by design blames a single
         /// silent component — sorted and deduplicated: the base
@@ -939,10 +803,9 @@ mod proptests {
             let input = EnsembleInput {
                 findings: &findings, dependencies: Some(&deps), coverage,
             };
-            for s in scorer.rank(&input) {
-                prop_assert!(s.score.is_finite(), "score NaN/inf: {s:?}");
-                prop_assert!(s.confidence.is_finite(), "confidence NaN/inf: {s:?}");
-                prop_assert!(s.centrality.is_finite(), "centrality NaN/inf: {s:?}");
+            for c in findings.iter().flat_map(|f| &f.changes) {
+                let confidence = scorer.confidence(c, coverage);
+                prop_assert!(confidence.is_finite(), "confidence NaN/inf: {c:?}");
             }
             let (verdict, picked) = scorer.pinpoint(&input);
             let abnormal: Vec<ComponentId> = findings

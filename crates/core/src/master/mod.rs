@@ -18,6 +18,6 @@ pub use endpoint::{
     CollectRequest, FaultySlave, SlaveEndpoint, SlaveError, SlaveFault, SlaveFaultSchedule,
     TenantSlave,
 };
-pub use ensemble::{ensemble_pinpoint, EnsembleInput, EnsembleScorer, ScoredComponent};
+pub use ensemble::{ensemble_pinpoint, EnsembleInput};
 pub use fleet::{FleetMaster, FleetReport, FleetViolation};
 pub use orchestrator::Master;

@@ -371,7 +371,55 @@ mod proptests {
         })
     }
 
+    /// A dependency graph with at least one edge over components 0..10.
+    fn deps_strategy() -> impl Strategy<Value = DependencyGraph> {
+        proptest::collection::vec((0u32..10, 1u32..10), 1..14).prop_map(|edges| {
+            let mut g = DependencyGraph::new();
+            for (a, step) in edges {
+                g.add_edge(ComponentId(a), ComponentId((a + step) % 10));
+            }
+            g
+        })
+    }
+
     proptest! {
+        /// Rule 4 is complete: with a dependency graph, a Faulty answer
+        /// holds every abnormal component that has no directed path, in
+        /// either direction, to an abnormal component with an earlier
+        /// onset — concurrency window or not. The ensemble stage relies on
+        /// this instead of widening the window itself.
+        #[test]
+        fn faulty_answer_holds_every_unexplained_component(
+            findings in findings_strategy(),
+            deps in deps_strategy(),
+            concurrency_threshold in 0u64..8,
+            full_quorum in proptest::bool::ANY,
+        ) {
+            let (verdict, picked) = pinpoint(&PinpointInput {
+                findings: &findings,
+                dependencies: Some(&deps),
+                concurrency_threshold,
+                external_quorum: if full_quorum { 1.0 } else { 0.75 },
+            });
+            if verdict != Verdict::Faulty {
+                return Ok(());
+            }
+            let abnormal: Vec<(ComponentId, Tick)> = findings
+                .iter()
+                .filter_map(|f| f.onset().map(|o| (f.id, o)))
+                .collect();
+            for &(c, onset) in &abnormal {
+                let explained = abnormal.iter().any(|&(e, e_onset)| {
+                    e_onset < onset
+                        && (deps.has_directed_path(e, c) || deps.has_directed_path(c, e))
+                });
+                prop_assert!(
+                    explained || picked.contains(&c),
+                    "unexplained {c:?} (onset {onset}) missing from {picked:?}"
+                );
+            }
+        }
+
         /// Pinpointing only ever blames abnormal components, reports them
         /// sorted and deduplicated, and — when the verdict is Faulty —
         /// always includes the earliest-onset component.

@@ -102,28 +102,6 @@ impl Neg for Complex {
     }
 }
 
-/// In-place iterative radix-2 FFT.
-///
-/// Twiddle factors come from a thread-local [`FftPlan`], so repeated
-/// transforms of the same size recompute no sin/cos.
-///
-/// # Panics
-///
-/// Panics if `buf.len()` is not a power of two (use [`next_pow2`] /
-/// zero-padding first; [`burst_signal`] does this for you).
-pub fn fft_in_place(buf: &mut [Complex]) {
-    with_thread_plan(|plan| plan.fft_in_place(buf));
-}
-
-/// In-place inverse FFT (includes the `1/N` normalization).
-///
-/// # Panics
-///
-/// Panics if `buf.len()` is not a power of two.
-pub fn ifft_in_place(buf: &mut [Complex]) {
-    with_thread_plan(|plan| plan.ifft_in_place(buf));
-}
-
 /// Forward twiddle factors for an `n`-point transform, concatenated per
 /// butterfly stage (`len = 2, 4, ..., n`; stage `len` contributes the
 /// `len/2` powers of `e^(-2πi/len)`). The inverse transform conjugates
@@ -191,9 +169,8 @@ fn transform(buf: &mut [Complex], inverse: bool, twiddles: &[Complex]) {
 /// buffers, so burst synthesis on the diagnosis hot path performs no
 /// allocation and no trigonometry after the first transform of each size.
 ///
-/// The free functions ([`fft_in_place`], [`burst_magnitude`], ...) share a
-/// thread-local plan; hold an explicit plan when reuse across many calls
-/// on one thread should not contend on the thread-local.
+/// Every transform runs through a plan. Keep one per worker and reuse it
+/// across calls, as the slave's selection scratch does.
 ///
 /// # Examples
 ///
@@ -226,13 +203,23 @@ impl FftPlan {
             .or_insert_with(|| forward_twiddles(n))
     }
 
-    /// See [`fft_in_place`].
+    /// In-place iterative radix-2 FFT.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf.len()` is not a power of two (use [`next_pow2`] /
+    /// zero-padding first; [`FftPlan::burst_signal_into`] does this for
+    /// you).
     pub fn fft_in_place(&mut self, buf: &mut [Complex]) {
         let n = buf.len();
         transform(buf, false, self.twiddles_for(n));
     }
 
-    /// See [`ifft_in_place`].
+    /// In-place inverse FFT (includes the `1/N` normalization).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf.len()` is not a power of two.
     pub fn ifft_in_place(&mut self, buf: &mut [Complex]) {
         let n = buf.len();
         transform(buf, true, self.twiddles_for(n));
@@ -243,8 +230,30 @@ impl FftPlan {
         }
     }
 
-    /// See [`burst_signal`]; writes the burst signal into `out` (cleared
-    /// first) instead of allocating a fresh vector.
+    /// Synthesizes the burst signal of `xs` into `out` (cleared first):
+    /// the component of the signal made of its top `high_fraction`
+    /// highest frequencies.
+    ///
+    /// The spectrum bin `i` of an `n`-point FFT corresponds to frequency
+    /// `min(i, n - i)`; the lowest `(1 - high_fraction)` of frequencies —
+    /// the slow trend, including DC — are zeroed, and the remainder is
+    /// inverse-transformed. The output has the same length as `xs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `high_fraction` is outside `[0, 1]`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fchain_metrics::fft::FftPlan;
+    ///
+    /// // A pure slow ramp has almost no high-frequency content.
+    /// let ramp: Vec<f64> = (0..64).map(|i| i as f64).collect();
+    /// let mut burst = Vec::new();
+    /// FftPlan::new().burst_signal_into(&ramp, 0.5, &mut burst);
+    /// assert_eq!(burst.len(), 64);
+    /// ```
     pub fn burst_signal_into(&mut self, xs: &[f64], high_fraction: f64, out: &mut Vec<f64>) {
         assert!(
             (0.0..=1.0).contains(&high_fraction),
@@ -281,7 +290,25 @@ impl FftPlan {
         self.scratch = buf;
     }
 
-    /// See [`burst_magnitude`].
+    /// The burst magnitude of a window: the `percentile`-th percentile of
+    /// the absolute burst signal. This is FChain's *expected prediction
+    /// error* for a change point inside the window.
+    ///
+    /// Returns `0.0` for an empty window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `high_fraction` is outside `[0, 1]` or `percentile` is
+    /// outside `[0, 100]`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fchain_metrics::fft::FftPlan;
+    ///
+    /// let stable = vec![5.0; 64];
+    /// assert!(FftPlan::new().burst_magnitude(&stable, 0.9, 90.0) < 1e-9);
+    /// ```
     pub fn burst_magnitude(&mut self, xs: &[f64], high_fraction: f64, percentile: f64) -> f64 {
         if xs.is_empty() {
             return 0.0;
@@ -296,13 +323,6 @@ impl FftPlan {
         self.abs = abs;
         result
     }
-}
-
-fn with_thread_plan<R>(f: impl FnOnce(&mut FftPlan) -> R) -> R {
-    thread_local! {
-        static PLAN: std::cell::RefCell<FftPlan> = std::cell::RefCell::new(FftPlan::new());
-    }
-    PLAN.with(|plan| f(&mut plan.borrow_mut()))
 }
 
 /// Smallest power of two `>= n` (and `>= 1`).
@@ -321,72 +341,27 @@ pub fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
-/// FFT of a real signal, zero-padded to the next power of two.
-pub fn fft_real(xs: &[f64]) -> Vec<Complex> {
-    let n = next_pow2(xs.len());
-    let mut buf: Vec<Complex> = xs.iter().map(|&x| Complex::from(x)).collect();
-    buf.resize(n, Complex::ZERO);
-    fft_in_place(&mut buf);
-    buf
-}
-
-/// Synthesizes the burst signal of `xs`: the component of the signal made
-/// of its top `high_fraction` highest frequencies.
-///
-/// The spectrum bin `i` of an `n`-point FFT corresponds to frequency
-/// `min(i, n - i)`; the lowest `(1 - high_fraction)` of frequencies — the
-/// slow trend, including DC — are zeroed, and the remainder is
-/// inverse-transformed. The output has the same length as `xs`.
-///
-/// # Panics
-///
-/// Panics if `high_fraction` is outside `[0, 1]`.
-///
-/// # Examples
-///
-/// ```
-/// use fchain_metrics::fft::burst_signal;
-///
-/// // A pure slow ramp has almost no high-frequency content.
-/// let ramp: Vec<f64> = (0..64).map(|i| i as f64).collect();
-/// let burst = burst_signal(&ramp, 0.5);
-/// assert_eq!(burst.len(), 64);
-/// ```
-pub fn burst_signal(xs: &[f64], high_fraction: f64) -> Vec<f64> {
-    let mut out = Vec::new();
-    with_thread_plan(|plan| plan.burst_signal_into(xs, high_fraction, &mut out));
-    out
-}
-
-/// The burst magnitude of a window: the `percentile`-th percentile of the
-/// absolute burst signal. This is FChain's *expected prediction error* for
-/// a change point inside the window.
-///
-/// Returns `0.0` for an empty window.
-///
-/// # Panics
-///
-/// Panics if `high_fraction` is outside `[0, 1]` or `percentile` is outside
-/// `[0, 100]`.
-///
-/// # Examples
-///
-/// ```
-/// use fchain_metrics::fft::burst_magnitude;
-///
-/// let stable = vec![5.0; 64];
-/// assert!(burst_magnitude(&stable, 0.9, 90.0) < 1e-9);
-/// ```
-pub fn burst_magnitude(xs: &[f64], high_fraction: f64, percentile: f64) -> f64 {
-    with_thread_plan(|plan| plan.burst_magnitude(xs, high_fraction, percentile))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn assert_close(a: f64, b: f64, eps: f64) {
         assert!((a - b).abs() < eps, "{a} != {b} (eps {eps})");
+    }
+
+    /// FFT of a real signal, zero-padded to the next power of two.
+    pub(super) fn real_spectrum(xs: &[f64]) -> Vec<Complex> {
+        let mut buf: Vec<Complex> = xs.iter().map(|&x| Complex::from(x)).collect();
+        buf.resize(next_pow2(xs.len()), Complex::ZERO);
+        FftPlan::new().fft_in_place(&mut buf);
+        buf
+    }
+
+    /// The burst signal of `xs` through a fresh plan.
+    pub(super) fn burst_signal(xs: &[f64], high_fraction: f64) -> Vec<f64> {
+        let mut out = Vec::new();
+        FftPlan::new().burst_signal_into(xs, high_fraction, &mut out);
+        out
     }
 
     /// Naive O(n²) DFT used as an oracle.
@@ -411,7 +386,7 @@ mod tests {
             .collect();
         let expect = dft(&xs);
         let mut got = xs.clone();
-        fft_in_place(&mut got);
+        FftPlan::new().fft_in_place(&mut got);
         for (g, e) in got.iter().zip(&expect) {
             assert_close(g.re, e.re, 1e-9);
             assert_close(g.im, e.im, 1e-9);
@@ -422,8 +397,9 @@ mod tests {
     fn ifft_inverts_fft() {
         let xs: Vec<Complex> = (0..32).map(|i| Complex::from((i % 7) as f64)).collect();
         let mut buf = xs.clone();
-        fft_in_place(&mut buf);
-        ifft_in_place(&mut buf);
+        let mut plan = FftPlan::new();
+        plan.fft_in_place(&mut buf);
+        plan.ifft_in_place(&mut buf);
         for (g, e) in buf.iter().zip(&xs) {
             assert_close(g.re, e.re, 1e-9);
             assert_close(g.im, e.im, 1e-9);
@@ -434,7 +410,7 @@ mod tests {
     fn fft_of_impulse_is_flat() {
         let mut buf = vec![Complex::ZERO; 8];
         buf[0] = Complex::from(1.0);
-        fft_in_place(&mut buf);
+        FftPlan::new().fft_in_place(&mut buf);
         for z in buf {
             assert_close(z.re, 1.0, 1e-12);
             assert_close(z.im, 0.0, 1e-12);
@@ -443,15 +419,16 @@ mod tests {
 
     #[test]
     fn fft_real_pads_to_pow2() {
-        let spec = fft_real(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let spec = real_spectrum(&[1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(spec.len(), 8);
+        assert_close(spec[0].re, 15.0, 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn fft_rejects_non_pow2() {
         let mut buf = vec![Complex::ZERO; 3];
-        fft_in_place(&mut buf);
+        FftPlan::new().fft_in_place(&mut buf);
     }
 
     #[test]
@@ -485,8 +462,9 @@ mod tests {
         let bursty: Vec<f64> = (0..41)
             .map(|i| 50.0 + if i % 3 == 0 { 30.0 } else { -10.0 })
             .collect();
-        let m_stable = burst_magnitude(&stable, 0.9, 90.0);
-        let m_bursty = burst_magnitude(&bursty, 0.9, 90.0);
+        let mut plan = FftPlan::new();
+        let m_stable = plan.burst_magnitude(&stable, 0.9, 90.0);
+        let m_bursty = plan.burst_magnitude(&bursty, 0.9, 90.0);
         assert!(
             m_bursty > 4.0 * m_stable,
             "bursty {m_bursty} vs stable {m_stable}"
@@ -496,7 +474,7 @@ mod tests {
     #[test]
     fn burst_handles_empty_and_single() {
         assert!(burst_signal(&[], 0.9).is_empty());
-        assert_eq!(burst_magnitude(&[], 0.9, 90.0), 0.0);
+        assert_eq!(FftPlan::new().burst_magnitude(&[], 0.9, 90.0), 0.0);
         let one = burst_signal(&[3.0], 0.9);
         assert_eq!(one.len(), 1);
     }
@@ -504,6 +482,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{burst_signal, real_spectrum};
     use super::*;
     use proptest::prelude::*;
 
@@ -515,8 +494,9 @@ mod proptests {
             let mut buf: Vec<Complex> = xs.iter().map(|&x| Complex::from(x)).collect();
             buf.resize(n, Complex::ZERO);
             let orig = buf.clone();
-            fft_in_place(&mut buf);
-            ifft_in_place(&mut buf);
+            let mut plan = FftPlan::new();
+            plan.fft_in_place(&mut buf);
+            plan.ifft_in_place(&mut buf);
             for (g, e) in buf.iter().zip(&orig) {
                 prop_assert!((g.re - e.re).abs() < 1e-6);
                 prop_assert!((g.im - e.im).abs() < 1e-6);
@@ -526,7 +506,7 @@ mod proptests {
         /// Parseval: energy is preserved (up to the 1/N convention).
         #[test]
         fn parseval(xs in proptest::collection::vec(-1e2f64..1e2, 1..64)) {
-            let spec = fft_real(&xs);
+            let spec = real_spectrum(&xs);
             let n = spec.len() as f64;
             let mut padded = xs.clone();
             padded.resize(spec.len(), 0.0);
