@@ -121,10 +121,16 @@ pub fn json_block(title: &str, results: &[CampaignResult]) -> serde_json::Value 
     })
 }
 
-/// Writes the JSON dump of one figure under `target/fchain-results/`.
+/// Writes the JSON dump of one figure under the workspace's
+/// `target/fchain-results/` (cargo runs benches from the package root, so
+/// the directory is resolved from this crate's manifest, two levels down).
 pub fn dump_json(figure: &str, blocks: &[serde_json::Value]) {
-    let dir = std::path::Path::new("target/fchain-results");
-    if std::fs::create_dir_all(dir).is_err() {
+    let workspace = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root");
+    let dir = workspace.join("target/fchain-results");
+    if std::fs::create_dir_all(&dir).is_err() {
         return; // cosmetics only; the text output is the deliverable
     }
     let path = dir.join(format!("{figure}.json"));

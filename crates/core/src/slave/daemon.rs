@@ -25,7 +25,7 @@ use crate::master::endpoint::CollectRequest;
 use crate::report::{AbnormalChange, ComponentFinding};
 use crate::slave::derived::DerivedSeries;
 use crate::slave::selection::{
-    error_floor_sorted, screen, select, suffix_starts, SelectionScratch, Suffix,
+    error_floor, screen, select, suffix_starts, SelectionScratch, Suffix, FLOOR_MIN_PERCENTILE,
 };
 use fchain_metrics::{
     AppId, ComponentId, MetricKind, PercentileSketch, Tick, TieredSeries, TimeSeries,
@@ -137,9 +137,10 @@ struct MetricState {
     values: TieredSeries,
     errors: DerivedSeries,
     last_tick: Option<Tick>,
-    /// Sorted multiset of exactly `errors[cal .. len − W]` in ring-local
-    /// coordinates — the normal span the error floor is computed from
-    /// when the violation tick coincides with the latest sample.
+    /// Upper tail (every rank the floor reads) of exactly
+    /// `errors[cal .. len − W]` in ring-local coordinates — the normal
+    /// span the error floor is computed from when the violation tick
+    /// coincides with the latest sample.
     sketch: PercentileSketch,
     /// Whether `sketch` currently mirrors the normal span. False until
     /// the series reaches steady state (`len ≥ W + cal + 1`) and after a
@@ -158,7 +159,7 @@ impl MetricState {
             // state that reproduces `errors[0]` from `values[0]`.
             errors: DerivedSeries::new(capacity, hot, OnlineLearner::new(config.learner.clone())),
             last_tick: None,
-            sketch: PercentileSketch::new(),
+            sketch: PercentileSketch::new(FLOOR_MIN_PERCENTILE),
             sketch_ok: false,
         }
     }
@@ -182,9 +183,10 @@ impl MetricState {
     }
 
     /// Keeps `sketch` equal to the normal error span `[cal, len − W)`
-    /// after a push. In steady state this is O(log n): the span's sliding
-    /// window moved by at most one element at each end (one new entrant
-    /// at `len − 1 − W`; the oldest leaves only when the ring evicted).
+    /// after a push. In steady state the span's sliding window moved by at
+    /// most one element at each end (one new entrant at `len − 1 − W`; the
+    /// oldest leaves only when the ring evicted), and only an entrant or a
+    /// leaver in the sketch's kept tail costs more than a counter update.
     fn advance_sketch(&mut self, evicted: bool, config: &FChainConfig) {
         let w = config.lookback as usize;
         let cal = config.learner.calibration_samples;
@@ -219,10 +221,11 @@ impl MetricState {
     }
 
     /// The error floor read from the sketch — bit-identical to the batch
-    /// computation over `errors[cal .. n − w]` because the sketch holds
-    /// exactly that multiset, sorted the same way.
+    /// computation over `errors[cal .. n − w]` because the sketch answers
+    /// every percentile the floor reads over exactly that multiset,
+    /// through the same interpolation.
     fn sketch_floor(&self, config: &FChainConfig) -> f64 {
-        error_floor_sorted(self.sketch.sorted(), config)
+        error_floor(|p| self.sketch.percentile(p), self.sketch.max(), config)
     }
 }
 
@@ -491,13 +494,11 @@ impl SlaveDaemon {
                     .iter()
                     .flatten()
                     .map(|state| {
-                        // The sketch shadows the normal error span twice
-                        // (once sorted, once in arrival order); the
-                        // learner matrices count twice for the error
-                        // store's shadow replay snapshot.
+                        // The learner matrices count twice for the
+                        // error store's shadow replay snapshot.
                         state.values.approx_bytes()
                             + state.errors.approx_bytes()
-                            + 2 * state.sketch.len() * std::mem::size_of::<f64>()
+                            + state.sketch.approx_bytes()
                             + 2 * learner_bytes
                     })
                     .sum::<usize>()
@@ -802,6 +803,8 @@ impl SlaveDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fchain_metrics::stats;
+    use rand::prelude::*;
 
     /// The single-threaded reference: the public per-component entry
     /// point over every monitored component, independent of the
@@ -1482,13 +1485,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sketch_floor_matches_direct_computation() {
-        // White-box: once a series is steady, the incrementally maintained
-        // sketch must reproduce the batch error floor bit for bit.
-        let daemon = SlaveDaemon::new(FChainConfig::default());
-        feed_component(&daemon, ComponentId(0), 1300, None);
-        let config = daemon.config.clone();
+    /// White-box: every steady series' sketch floor equals the batch
+    /// floor over its freshly sorted normal span, bit for bit.
+    fn assert_sketch_floors_exact(daemon: &SlaveDaemon) {
+        let config = &daemon.config;
         for (_, shard) in daemon.shard_list() {
             let comp = shard.lock();
             for state in comp.metrics.iter().flatten() {
@@ -1498,9 +1498,52 @@ mod tests {
                 let w = (config.lookback as usize).min(n - 1);
                 let mut span = errs[config.learner.calibration_samples..n - w].to_vec();
                 span.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
-                let direct = error_floor_sorted(&span, &config);
+                let direct = error_floor(
+                    |p| stats::percentile_sorted(&span, p),
+                    span.last().copied(),
+                    config,
+                );
                 assert_eq!(state.sketch.len(), span.len());
-                assert_eq!(state.sketch_floor(&config).to_bits(), direct.to_bits());
+                assert_eq!(state.sketch_floor(config).to_bits(), direct.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn sketch_floor_matches_direct_computation() {
+        let daemon = SlaveDaemon::new(FChainConfig::default());
+        feed_component(&daemon, ComponentId(0), 1300, None);
+        assert_sketch_floors_exact(&daemon);
+    }
+
+    #[test]
+    fn sketch_floor_matches_direct_computation_at_w500() {
+        // At W = 500 the normal span grows to ~3 400 errors (the ring holds
+        // 4 000 samples) and then slides. Noise plus rare decaying bursts
+        // move the span's upper tail past the sketch's cut both ways.
+        let config = FChainConfig {
+            lookback: 500,
+            ..FChainConfig::default()
+        };
+        let daemon = SlaveDaemon::new(config);
+        let mut rng = SmallRng::seed_from_u64(500);
+        let mut burst = 0.0f64;
+        for t in 0..4800u64 {
+            if rng.gen_range(0u32..400) == 0 {
+                burst = rng.gen_range(20.0..80.0);
+            }
+            burst *= 0.97;
+            for kind in MetricKind::ALL {
+                let scale = (kind.index() + 1) as f64 / 6.0;
+                daemon.ingest(MetricSample {
+                    tick: t,
+                    component: ComponentId(0),
+                    kind,
+                    value: 40.0 + burst * scale + rng.gen_range(-3.0..3.0),
+                });
+            }
+            if [1200, 2000, 2800, 3599, 4100, 4799].contains(&t) {
+                assert_sketch_floors_exact(&daemon);
             }
         }
     }

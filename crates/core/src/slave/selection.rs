@@ -169,7 +169,11 @@ pub(crate) fn select(
             sorted.clear();
             sorted.extend_from_slice(errors.range(normal_span_start, normal_span_end));
             sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample in percentile"));
-            let floor = error_floor_sorted(sorted, config);
+            let floor = error_floor(
+                |p| stats::percentile_sorted(sorted, p),
+                sorted.last().copied(),
+                config,
+            );
             let (_, errors_start) = suffix_starts(n, lookback, config);
             if shortcuts && screen(errors.from(errors_start).iter().copied(), floor) {
                 return None;
@@ -287,21 +291,33 @@ pub(crate) fn select(
     })
 }
 
-/// The error floor over the pre-window normal span, from its errors in
-/// ascending order. The selection pipeline sorts the span itself; the
-/// daemon's per-metric sketch holds the same multiset already sorted, so
-/// both produce the same bits.
-pub(crate) fn error_floor_sorted(sorted: &[f64], config: &FChainConfig) -> f64 {
+/// The lowest percentile [`error_floor`] reads; the daemon's per-metric
+/// [`fchain_metrics::PercentileSketch`] keeps exactly the ranks at or
+/// above it.
+pub(crate) const FLOOR_MIN_PERCENTILE: f64 = 90.0;
+
+/// The error floor over the pre-window normal span, read through
+/// `percentile` (the span's interpolated percentile, asked only for
+/// `p ≥ FLOOR_MIN_PERCENTILE`) and `max` (its largest error, `None` when
+/// empty). The batch engine passes its freshly sorted span
+/// ([`stats::percentile_sorted`]); the streaming engine passes the
+/// daemon's sketch, whose percentiles interpolate through the same
+/// [`stats::percentile_by`] — so both engines produce the same bits.
+pub(crate) fn error_floor(
+    percentile: impl Fn(f64) -> Option<f64>,
+    max: Option<f64>,
+    config: &FChainConfig,
+) -> f64 {
     // Two floors: typical error (p90) scaled up, and the error *tail*
     // (p99) with a smaller multiplier — rare-but-normal fluctuations (the
     // tail of learnable bursts) must not qualify as abnormal.
-    let p90 = stats::percentile_sorted(sorted, 90.0).unwrap_or(0.0);
-    let p99 = stats::percentile_sorted(sorted, 99.0).unwrap_or(0.0);
+    let p90 = percentile(FLOOR_MIN_PERCENTILE).unwrap_or(0.0);
+    let p99 = percentile(99.0).unwrap_or(0.0);
     // The strictest floor is empirical: an abnormal prediction error must
     // exceed every error the model produced across the whole pre-window
     // normal span — "the model has seen fluctuation this size before" is
     // exactly what disqualifies a change point as abnormal.
-    let max_normal = sorted.last().copied().unwrap_or(0.0);
+    let max_normal = max.unwrap_or(0.0);
     (config.error_floor_scale * p90)
         .max(1.8 * p99)
         .max(1.02 * max_normal)

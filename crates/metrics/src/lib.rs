@@ -17,9 +17,9 @@
 //!   suffix plus Gorilla-compressed cold blocks ([`gorilla`]), with
 //!   bit-identical reads, so long look-back windows over tens of
 //!   thousands of components fit in memory.
-//! * [`PercentileSketch`] — exact sliding-window order statistics, the
-//!   incrementally maintained expected-error anchor of the streaming
-//!   analysis engine.
+//! * [`PercentileSketch`] — exact sliding-window upper-tail order
+//!   statistics, the incrementally maintained expected-error anchor of the
+//!   streaming analysis engine.
 //! * [`stats`] — descriptive statistics (mean, variance, percentiles,
 //!   histograms, Kullback–Leibler divergence).
 //! * [`smooth`] — moving-average smoothing (PAL-style noise removal).

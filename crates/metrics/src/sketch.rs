@@ -1,30 +1,44 @@
-//! Exact sliding-window percentile sketch.
+//! Exact sliding-window upper-tail percentile sketch.
 //!
 //! FChain's selection step anchors its expected-error threshold on order
 //! statistics (p90/p99/max) of the *normal-behaviour* span of the
 //! prediction-error series. The batch path re-sorts that span at every
 //! violation; the streaming analysis engine instead maintains the span's
-//! multiset incrementally as samples arrive, so the anchor is readable in
+//! upper tail incrementally as samples arrive, so the anchor is readable in
 //! O(1) at violation time.
 //!
 //! "Sketch" here means *incrementally maintained summary*, not *lossy
-//! approximation*: the window's full multiset is retained (a sorted vector
-//! plus insertion order), so every percentile matches a fresh
-//! [`crate::stats::percentile`] over the same span bit for bit — the
-//! property the engine-parity guarantee rests on. Space is O(window) and
-//! each update is one binary search plus a vector shift; for the spans
-//! FChain keeps (hundreds of samples) that is a few hundred nanoseconds.
+//! approximation*: every percentile at or above the caller's lowest
+//! percentile matches a fresh [`crate::stats::percentile`] over the same
+//! span bit for bit — the property the engine-parity guarantee rests on.
+//! Only the values that can reach those ranks are kept in order: with a
+//! lowest percentile of 90 that is the top ~20–40 % of the window, behind
+//! a cut value `τ`; everything below the cut is a count. The window itself
+//! is kept once, in arrival order, for exact retirement. Space is the
+//! window plus that tail (≈ 1.2–1.4× the window at p90). A sample below
+//! the cut costs a comparison and a counter update; one at or above it a
+//! binary search and a shift over the tail. When the window drifts past
+//! the cut (too many samples below it, or too many above), the cut is
+//! re-chosen by one selection over a temporary copy of the window, which
+//! happens about once per thousand pushes on FChain's error series.
 
 use crate::stats;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
-/// An exact percentile sketch over a FIFO window of samples.
+/// Ranks kept below the lowest answerable rank after a re-tune, on top of
+/// the answerable count itself: the cut sits this much lower than it must,
+/// so a few more arrivals below it do not force the next re-tune at once.
+const RETUNE_MARGIN: usize = 16;
+
+/// An exact upper-tail percentile sketch over a FIFO window of samples.
 ///
 /// [`PercentileSketch::push`] appends a sample; [`PercentileSketch::pop_oldest`]
 /// retires the oldest one (the caller decides the window policy, because
 /// FChain's normal-behaviour span slides only once the metric's ring is in
-/// steady state). Percentile queries interpolate exactly like
-/// [`crate::stats::percentile`].
+/// steady state). [`PercentileSketch::percentile`] answers any `p` at or
+/// above the `min_percentile` fixed at construction, interpolating exactly
+/// like [`crate::stats::percentile`].
 ///
 /// Samples must not be NaN (the batch percentile path panics on NaN for
 /// the same reason: ordering is undefined).
@@ -34,26 +48,55 @@ use std::collections::VecDeque;
 /// ```
 /// use fchain_metrics::{stats, PercentileSketch};
 ///
-/// let mut sketch = PercentileSketch::new();
+/// let mut sketch = PercentileSketch::new(50.0);
 /// for v in [4.0, 1.0, 3.0, 2.0] {
 ///     sketch.push(v);
 /// }
 /// sketch.pop_oldest(); // retire 4.0; window is now [1.0, 3.0, 2.0]
 /// assert_eq!(sketch.percentile(50.0), stats::percentile(&[1.0, 3.0, 2.0], 50.0));
+/// assert_eq!(sketch.percentile(90.0), stats::percentile(&[1.0, 3.0, 2.0], 90.0));
 /// assert_eq!(sketch.max(), Some(3.0));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PercentileSketch {
-    /// The window's multiset in ascending order.
-    sorted: Vec<f64>,
-    /// The same samples in arrival order, for exact retirement.
+    /// Lowest percentile [`PercentileSketch::percentile`] answers.
+    min_percentile: f64,
+    /// `min_percentile / 100`, the factor of the lowest answerable rank.
+    min_fraction: f64,
+    /// The window in arrival order, for exact retirement and re-tunes.
     arrivals: VecDeque<f64>,
+    /// The cut `τ`: samples below it are only counted.
+    cut: f64,
+    /// Number of window samples strictly below `cut`.
+    below: usize,
+    /// Number of window samples equal to `cut` (ties are counted, not
+    /// stored, so a long run of one value cannot bloat `above`).
+    at_cut: usize,
+    /// Every window sample strictly above `cut`, ascending.
+    above: Vec<f64>,
 }
 
 impl PercentileSketch {
-    /// Creates an empty sketch.
-    pub fn new() -> Self {
-        PercentileSketch::default()
+    /// Creates an empty sketch answering percentiles in
+    /// `[min_percentile, 100]`. `min_percentile = 0` keeps every sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `min_percentile` is outside `[0, 100]` or not finite.
+    pub fn new(min_percentile: f64) -> Self {
+        assert!(
+            min_percentile.is_finite() && (0.0..=100.0).contains(&min_percentile),
+            "percentile must be within [0, 100]"
+        );
+        PercentileSketch {
+            min_percentile,
+            min_fraction: min_percentile / 100.0,
+            arrivals: VecDeque::new(),
+            cut: f64::NEG_INFINITY,
+            below: 0,
+            at_cut: 0,
+            above: Vec::new(),
+        }
     }
 
     /// Number of samples currently in the window.
@@ -71,26 +114,43 @@ impl PercentileSketch {
     /// Drops every sample (e.g. after a monitoring outage resets the
     /// series); retains the allocations.
     pub fn clear(&mut self) {
-        self.sorted.clear();
         self.arrivals.clear();
+        self.cut = f64::NEG_INFINITY;
+        self.below = 0;
+        self.at_cut = 0;
+        self.above.clear();
     }
 
     /// Appends `x` to the window.
     pub fn push(&mut self, x: f64) {
         debug_assert!(!x.is_nan(), "NaN sample in percentile sketch");
-        let at = self.sorted.partition_point(|&v| v < x);
-        self.sorted.insert(at, x);
         self.arrivals.push_back(x);
+        if x < self.cut {
+            self.below += 1;
+        } else if x == self.cut {
+            self.at_cut += 1;
+        } else {
+            let at = self.above.partition_point(|&v| v < x);
+            self.above.insert(at, x);
+        }
+        self.retune_if_needed();
     }
 
     /// Retires the oldest sample, returning it (or `None` when empty).
     pub fn pop_oldest(&mut self) -> Option<f64> {
         let x = self.arrivals.pop_front()?;
-        // Lower bound lands on the first element numerically equal to `x`
-        // (any of an equal run is interchangeable for the multiset).
-        let at = self.sorted.partition_point(|&v| v < x);
-        debug_assert!(self.sorted.get(at).is_some_and(|&v| v == x));
-        self.sorted.remove(at);
+        if x < self.cut {
+            self.below -= 1;
+        } else if x == self.cut {
+            self.at_cut -= 1;
+        } else {
+            // Lower bound lands on the first element numerically equal to
+            // `x` (any of an equal run is interchangeable for the multiset).
+            let at = self.above.partition_point(|&v| v < x);
+            debug_assert!(self.above.get(at).is_some_and(|&v| v == x));
+            self.above.remove(at);
+        }
+        self.retune_if_needed();
         Some(x)
     }
 
@@ -98,29 +158,107 @@ impl PercentileSketch {
     /// allocations. Used when a metric first reaches steady state and the
     /// existing span is adopted wholesale.
     pub fn rebuild<I: IntoIterator<Item = f64>>(&mut self, samples: I) {
-        self.clear();
+        self.arrivals.clear();
         self.arrivals.extend(samples);
-        self.sorted.extend(self.arrivals.iter().copied());
-        self.sorted
-            .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample in percentile sketch"));
+        self.retune();
     }
 
-    /// The window's multiset in ascending order.
-    #[inline]
-    pub fn sorted(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// Interpolated percentile `p ∈ [0, 100]`, or `None` when empty.
-    /// Matches [`crate::stats::percentile`] over the same window exactly.
+    /// Interpolated percentile `p ∈ [min_percentile, 100]`, or `None` when
+    /// empty. Matches [`crate::stats::percentile`] over the same window
+    /// exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not finite or outside `[min_percentile, 100]`.
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        stats::percentile_sorted(&self.sorted, p)
+        assert!(
+            p >= self.min_percentile,
+            "percentile {p} is below the sketch's lowest answerable {}",
+            self.min_percentile
+        );
+        stats::percentile_by(self.len(), p, |rank| self.at_rank(rank))
     }
 
     /// Largest sample in the window, or `None` when empty.
     pub fn max(&self) -> Option<f64> {
-        self.sorted.last().copied()
+        match self.above.last() {
+            Some(&x) => Some(x),
+            None => (self.at_cut > 0).then_some(self.cut),
+        }
     }
+
+    /// Heap bytes held: the arrival window plus the kept tail.
+    pub fn approx_bytes(&self) -> usize {
+        (self.arrivals.capacity() + self.above.capacity()) * std::mem::size_of::<f64>()
+    }
+
+    /// The value of ascending rank `rank`; only ranks at or above the
+    /// lowest answerable one are kept.
+    #[inline]
+    fn at_rank(&self, rank: usize) -> f64 {
+        let tail_rank = rank
+            .checked_sub(self.below)
+            .expect("rank below the sketch's kept tail");
+        match tail_rank.checked_sub(self.at_cut) {
+            None => self.cut,
+            Some(i) => self.above[i],
+        }
+    }
+
+    /// Lowest rank a percentile query may read: `⌊min_p/100·(len−1)⌋`,
+    /// computed exactly as [`stats::percentile_by`] computes its lower
+    /// rank, so every query at or above `min_p` reads at or above it.
+    fn lowest_rank(&self) -> usize {
+        match self.len() {
+            0 => 0,
+            len => (self.min_fraction * (len - 1) as f64).floor() as usize,
+        }
+    }
+
+    /// Re-chooses the cut when the lowest answerable rank fell below the
+    /// kept tail, or the tail grew past four times the answerable count.
+    #[inline]
+    fn retune_if_needed(&mut self) {
+        let lowest = self.lowest_rank();
+        let answerable = self.len() - lowest;
+        if self.below > lowest || self.above.len() > 4 * answerable + 64 {
+            self.retune();
+        }
+    }
+
+    /// Places the cut at rank `lowest − answerable − RETUNE_MARGIN` of the
+    /// window (at −∞, keeping every sample, when that rank is 0 or less)
+    /// and rebuilds the counts and the tail from the arrivals.
+    fn retune(&mut self) {
+        let lowest = self.lowest_rank();
+        let answerable = self.len() - lowest;
+        let target = lowest.saturating_sub(answerable + RETUNE_MARGIN);
+        self.cut = if target == 0 {
+            f64::NEG_INFINITY
+        } else {
+            // A temporary copy: the sketch holds no window-sized scratch
+            // between the rare re-tunes.
+            let mut window: Vec<f64> = self.arrivals.iter().copied().collect();
+            *window.select_nth_unstable_by(target, cmp_samples).1
+        };
+        self.below = 0;
+        self.at_cut = 0;
+        self.above.clear();
+        for &x in &self.arrivals {
+            if x < self.cut {
+                self.below += 1;
+            } else if x == self.cut {
+                self.at_cut += 1;
+            } else {
+                self.above.push(x);
+            }
+        }
+        self.above.sort_unstable_by(cmp_samples);
+    }
+}
+
+fn cmp_samples(a: &f64, b: &f64) -> Ordering {
+    a.partial_cmp(b).expect("NaN sample in percentile sketch")
 }
 
 #[cfg(test)]
@@ -131,7 +269,7 @@ mod tests {
     fn tracks_a_sliding_window_exactly() {
         let values: Vec<f64> = (0..40).map(|i| ((i * 37) % 17) as f64 * 0.5).collect();
         let window = 9usize;
-        let mut sketch = PercentileSketch::new();
+        let mut sketch = PercentileSketch::new(0.0);
         for (i, &v) in values.iter().enumerate() {
             sketch.push(v);
             if sketch.len() > window {
@@ -153,44 +291,85 @@ mod tests {
 
     #[test]
     fn duplicates_retire_one_at_a_time() {
-        let mut sketch = PercentileSketch::new();
+        let mut sketch = PercentileSketch::new(0.0);
         for v in [2.0, 2.0, 2.0, 1.0] {
             sketch.push(v);
         }
         assert_eq!(sketch.pop_oldest(), Some(2.0));
-        assert_eq!(sketch.sorted(), &[1.0, 2.0, 2.0]);
+        assert_eq!(sketch.percentile(0.0), Some(1.0));
+        assert_eq!(sketch.percentile(100.0), Some(2.0));
         assert_eq!(sketch.pop_oldest(), Some(2.0));
-        assert_eq!(sketch.sorted(), &[1.0, 2.0]);
+        assert_eq!(
+            sketch.percentile(50.0),
+            stats::percentile(&[2.0, 1.0], 50.0)
+        );
+        assert_eq!(sketch.pop_oldest(), Some(2.0));
+        assert_eq!(sketch.max(), Some(1.0));
     }
 
     #[test]
     fn rebuild_matches_incremental_pushes() {
         let values = [5.0, -1.0, 3.5, 3.5, 0.0];
-        let mut incremental = PercentileSketch::new();
+        let mut incremental = PercentileSketch::new(0.0);
         for &v in &values {
             incremental.push(v);
         }
-        let mut rebuilt = PercentileSketch::new();
+        let mut rebuilt = PercentileSketch::new(0.0);
         rebuilt.push(99.0); // must be discarded by rebuild
         rebuilt.rebuild(values);
-        assert_eq!(rebuilt.sorted(), incremental.sorted());
+        let all = |s: &PercentileSketch| -> Vec<Option<f64>> {
+            (0..=20).map(|i| s.percentile(i as f64 * 5.0)).collect()
+        };
+        assert_eq!(all(&rebuilt), all(&incremental));
         // Retirement order follows arrival order after a rebuild too.
         assert_eq!(rebuilt.pop_oldest(), Some(5.0));
         assert_eq!(incremental.pop_oldest(), Some(5.0));
-        assert_eq!(rebuilt.sorted(), incremental.sorted());
+        assert_eq!(all(&rebuilt), all(&incremental));
     }
 
     #[test]
     fn empty_sketch_answers_none() {
-        let mut sketch = PercentileSketch::new();
+        let mut sketch = PercentileSketch::new(90.0);
         assert!(sketch.is_empty());
-        assert_eq!(sketch.percentile(50.0), None);
+        assert_eq!(sketch.percentile(90.0), None);
         assert_eq!(sketch.max(), None);
         assert_eq!(sketch.pop_oldest(), None);
         sketch.push(1.0);
         sketch.clear();
         assert!(sketch.is_empty());
         assert_eq!(sketch.max(), None);
+    }
+
+    #[test]
+    fn keeps_only_the_upper_tail() {
+        // A long window at p90 holds far fewer ordered values than samples,
+        // and a constant run (every sample tied at the cut) stays compact.
+        let mut sketch = PercentileSketch::new(90.0);
+        let values: Vec<f64> = (0..3000).map(|i| ((i * 7919) % 3001) as f64).collect();
+        for &v in &values {
+            sketch.push(v);
+        }
+        assert!(
+            sketch.above.len() < values.len() / 2,
+            "{}",
+            sketch.above.len()
+        );
+        assert_eq!(sketch.percentile(90.0), stats::percentile(&values, 90.0));
+        for _ in 0..3000 {
+            sketch.push(7.0);
+            sketch.pop_oldest();
+        }
+        assert!(sketch.above.is_empty());
+        assert_eq!(sketch.percentile(99.0), Some(7.0));
+        assert_eq!(sketch.max(), Some(7.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "below the sketch's lowest answerable")]
+    fn percentiles_below_the_kept_tail_are_rejected() {
+        let mut sketch = PercentileSketch::new(90.0);
+        sketch.push(1.0);
+        sketch.percentile(50.0);
     }
 }
 
@@ -199,16 +378,72 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Checks every query the sketch answers against a fresh sort of the
+    /// live window, bit for bit.
+    fn check_against_window(
+        sketch: &PercentileSketch,
+        live: &[f64],
+        ps: &[f64],
+    ) -> Result<(), TestCaseError> {
+        for &p in ps {
+            prop_assert_eq!(
+                sketch.percentile(p).map(f64::to_bits),
+                stats::percentile(live, p).map(f64::to_bits),
+                "p{} over {} samples",
+                p,
+                live.len()
+            );
+        }
+        prop_assert_eq!(
+            sketch.max().map(f64::to_bits),
+            stats::max(live).map(f64::to_bits)
+        );
+        prop_assert_eq!(sketch.len(), live.len());
+        Ok(())
+    }
+
+    /// One stretch of a stream built to cross the cut, by `kind`: ramps
+    /// up and down (the window's tail drifts monotonically), a constant run
+    /// and a run of ties (many samples equal to the cut), a spike burst that
+    /// decays (the tail fills, then drains below the cut), and noise.
+    fn stretch() -> impl Strategy<Value = Vec<f64>> {
+        (
+            (0u8..6, 1i32..400, -50i32..50, 1i32..4),
+            (1.0f64..1e4, 0.5f64..0.99),
+            (
+                proptest::collection::vec(0i32..4, 1..400),
+                proptest::collection::vec(-1e6f64..1e6, 1..400),
+            ),
+        )
+            .prop_map(
+                |((kind, n, at, step), (peak, decay), (ties, noise))| match kind {
+                    0 => (0..n).map(|i| f64::from(at + i * step)).collect(),
+                    1 => (0..n).map(|i| f64::from(at - i * step)).collect(),
+                    2 => vec![f64::from(at); n as usize],
+                    3 => ties.into_iter().map(f64::from).collect(),
+                    4 => (0..n).map(|i| peak * decay.powi(i)).collect(),
+                    _ => noise,
+                },
+            )
+    }
+
+    /// A lowest answerable percentile and a query at or above it.
+    fn percentiles() -> impl Strategy<Value = (f64, f64)> {
+        (0.0f64..=100.0, 0.0f64..=1.0)
+            .prop_map(|(min_p, q)| (min_p, (min_p + q * (100.0 - min_p)).min(100.0)))
+    }
+
     proptest! {
         /// Against arbitrary push/pop interleavings the sketch matches a
-        /// fresh sort+percentile of the surviving window, bit for bit.
+        /// fresh sort+percentile of the surviving window, bit for bit, for
+        /// any percentile it answers.
         #[test]
         fn matches_fresh_percentile(
             values in proptest::collection::vec(-1e6f64..1e6, 1..80),
             window in 1usize..20,
-            p in 0.0f64..100.0,
+            (min_p, p) in percentiles(),
         ) {
-            let mut sketch = PercentileSketch::new();
+            let mut sketch = PercentileSketch::new(min_p);
             for (i, &v) in values.iter().enumerate() {
                 sketch.push(v);
                 if sketch.len() > window {
@@ -217,6 +452,41 @@ mod proptests {
                 let live = &values[(i + 1).saturating_sub(window)..=i];
                 prop_assert_eq!(sketch.percentile(p), stats::percentile(live, p));
                 prop_assert_eq!(sketch.max(), stats::max(live));
+            }
+        }
+    }
+
+    proptest! {
+        // Each case replays up to ~3 000 samples against a fresh sort per
+        // step; CI raises the count with `PROPTEST_CASES` in release mode.
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Long streams whose tail drifts past the cut in both directions,
+        /// so the sketch re-tunes for samples piling up below the cut and
+        /// for the kept tail overflowing, over windows that fill, slide and
+        /// drain.
+        #[test]
+        fn retunes_keep_every_answer_exact(
+            stretches in proptest::collection::vec(stretch(), 1..8),
+            window in 1usize..1000,
+            (min_p, p) in percentiles(),
+        ) {
+            let values: Vec<f64> = stretches.concat();
+            let ps = [min_p, p];
+            let mut sketch = PercentileSketch::new(min_p);
+            for (i, &v) in values.iter().enumerate() {
+                sketch.push(v);
+                if sketch.len() > window {
+                    sketch.pop_oldest();
+                }
+                let live = &values[(i + 1).saturating_sub(window)..=i];
+                check_against_window(&sketch, live, &ps)?;
+            }
+            // Drain: the window shrinks to nothing, one retirement at a time.
+            let mut start = values.len() - sketch.len();
+            while sketch.pop_oldest().is_some() {
+                start += 1;
+                check_against_window(&sketch, &values[start..], &ps)?;
             }
         }
     }

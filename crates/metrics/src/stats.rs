@@ -109,21 +109,43 @@ pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
 /// assert_eq!(fchain_metrics::stats::percentile_sorted(&xs, 50.0), Some(2.5));
 /// ```
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
+    percentile_by(sorted.len(), p, |rank| sorted[rank])
+}
+
+/// [`percentile`] of `len` values read in ascending order through `at`
+/// (`at(0)` is the smallest, `at(len - 1)` the largest). Only the two
+/// ranks that bracket `p` are read — `⌊p/100·(len−1)⌋` and its ceiling
+/// — so a store that keeps just an upper tail of its values
+/// ([`crate::PercentileSketch`]) answers with the same bits as a full
+/// sorted slice.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 100]` or not finite.
+///
+/// # Examples
+///
+/// ```
+/// let xs = [1.0, 2.0, 3.0, 4.0];
+/// assert_eq!(fchain_metrics::stats::percentile_by(xs.len(), 50.0, |r| xs[r]), Some(2.5));
+/// ```
+#[inline]
+pub fn percentile_by(len: usize, p: f64, at: impl Fn(usize) -> f64) -> Option<f64> {
     assert!(
         p.is_finite() && (0.0..=100.0).contains(&p),
         "percentile must be within [0, 100]"
     );
-    if sorted.is_empty() {
+    if len == 0 {
         return None;
     }
-    if sorted.len() == 1 {
-        return Some(sorted[0]);
+    if len == 1 {
+        return Some(at(0));
     }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let rank = p / 100.0 * (len - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
-    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+    Some(at(lo) + (at(hi) - at(lo)) * frac)
 }
 
 /// A fixed-bin histogram over a value range, used by the Histogram baseline
