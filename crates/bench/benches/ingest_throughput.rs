@@ -13,10 +13,9 @@
 //!   default `W = 100`: sustained metrics/sec over the wall clock.
 //! * **Tiering** — the paper's slow-fault regime (`W = 500`, per-metric
 //!   history 4 000 ticks): 500 components pumped past full warm-up so
-//!   every value series carries a maximal cold tier (the error series
-//!   stores none by design — a shadow learner regenerates it from the
-//!   values), then the hot/cold/flat byte split, projected to a
-//!   10 000-component fleet.
+//!   every value series carries a maximal cold tier (the error ring is
+//!   all hot: prediction errors do not compress), then the hot/cold/flat
+//!   byte split, projected to a 10 000-component fleet.
 //!
 //! Invariants asserted in-process (CI re-checks the written JSON):
 //! * no sample is dropped (the `ingest_dropped_samples` delta is 0);

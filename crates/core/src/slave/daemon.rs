@@ -10,20 +10,20 @@
 //! [`SlaveDaemon`] is that incremental runtime: feed it one
 //! [`MetricSample`] per metric per tick, and ask for a component's
 //! [`ComponentFinding`] at any time. Memory is bounded (the paper reports
-//! a ~3 MB daemon footprint): per metric it keeps the learner plus a
-//! tiered value history ([`TieredSeries`]) — a raw hot suffix covering
-//! the configured look-back window and Gorilla-compressed cold blocks for
-//! the older calibration span, read back bit-identically — and a
-//! recompute-over-store error history
-//! (the private `DerivedSeries`) that materializes only its
-//! hot suffix and regenerates deeper errors by replaying the stored
-//! values through a shadow learner.
+//! a ~3 MB daemon footprint): per metric it keeps the learner, a tiered
+//! value history ([`TieredSeries`]) — a raw hot suffix covering the
+//! configured look-back window and Gorilla-compressed cold blocks for the
+//! older calibration span, read back bit-identically — and one flat ring
+//! of the prediction errors the learner returned, paired index for index
+//! with the values. Errors do not compress (the adapting model gives each
+//! one fresh low-mantissa entropy), so the ring is their only store: every
+//! error read is a slice of it, and the streaming engine's error-floor
+//! sketch reads its window from it too.
 
 use crate::case::CaseData;
 use crate::config::{AnalysisEngine, FChainConfig};
 use crate::master::endpoint::CollectRequest;
 use crate::report::{AbnormalChange, ComponentFinding};
-use crate::slave::derived::DerivedSeries;
 use crate::slave::selection::{
     error_floor, screen, select, suffix_starts, SelectionScratch, Suffix, FLOOR_MIN_PERCENTILE,
 };
@@ -34,7 +34,7 @@ use fchain_metrics::{
 use fchain_model::OnlineLearner;
 use fchain_obs as obs;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -43,11 +43,10 @@ use std::sync::Arc;
 /// with a fresh calibration.
 const MAX_GAP_FILL: u64 = 30;
 
-/// Raw hot-suffix length for a look-back window: the streaming sketch
-/// reads `errors[len − 1 − W]` on every push, and the violation-time
-/// screen reads `errors[len − W − 3 ..]` (the window plus the two ticks
-/// before it), so the hot tier must cover `W + 3`; rounding up to whole
-/// cold blocks keeps freezes block-aligned.
+/// Raw hot-suffix length of the value tier for a look-back window: the
+/// window plus the two ticks before it (`W + 3`), so the values a
+/// violation at the latest tick analyzes never decode a cold block;
+/// rounding up to whole cold blocks keeps freezes block-aligned.
 fn hot_capacity_for(lookback: u64) -> usize {
     let need = lookback as usize + 3;
     need.div_ceil(COLD_BLOCK_SAMPLES) * COLD_BLOCK_SAMPLES
@@ -135,12 +134,15 @@ impl<'a> Recording<'a> {
 struct MetricState {
     learner: OnlineLearner,
     values: TieredSeries,
-    errors: DerivedSeries,
+    /// `errors[i]` is what `learner.feed` returned for `values[i]`; the
+    /// ring evicts in lockstep with `values`.
+    errors: VecDeque<f64>,
     last_tick: Option<Tick>,
     /// Upper tail (every rank the floor reads) of exactly
     /// `errors[cal .. len − W]` in ring-local coordinates — the normal
     /// span the error floor is computed from when the violation tick
-    /// coincides with the latest sample.
+    /// coincides with the latest sample. The sketch reads that span from
+    /// `errors`; it keeps no copy.
     sketch: PercentileSketch,
     /// Whether `sketch` currently mirrors the normal span. False until
     /// the series reaches steady state (`len ≥ W + cal + 1`) and after a
@@ -150,14 +152,10 @@ struct MetricState {
 
 impl MetricState {
     fn new(config: &FChainConfig, capacity: usize) -> Self {
-        let hot = hot_capacity_for(config.lookback);
         MetricState {
             learner: OnlineLearner::new(config.learner.clone()),
-            values: TieredSeries::new(capacity, hot),
-            // The shadow starts as a second fresh learner — identical to
-            // the live one before its first sample, which is exactly the
-            // state that reproduces `errors[0]` from `values[0]`.
-            errors: DerivedSeries::new(capacity, hot, OnlineLearner::new(config.learner.clone())),
+            values: TieredSeries::new(capacity, hot_capacity_for(config.lookback)),
+            errors: VecDeque::new(),
             last_tick: None,
             sketch: PercentileSketch::new(FLOOR_MIN_PERCENTILE),
             sketch_ok: false,
@@ -167,27 +165,35 @@ impl MetricState {
     /// Feeds one value through the learner into the rings; under the
     /// streaming engine also advances the normal-span sketch.
     fn push_sample(&mut self, value: f64, config: &FChainConfig) {
-        let evicting = self.values.len() == self.values.capacity();
-        if evicting {
-            // The shadow learner absorbs the value about to leave the
-            // window while the value series still holds it.
-            self.errors.pre_evict(&self.values);
+        let capacity = self.values.capacity();
+        let mut leaving = None;
+        if self.errors.len() == capacity {
+            // The span's oldest error leaves with the eviction; read it
+            // before every index shifts down by one.
+            leaving = self
+                .sketch_ok
+                .then(|| self.errors[config.learner.calibration_samples]);
+            self.errors.pop_front();
+        } else if self.errors.len() == self.errors.capacity() {
+            // Grow by doubling, but never past what the ring retains.
+            let len = self.errors.len();
+            self.errors.reserve_exact(len.max(4).min(capacity - len));
         }
-        let error = self.learner.feed(value);
+        self.errors.push_back(self.learner.feed(value));
         self.values.push(value);
-        self.errors.push(error);
         debug_assert_eq!(self.errors.len(), self.values.len());
         if config.engine == AnalysisEngine::Streaming {
-            self.advance_sketch(evicting, config);
+            self.advance_sketch(leaving, config);
         }
     }
 
     /// Keeps `sketch` equal to the normal error span `[cal, len − W)`
     /// after a push. In steady state the span's sliding window moved by at
     /// most one element at each end (one new entrant at `len − 1 − W`; the
-    /// oldest leaves only when the ring evicted), and only an entrant or a
-    /// leaver in the sketch's kept tail costs more than a counter update.
-    fn advance_sketch(&mut self, evicted: bool, config: &FChainConfig) {
+    /// oldest, `leaving`, only when the ring evicted), and only an entrant
+    /// or a leaver in the sketch's kept tail costs more than a counter
+    /// update.
+    fn advance_sketch(&mut self, leaving: Option<f64>, config: &FChainConfig) {
         let w = config.lookback as usize;
         let cal = config.learner.calibration_samples;
         let len = self.errors.len();
@@ -200,23 +206,18 @@ impl MetricState {
             return;
         }
         if !self.sketch_ok {
-            // One shadow replay regenerates the whole span; the paired
-            // value reads decode each cold block at most once.
             self.sketch
-                .rebuild(self.errors.range_vec(cal, len - w, &self.values));
+                .rebuild(self.errors.range(cal..len - w).copied());
             self.sketch_ok = true;
             return;
         }
-        if evicted {
-            // Every ring-local index shifted down by one: the span lost
-            // its oldest element (which is also the sketch's oldest
-            // arrival — entrants join in arrival order).
-            self.sketch.pop_oldest();
+        if let Some(x) = leaving {
+            self.sketch
+                .retire(x, self.errors.range(cal..len - 1 - w).copied());
         }
         self.sketch.push(
-            self.errors
-                .get(len - 1 - w, &self.values)
-                .expect("span end in ring"),
+            self.errors[len - 1 - w],
+            self.errors.range(cal..len - w).copied(),
         );
     }
 
@@ -478,9 +479,10 @@ impl SlaveDaemon {
 
     /// Resident footprint of the daemon's state in bytes, measured from
     /// the actual tiered series (raw hot suffixes + compressed cold
-    /// blocks) plus model matrices and the streaming engine's error-floor
-    /// sketch. The paper reports ~3 MB per host daemon (§III.G); this
-    /// estimator makes the bound checkable in tests and dashboards.
+    /// blocks), the error rings, the model matrices and the streaming
+    /// engine's error-floor sketch tails. The paper reports ~3 MB per host
+    /// daemon (§III.G); this estimator makes the bound checkable in tests
+    /// and dashboards.
     pub fn approx_memory_bytes(&self) -> usize {
         let learner_bytes = {
             let b = self.config.learner.bins;
@@ -494,12 +496,10 @@ impl SlaveDaemon {
                     .iter()
                     .flatten()
                     .map(|state| {
-                        // The learner matrices count twice for the
-                        // error store's shadow replay snapshot.
                         state.values.approx_bytes()
-                            + state.errors.approx_bytes()
+                            + state.errors.capacity() * std::mem::size_of::<f64>()
                             + state.sketch.approx_bytes()
-                            + 2 * learner_bytes
+                            + learner_bytes
                     })
                     .sum::<usize>()
             })
@@ -511,24 +511,20 @@ impl SlaveDaemon {
     /// last is what the same windows would cost as flat rings. The
     /// cold/flat ratio is the bench's compression figure.
     ///
-    /// Values contribute hot suffix + compressed cold blocks; the derived
-    /// error series contributes its hot suffix plus the shadow learner
-    /// that replaces its cold tier entirely (errors are regenerated from
-    /// values, never stored compressed — they don't compress).
+    /// Values contribute hot suffix + compressed cold blocks; the error
+    /// ring is all hot (errors don't compress).
     pub fn storage_tier_bytes(&self) -> (usize, usize, usize) {
-        let shadow_bytes = {
-            let b = self.config.learner.bins;
-            (b * b + 2 * b) * std::mem::size_of::<f64>()
-        };
         let mut hot = 0usize;
         let mut cold = 0usize;
         let mut flat = 0usize;
         for (_, shard) in self.shard_list() {
             let comp = shard.lock();
             for state in comp.metrics.iter().flatten() {
-                hot += state.values.hot_bytes() + state.errors.hot_bytes() + shadow_bytes;
+                hot +=
+                    state.values.hot_bytes() + state.errors.capacity() * std::mem::size_of::<f64>();
                 cold += state.values.cold_bytes();
-                flat += state.values.flat_ring_bytes() + state.errors.flat_ring_bytes();
+                // The value window and the error window, each as a flat ring.
+                flat += 2 * state.values.flat_ring_bytes();
             }
         }
         (hot, cold, flat)
@@ -650,12 +646,11 @@ impl SlaveDaemon {
     /// the violation tick coincides with the latest sample at the
     /// configured window, the streaming engine reads the error floor its
     /// ingest path maintained and works in order of need: it screens the
-    /// window's errors in place in the hot suffix, so a provably clean
+    /// window's errors in place in the error ring, so a provably clean
     /// metric costs one scan and no copy, and a suspect one copies only
-    /// the suffixes selection reads, all from the hot error tier. The
-    /// engine also decides whether the shard keeps the scratch: streaming
-    /// reuses it (no steady-state allocation), batch frees it after every
-    /// analysis.
+    /// the suffixes selection reads. The engine also decides whether the
+    /// shard keeps the scratch: streaming reuses it (no steady-state
+    /// allocation), batch frees it after every analysis.
     fn analyze_shard(
         &self,
         component: ComponentId,
@@ -699,12 +694,8 @@ impl SlaveDaemon {
                 .then(|| state.sketch_floor(&self.config));
             let (hist, errs) = if let Some(floor) = floor {
                 let (values_start, errors_start) = suffix_starts(n, lookback, &self.config);
-                debug_assert!(
-                    errors_start >= state.errors.hot_start(),
-                    "screened errors must be hot"
-                );
                 let selection_span = obs::time(obs::Stage::SlaveSelection);
-                if screen(state.errors.hot_range(errors_start, n), floor) {
+                if screen(state.errors.range(errors_start..n).copied(), floor) {
                     obs::count(obs::Counter::MetricsAnalyzed, 1);
                     continue;
                 }
@@ -714,16 +705,18 @@ impl SlaveDaemon {
                     .hist
                     .extend(state.values.iter_range(values_start, n));
                 scratch.errs.clear();
-                scratch.errs.extend(state.errors.hot_range(errors_start, n));
+                scratch
+                    .errs
+                    .extend(state.errors.range(errors_start..n).copied());
                 (
                     Suffix::new(values_start, &scratch.hist),
                     Suffix::new(errors_start, &scratch.errs),
                 )
             } else {
                 state.values.copy_into(&mut scratch.hist);
-                state.errors.copy_into(&mut scratch.errs, &state.values);
                 scratch.hist.truncate(n);
-                scratch.errs.truncate(n);
+                scratch.errs.clear();
+                scratch.errs.extend(state.errors.range(..n).copied());
                 (Suffix::whole(&scratch.hist), Suffix::whole(&scratch.errs))
             };
             if let Some(change) = select(
@@ -1272,9 +1265,10 @@ mod tests {
 
     #[test]
     fn hot_tier_covers_the_screened_errors() {
-        // The violation-time screen reads `errors[n − W − 3 ..]`: W + 3
-        // samples. Sizing for W + 2 would leave the lowest one cold
-        // whenever W + 2 is a multiple of the block size (W = 126, 254, …).
+        // The value tier keeps the window and the two ticks before it raw
+        // (the span the screen checks, `n − W − 3 ..`): W + 3 samples.
+        // Sizing for W + 2 would leave the lowest one cold whenever W + 2
+        // is a multiple of the block size (W = 126, 254, …).
         for lookback in 10u64..=2000 {
             let hot = hot_capacity_for(lookback);
             assert!(hot >= lookback as usize + 3, "W={lookback}: hot {hot}");
@@ -1493,7 +1487,7 @@ mod tests {
             let comp = shard.lock();
             for state in comp.metrics.iter().flatten() {
                 assert!(state.sketch_ok, "steady series must have a live sketch");
-                let errs = state.errors.to_vec(&state.values);
+                let errs: Vec<f64> = state.errors.iter().copied().collect();
                 let n = errs.len();
                 let w = (config.lookback as usize).min(n - 1);
                 let mut span = errs[config.learner.calibration_samples..n - w].to_vec();
@@ -1507,6 +1501,77 @@ mod tests {
                 assert_eq!(state.sketch_floor(config).to_bits(), direct.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn error_ring_stays_aligned_with_the_values_across_evictions() {
+        // A live W = 100 daemon (an 800-sample ring) fed past capacity,
+        // through a bridged gap and then an outage reset. After every
+        // push each retained error must be, bit for bit, what a fresh
+        // learner fed the whole stream since the last reset returned for
+        // that retained value.
+        let daemon = SlaveDaemon::new(FChainConfig::default());
+        assert_eq!(daemon.capacity(), 800);
+        let (c, kind) = (ComponentId(0), MetricKind::Cpu);
+        let value = |t: u64| 40.0 + ((t / 6 * 3 + t * t % 11) % 7) as f64 + (t % 13) as f64 * 0.25;
+        let bridged = 1000..1010u64;
+        let ticks = (0..1300u64)
+            .filter(|t| !bridged.contains(t))
+            .chain(1400..2400);
+        let mut reference = OnlineLearner::new(daemon.config.learner.clone());
+        let (mut fed, mut errors) = (Vec::new(), Vec::new());
+        let mut last = None;
+        for t in ticks {
+            match last {
+                Some(l) if t - l - 1 > MAX_GAP_FILL => {
+                    reference = OnlineLearner::new(daemon.config.learner.clone());
+                    fed.clear();
+                    errors.clear();
+                }
+                Some(l) => {
+                    let carry = value(l);
+                    for _ in l + 1..t {
+                        fed.push(carry);
+                        errors.push(reference.feed(carry));
+                    }
+                }
+                None => {}
+            }
+            fed.push(value(t));
+            errors.push(reference.feed(value(t)));
+            last = Some(t);
+            daemon.ingest(MetricSample {
+                tick: t,
+                component: c,
+                kind,
+                value: value(t),
+            });
+            let shard = daemon.shard(AppId::default(), c);
+            let comp = shard.lock();
+            let state = comp.metrics[kind.index()].as_ref().expect("monitored");
+            let len = state.values.len();
+            assert_eq!(state.errors.len(), len, "tick {t}");
+            let start = fed.len() - len;
+            for (i, (v, e)) in state.values.to_vec().iter().zip(&state.errors).enumerate() {
+                assert_eq!(
+                    v.to_bits(),
+                    fed[start + i].to_bits(),
+                    "value {i} at tick {t}"
+                );
+                assert_eq!(
+                    e.to_bits(),
+                    errors[start + i].to_bits(),
+                    "error {i} at tick {t}"
+                );
+            }
+            if start > 0 {
+                // Past capacity the span slides, so the sketch is live.
+                drop(comp);
+                assert_sketch_floors_exact(&daemon);
+            }
+        }
+        // Both rings filled and slid: before the gap and after the reset.
+        assert_eq!(fed.len(), 1000);
     }
 
     #[test]

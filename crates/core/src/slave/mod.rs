@@ -9,7 +9,6 @@
 //! have predicted — then rolls each back to its precise onset.
 
 pub mod daemon;
-mod derived;
 pub mod rollback;
 mod selection;
 

@@ -280,7 +280,18 @@ mod tests {
 
     #[test]
     fn calm_mix_attributes_every_tenant() {
-        let report = attribute(&small_campaign(3));
+        // No slave deadline at all: on a loaded host the W = 500 tenant's
+        // analysis may outlast any fixed budget, and abandoning it then is
+        // correct (`starved_deadline_classifies_as_evidence_truncation`
+        // covers that). Here the budget never runs out.
+        let campaign = FleetCampaign {
+            config: FChainConfig {
+                slave_deadline_ms: 0,
+                ..FChainConfig::default()
+            },
+            ..small_campaign(3)
+        };
+        let report = attribute(&campaign);
         assert_eq!(report.tenants.len(), 3);
         for t in &report.tenants {
             // An uncontended drain with generous budgets must never be

@@ -13,32 +13,34 @@
 //! span bit for bit — the property the engine-parity guarantee rests on.
 //! Only the values that can reach those ranks are kept in order: with a
 //! lowest percentile of 90 that is the top ~20–40 % of the window, behind
-//! a cut value `τ`; everything below the cut is a count. The window itself
-//! is kept once, in arrival order, for exact retirement. Space is the
-//! window plus that tail (≈ 1.2–1.4× the window at p90). A sample below
-//! the cut costs a comparison and a counter update; one at or above it a
-//! binary search and a shift over the tail. When the window drifts past
-//! the cut (too many samples below it, or too many above), the cut is
-//! re-chosen by one selection over a temporary copy of the window, which
-//! happens about once per thousand pushes on FChain's error series.
+//! a cut value `τ`; everything below the cut is a count. The sketch keeps
+//! no copy of the window: its caller already holds it (the slave daemon's
+//! per-metric error ring), names each value that enters or leaves, and
+//! lends the window back for re-tunes. Space is the tail alone. A sample
+//! below the cut costs a comparison and a counter update; one at or above
+//! it a binary search and a shift over the tail. When the window drifts
+//! past the cut (too many samples below it, or too many above), the cut
+//! is re-chosen by one selection over a temporary copy of the lent window,
+//! which happens about once per thousand updates on FChain's error series.
 
 use crate::stats;
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 
 /// Ranks kept below the lowest answerable rank after a re-tune, on top of
 /// the answerable count itself: the cut sits this much lower than it must,
 /// so a few more arrivals below it do not force the next re-tune at once.
 const RETUNE_MARGIN: usize = 16;
 
-/// An exact upper-tail percentile sketch over a FIFO window of samples.
+/// An exact upper-tail percentile sketch over a window its caller keeps.
 ///
-/// [`PercentileSketch::push`] appends a sample; [`PercentileSketch::pop_oldest`]
-/// retires the oldest one (the caller decides the window policy, because
-/// FChain's normal-behaviour span slides only once the metric's ring is in
-/// steady state). [`PercentileSketch::percentile`] answers any `p` at or
-/// above the `min_percentile` fixed at construction, interpolating exactly
-/// like [`crate::stats::percentile`].
+/// [`PercentileSketch::push`] counts a sample entering the window and
+/// [`PercentileSketch::retire`] one leaving it (the caller decides the
+/// window policy, because FChain's normal-behaviour span slides only once
+/// the metric's ring is in steady state). Each takes the window as it
+/// stands after the change, which the sketch reads only when it re-tunes.
+/// [`PercentileSketch::percentile`] answers any `p` at or above the
+/// `min_percentile` fixed at construction, interpolating exactly like
+/// [`crate::stats::percentile`].
 ///
 /// Samples must not be NaN (the batch percentile path panics on NaN for
 /// the same reason: ordering is undefined).
@@ -48,14 +50,18 @@ const RETUNE_MARGIN: usize = 16;
 /// ```
 /// use fchain_metrics::{stats, PercentileSketch};
 ///
+/// let mut window = Vec::new();
 /// let mut sketch = PercentileSketch::new(50.0);
 /// for v in [4.0, 1.0, 3.0, 2.0] {
-///     sketch.push(v);
+///     window.push(v);
+///     sketch.push(v, window.iter().copied());
 /// }
-/// sketch.pop_oldest(); // retire 4.0; window is now [1.0, 3.0, 2.0]
-/// assert_eq!(sketch.percentile(50.0), stats::percentile(&[1.0, 3.0, 2.0], 50.0));
-/// assert_eq!(sketch.percentile(90.0), stats::percentile(&[1.0, 3.0, 2.0], 90.0));
+/// let oldest = window.remove(0); // 4.0 leaves; window is now [1.0, 3.0, 2.0]
+/// sketch.retire(oldest, window.iter().copied());
+/// assert_eq!(sketch.percentile(50.0), stats::percentile(&window, 50.0));
+/// assert_eq!(sketch.percentile(90.0), stats::percentile(&window, 90.0));
 /// assert_eq!(sketch.max(), Some(3.0));
+/// assert_eq!(sketch.len(), window.len());
 /// ```
 #[derive(Debug, Clone)]
 pub struct PercentileSketch {
@@ -63,8 +69,8 @@ pub struct PercentileSketch {
     min_percentile: f64,
     /// `min_percentile / 100`, the factor of the lowest answerable rank.
     min_fraction: f64,
-    /// The window in arrival order, for exact retirement and re-tunes.
-    arrivals: VecDeque<f64>,
+    /// Number of samples in the window.
+    len: usize,
     /// The cut `τ`: samples below it are only counted.
     cut: f64,
     /// Number of window samples strictly below `cut`.
@@ -91,7 +97,7 @@ impl PercentileSketch {
         PercentileSketch {
             min_percentile,
             min_fraction: min_percentile / 100.0,
-            arrivals: VecDeque::new(),
+            len: 0,
             cut: f64::NEG_INFINITY,
             below: 0,
             at_cut: 0,
@@ -102,29 +108,25 @@ impl PercentileSketch {
     /// Number of samples currently in the window.
     #[inline]
     pub fn len(&self) -> usize {
-        self.arrivals.len()
+        self.len
     }
 
     /// Whether the window is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
+        self.len == 0
     }
 
-    /// Drops every sample (e.g. after a monitoring outage resets the
-    /// series); retains the allocations.
-    pub fn clear(&mut self) {
-        self.arrivals.clear();
-        self.cut = f64::NEG_INFINITY;
-        self.below = 0;
-        self.at_cut = 0;
-        self.above.clear();
-    }
-
-    /// Appends `x` to the window.
-    pub fn push(&mut self, x: f64) {
+    /// Counts `x` entering the window; `window` is the window with `x` in
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a re-tune finds `window` holding a different number of
+    /// samples than the sketch counts.
+    pub fn push<I: IntoIterator<Item = f64>>(&mut self, x: f64, window: I) {
         debug_assert!(!x.is_nan(), "NaN sample in percentile sketch");
-        self.arrivals.push_back(x);
+        self.len += 1;
         if x < self.cut {
             self.below += 1;
         } else if x == self.cut {
@@ -133,12 +135,20 @@ impl PercentileSketch {
             let at = self.above.partition_point(|&v| v < x);
             self.above.insert(at, x);
         }
-        self.retune_if_needed();
+        self.retune_if_needed(window);
     }
 
-    /// Retires the oldest sample, returning it (or `None` when empty).
-    pub fn pop_oldest(&mut self) -> Option<f64> {
-        let x = self.arrivals.pop_front()?;
+    /// Counts `x`, a sample of the window, leaving it; `window` is the
+    /// window without it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sketch is empty, or as [`PercentileSketch::push`].
+    pub fn retire<I: IntoIterator<Item = f64>>(&mut self, x: f64, window: I) {
+        self.len = self
+            .len
+            .checked_sub(1)
+            .expect("retire from an empty sketch");
         if x < self.cut {
             self.below -= 1;
         } else if x == self.cut {
@@ -150,17 +160,14 @@ impl PercentileSketch {
             debug_assert!(self.above.get(at).is_some_and(|&v| v == x));
             self.above.remove(at);
         }
-        self.retune_if_needed();
-        Some(x)
+        self.retune_if_needed(window);
     }
 
-    /// Replaces the window with `samples` (arrival order), retaining
-    /// allocations. Used when a metric first reaches steady state and the
-    /// existing span is adopted wholesale.
-    pub fn rebuild<I: IntoIterator<Item = f64>>(&mut self, samples: I) {
-        self.arrivals.clear();
-        self.arrivals.extend(samples);
-        self.retune();
+    /// Replaces the window with `window`, retaining allocations. Used when
+    /// a metric first reaches steady state and the existing span is
+    /// adopted wholesale.
+    pub fn rebuild<I: IntoIterator<Item = f64>>(&mut self, window: I) {
+        self.retune(window.into_iter().collect());
     }
 
     /// Interpolated percentile `p ∈ [min_percentile, 100]`, or `None` when
@@ -176,7 +183,7 @@ impl PercentileSketch {
             "percentile {p} is below the sketch's lowest answerable {}",
             self.min_percentile
         );
-        stats::percentile_by(self.len(), p, |rank| self.at_rank(rank))
+        stats::percentile_by(self.len, p, |rank| self.at_rank(rank))
     }
 
     /// Largest sample in the window, or `None` when empty.
@@ -187,9 +194,9 @@ impl PercentileSketch {
         }
     }
 
-    /// Heap bytes held: the arrival window plus the kept tail.
+    /// Heap bytes held: the kept tail.
     pub fn approx_bytes(&self) -> usize {
-        (self.arrivals.capacity() + self.above.capacity()) * std::mem::size_of::<f64>()
+        self.above.capacity() * std::mem::size_of::<f64>()
     }
 
     /// The value of ascending rank `rank`; only ranks at or above the
@@ -209,42 +216,43 @@ impl PercentileSketch {
     /// computed exactly as [`stats::percentile_by`] computes its lower
     /// rank, so every query at or above `min_p` reads at or above it.
     fn lowest_rank(&self) -> usize {
-        match self.len() {
+        match self.len {
             0 => 0,
             len => (self.min_fraction * (len - 1) as f64).floor() as usize,
         }
     }
 
-    /// Re-chooses the cut when the lowest answerable rank fell below the
-    /// kept tail, or the tail grew past four times the answerable count.
+    /// Re-chooses the cut from `window` when the lowest answerable rank
+    /// fell below the kept tail, or the tail grew past four times the
+    /// answerable count.
     #[inline]
-    fn retune_if_needed(&mut self) {
+    fn retune_if_needed<I: IntoIterator<Item = f64>>(&mut self, window: I) {
         let lowest = self.lowest_rank();
-        let answerable = self.len() - lowest;
+        let answerable = self.len - lowest;
         if self.below > lowest || self.above.len() > 4 * answerable + 64 {
-            self.retune();
+            let window: Vec<f64> = window.into_iter().collect();
+            assert_eq!(window.len(), self.len, "window disagrees with the sketch");
+            self.retune(window);
         }
     }
 
-    /// Places the cut at rank `lowest − answerable − RETUNE_MARGIN` of the
-    /// window (at −∞, keeping every sample, when that rank is 0 or less)
-    /// and rebuilds the counts and the tail from the arrivals.
-    fn retune(&mut self) {
+    /// Places the cut at rank `lowest − answerable − RETUNE_MARGIN` of
+    /// `window` (at −∞, keeping every sample, when that rank is 0 or less)
+    /// and rebuilds the length, the counts and the tail from it.
+    fn retune(&mut self, mut window: Vec<f64>) {
+        self.len = window.len();
         let lowest = self.lowest_rank();
-        let answerable = self.len() - lowest;
+        let answerable = self.len - lowest;
         let target = lowest.saturating_sub(answerable + RETUNE_MARGIN);
         self.cut = if target == 0 {
             f64::NEG_INFINITY
         } else {
-            // A temporary copy: the sketch holds no window-sized scratch
-            // between the rare re-tunes.
-            let mut window: Vec<f64> = self.arrivals.iter().copied().collect();
             *window.select_nth_unstable_by(target, cmp_samples).1
         };
         self.below = 0;
         self.at_cut = 0;
         self.above.clear();
-        for &x in &self.arrivals {
+        for x in window {
             if x < self.cut {
                 self.below += 1;
             } else if x == self.cut {
@@ -264,16 +272,36 @@ fn cmp_samples(a: &f64, b: &f64) -> Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
+
+    /// A test-local window the sketch is fed from, the way the daemon
+    /// feeds it from its error ring.
+    #[derive(Default)]
+    struct Window(VecDeque<f64>);
+
+    impl Window {
+        fn push(&mut self, sketch: &mut PercentileSketch, x: f64) {
+            self.0.push_back(x);
+            sketch.push(x, self.0.iter().copied());
+        }
+
+        fn pop_oldest(&mut self, sketch: &mut PercentileSketch) -> Option<f64> {
+            let x = self.0.pop_front()?;
+            sketch.retire(x, self.0.iter().copied());
+            Some(x)
+        }
+    }
 
     #[test]
     fn tracks_a_sliding_window_exactly() {
         let values: Vec<f64> = (0..40).map(|i| ((i * 37) % 17) as f64 * 0.5).collect();
         let window = 9usize;
         let mut sketch = PercentileSketch::new(0.0);
+        let mut live_window = Window::default();
         for (i, &v) in values.iter().enumerate() {
-            sketch.push(v);
+            live_window.push(&mut sketch, v);
             if sketch.len() > window {
-                let popped = sketch.pop_oldest();
+                let popped = live_window.pop_oldest(&mut sketch);
                 assert_eq!(popped, Some(values[i - window]));
             }
             let live = &values[(i + 1).saturating_sub(window)..=i];
@@ -292,18 +320,19 @@ mod tests {
     #[test]
     fn duplicates_retire_one_at_a_time() {
         let mut sketch = PercentileSketch::new(0.0);
+        let mut window = Window::default();
         for v in [2.0, 2.0, 2.0, 1.0] {
-            sketch.push(v);
+            window.push(&mut sketch, v);
         }
-        assert_eq!(sketch.pop_oldest(), Some(2.0));
+        assert_eq!(window.pop_oldest(&mut sketch), Some(2.0));
         assert_eq!(sketch.percentile(0.0), Some(1.0));
         assert_eq!(sketch.percentile(100.0), Some(2.0));
-        assert_eq!(sketch.pop_oldest(), Some(2.0));
+        assert_eq!(window.pop_oldest(&mut sketch), Some(2.0));
         assert_eq!(
             sketch.percentile(50.0),
             stats::percentile(&[2.0, 1.0], 50.0)
         );
-        assert_eq!(sketch.pop_oldest(), Some(2.0));
+        assert_eq!(window.pop_oldest(&mut sketch), Some(2.0));
         assert_eq!(sketch.max(), Some(1.0));
     }
 
@@ -311,31 +340,33 @@ mod tests {
     fn rebuild_matches_incremental_pushes() {
         let values = [5.0, -1.0, 3.5, 3.5, 0.0];
         let mut incremental = PercentileSketch::new(0.0);
+        let mut window = Window::default();
         for &v in &values {
-            incremental.push(v);
+            window.push(&mut incremental, v);
         }
         let mut rebuilt = PercentileSketch::new(0.0);
-        rebuilt.push(99.0); // must be discarded by rebuild
+        rebuilt.push(99.0, [99.0]); // must be discarded by rebuild
         rebuilt.rebuild(values);
         let all = |s: &PercentileSketch| -> Vec<Option<f64>> {
             (0..=20).map(|i| s.percentile(i as f64 * 5.0)).collect()
         };
         assert_eq!(all(&rebuilt), all(&incremental));
-        // Retirement order follows arrival order after a rebuild too.
-        assert_eq!(rebuilt.pop_oldest(), Some(5.0));
-        assert_eq!(incremental.pop_oldest(), Some(5.0));
+        // Retirement after a rebuild counts against the adopted window too.
+        assert_eq!(window.pop_oldest(&mut incremental), Some(5.0));
+        rebuilt.retire(5.0, values[1..].iter().copied());
         assert_eq!(all(&rebuilt), all(&incremental));
     }
 
     #[test]
     fn empty_sketch_answers_none() {
         let mut sketch = PercentileSketch::new(90.0);
+        let mut window = Window::default();
         assert!(sketch.is_empty());
         assert_eq!(sketch.percentile(90.0), None);
         assert_eq!(sketch.max(), None);
-        assert_eq!(sketch.pop_oldest(), None);
-        sketch.push(1.0);
-        sketch.clear();
+        assert_eq!(window.pop_oldest(&mut sketch), None);
+        window.push(&mut sketch, 1.0);
+        sketch.rebuild([]);
         assert!(sketch.is_empty());
         assert_eq!(sketch.max(), None);
     }
@@ -345,9 +376,10 @@ mod tests {
         // A long window at p90 holds far fewer ordered values than samples,
         // and a constant run (every sample tied at the cut) stays compact.
         let mut sketch = PercentileSketch::new(90.0);
+        let mut window = Window::default();
         let values: Vec<f64> = (0..3000).map(|i| ((i * 7919) % 3001) as f64).collect();
         for &v in &values {
-            sketch.push(v);
+            window.push(&mut sketch, v);
         }
         assert!(
             sketch.above.len() < values.len() / 2,
@@ -356,8 +388,8 @@ mod tests {
         );
         assert_eq!(sketch.percentile(90.0), stats::percentile(&values, 90.0));
         for _ in 0..3000 {
-            sketch.push(7.0);
-            sketch.pop_oldest();
+            window.push(&mut sketch, 7.0);
+            window.pop_oldest(&mut sketch);
         }
         assert!(sketch.above.is_empty());
         assert_eq!(sketch.percentile(99.0), Some(7.0));
@@ -368,7 +400,7 @@ mod tests {
     #[should_panic(expected = "below the sketch's lowest answerable")]
     fn percentiles_below_the_kept_tail_are_rejected() {
         let mut sketch = PercentileSketch::new(90.0);
-        sketch.push(1.0);
+        sketch.push(1.0, [1.0]);
         sketch.percentile(50.0);
     }
 }
@@ -400,6 +432,20 @@ mod proptests {
         );
         prop_assert_eq!(sketch.len(), live.len());
         Ok(())
+    }
+
+    /// Pushes `values[i]` into a sketch over the sliding window of the
+    /// last `window` values, retiring the oldest once it overflows; the
+    /// sketch reads the window straight from `values`, as the daemon
+    /// reads its error ring. Returns the live window `values[start..=i]`.
+    fn slide(sketch: &mut PercentileSketch, values: &[f64], i: usize, window: usize) -> usize {
+        let start = (i + 1).saturating_sub(window);
+        if start > 0 {
+            // The oldest value leaves before the newest enters.
+            sketch.retire(values[start - 1], values[start..i].iter().copied());
+        }
+        sketch.push(values[i], values[start..=i].iter().copied());
+        start
     }
 
     /// One stretch of a stream built to cross the cut, by `kind`: ramps
@@ -434,7 +480,7 @@ mod proptests {
     }
 
     proptest! {
-        /// Against arbitrary push/pop interleavings the sketch matches a
+        /// Against arbitrary push/retire interleavings the sketch matches a
         /// fresh sort+percentile of the surviving window, bit for bit, for
         /// any percentile it answers.
         #[test]
@@ -444,12 +490,9 @@ mod proptests {
             (min_p, p) in percentiles(),
         ) {
             let mut sketch = PercentileSketch::new(min_p);
-            for (i, &v) in values.iter().enumerate() {
-                sketch.push(v);
-                if sketch.len() > window {
-                    sketch.pop_oldest();
-                }
-                let live = &values[(i + 1).saturating_sub(window)..=i];
+            for i in 0..values.len() {
+                let start = slide(&mut sketch, &values, i, window);
+                let live = &values[start..=i];
                 prop_assert_eq!(sketch.percentile(p), stats::percentile(live, p));
                 prop_assert_eq!(sketch.max(), stats::max(live));
             }
@@ -474,17 +517,14 @@ mod proptests {
             let values: Vec<f64> = stretches.concat();
             let ps = [min_p, p];
             let mut sketch = PercentileSketch::new(min_p);
-            for (i, &v) in values.iter().enumerate() {
-                sketch.push(v);
-                if sketch.len() > window {
-                    sketch.pop_oldest();
-                }
-                let live = &values[(i + 1).saturating_sub(window)..=i];
-                check_against_window(&sketch, live, &ps)?;
+            for i in 0..values.len() {
+                let start = slide(&mut sketch, &values, i, window);
+                check_against_window(&sketch, &values[start..=i], &ps)?;
             }
             // Drain: the window shrinks to nothing, one retirement at a time.
             let mut start = values.len() - sketch.len();
-            while sketch.pop_oldest().is_some() {
+            while !sketch.is_empty() {
+                sketch.retire(values[start], values[start + 1..].iter().copied());
                 start += 1;
                 check_against_window(&sketch, &values[start..], &ps)?;
             }

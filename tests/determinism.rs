@@ -747,9 +747,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The same parity past the ring's capacity at W = 126, where
-    /// W + 3 is one sample past a block boundary: the value ring evicts,
-    /// the error store's shadow learner advances, and the streaming
-    /// engine screens and copies at the edge of the hot error tier.
+    /// W + 3 is one sample past a block boundary: the value and error
+    /// rings evict, the sketch retires the span's oldest error, and the
+    /// streaming engine screens and copies at the edge of the hot value
+    /// tier.
     #[test]
     fn engines_bit_identical_past_capacity_at_the_hot_tier_edge(
         extra in 1u64..200,
